@@ -21,8 +21,6 @@ from pathlib import Path
 from . import __version__
 from .dimensions import (
     build_tapestry,
-    closed_form_sequence,
-    counting_direct,
     counting_explicit,
     sample_off_jump_xs,
 )
@@ -274,11 +272,12 @@ def cmd_count(args) -> int:
     if args.x:
         xs = list(args.x)
     else:
+        if args.samples < 1:
+            raise ConfigError("--samples", f"need at least one sample, got {args.samples}")
         xs = sample_off_jump_xs(
             rz, count=args.samples, lo=args.xmin, hi=args.xmax,
             guard=args.jump_guard, seed=args.seed,
         )
-    seq = closed_form_sequence(system, key)
     rows = []
     for x in xs:
         result = counting_explicit(

@@ -9,11 +9,12 @@ double-pole term at s = 0).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -248,6 +249,50 @@ def jump_distance(rz: RationalZeta, x: float) -> float:
     return min(y - math.floor(y), math.ceil(y) - y)
 
 
+# poles per numpy block: 32 KiB arrays come from the heap, not from fresh
+# mmaps, so peak RSS stays below that of a whole-lattice pass
+_BLOCK = 4096
+
+
+def _lattice_terms(
+    lat: DimensionLattice, Z: int, lnx: float, zero_is_pole: bool
+) -> Iterator[list[float]]:
+    """Re(res * x^w / w) for w = real_part + i*period*(j + phase_shift), |j| <= Z,
+    in blocks of consecutive j.
+
+    Each term is the float that CPython's ``res * cmath.exp(w * lnx) / w``
+    gives: the same libm exp/cos/sin calls, the same products, and the real
+    part of CPython's complex division (Smith's method, branching on
+    |Re w| >= |Im w|).  That holds while real_part * lnx <= ln(DBL_MAX / 4)
+    ~ 708.4, where cmath.exp is plain exp times (cos, sin); the lattices
+    here have real_part < 1, so only x beyond about 1e307 could leave it.
+    The pole at s = 0 on the zero lattice is dropped; it is folded into the
+    double-pole term.
+    """
+    wr = lat.real_part
+    res = lat.residue
+    drop_zero = zero_is_pole and abs(wr) < 1e-12
+    l = math.exp(wr * lnx)
+    for lo in range(-Z, Z + 1, _BLOCK):
+        j = np.arange(lo, min(lo + _BLOCK, Z + 1), dtype=np.float64)
+        im = lat.period * (j + lat.phase_shift)
+        if drop_zero:
+            im = im[im != 0.0]
+        arg = im * lnx
+        er = l * np.cos(arg)
+        ei = l * np.sin(arg)
+        mr = res.real * er - res.imag * ei
+        mi = res.real * ei + res.imag * er
+        out = np.empty_like(im)
+        near = np.abs(im) <= abs(wr)
+        far = ~near
+        ratio = wr / im[far]
+        out[far] = (mr[far] * ratio + mi[far]) / (wr * ratio + im[far])
+        ratio = im[near] / wr
+        out[near] = (mr[near] + mi[near] * ratio) / (wr + im[near] * ratio)
+        yield out.tolist()
+
+
 def counting_explicit(
     system: AtomicMeasureSpec | FractalStringSpec,
     key: RegularityKey | None,
@@ -257,9 +302,9 @@ def counting_explicit(
 ) -> CountingResult:
     """Symmetric truncated pole sum sum res * x^omega / omega (+ s=0 term).
 
-    The truncation error is O(1/(Z * delta)) at distance delta from the
-    nearest jump; at a jump the series converges to the midpoint instead,
-    so such x are rejected by the guard.
+    The truncation error is O(x^Re(omega) / (Z * delta)) at log-distance
+    delta from the nearest jump; at a jump the series converges to the
+    midpoint instead, so such x are rejected by the guard.
     """
     if x <= 1:
         raise ValueError("x must exceed 1")
@@ -287,21 +332,13 @@ def counting_explicit(
         const = res0 * math.log(x) + c0
         zero_is_pole = True
     lnx = math.log(x)
-    terms: list[tuple[float, complex]] = []
-    for lat in pole_lattices(rz, band=1.0):
-        if not lat.simple:
-            raise ValueError("non-simple pole lattice; explicit sum unsupported")
-        res = lat.residue
-        on_zero_lattice = zero_is_pole and abs(lat.real_part) < 1e-12
-        for j in range(-Z, Z + 1):
-            im = lat.period * (j + lat.phase_shift)
-            if on_zero_lattice and im == 0.0:
-                continue  # folded into the double-pole term at s = 0
-            w = complex(lat.real_part, im)
-            terms.append((abs(im), res * cmath.exp(w * lnx) / w))
-    # conditional convergence: sum symmetrically, small |Im| first
-    terms.sort(key=lambda t: t[0])
-    value = math.fsum(t[1].real for t in terms) + const
+    lattices = pole_lattices(rz, band=1.0)
+    if not all(lat.simple for lat in lattices):
+        raise ValueError("non-simple pole lattice; explicit sum unsupported")
+    blocks = (b for lat in lattices for b in _lattice_terms(lat, Z, lnx, zero_is_pole))
+    # fsum is correctly rounded in any order, so the symmetric truncation
+    # needs no sorting by |Im|
+    value = math.fsum(itertools.chain.from_iterable(blocks)) + const
     return CountingResult(
         x=float(x), direct=direct, explicit_value=value, truncation_Z=Z
     )
@@ -315,7 +352,14 @@ def sample_off_jump_xs(
     guard: float = 0.02,
     seed: int = 7,
 ) -> list[float]:
-    """Deterministic log-uniform samples at least guard away from jumps."""
+    """Deterministic log-uniform samples at least guard away from jumps.
+
+    Jumps are one log-unit apart, so no x is 0.5 or more away from one.
+    """
+    if not 0 <= guard < 0.5:
+        raise ValueError(f"jump guard {guard} outside [0, 0.5): jumps are one log-unit apart")
+    if not 0 < lo < hi:
+        raise ValueError(f"sample range [{lo}, {hi}] needs 0 < lo < hi")
     rng = random.Random(seed)
     out = []
     while len(out) < count:

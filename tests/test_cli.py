@@ -214,6 +214,15 @@ def test_count_error_paths(tmp_path, capsys, config):
     rc = main(["count", "--config", config("cantor"), "--x", "9", "--out", out])
     assert rc == 2
     assert "jump" in capsys.readouterr().err
+    # no x is 0.5 log-units from a jump: rejected up front instead of hanging
+    rc = main(["count", "--config", config("cantor"), "--jump-guard", "0.6", "--out", out])
+    assert rc == 2
+    assert "jump guard" in capsys.readouterr().err
+    rc = main(["count", "--config", config("cantor"), "--samples", "0", "--out", out])
+    assert rc == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+    assert not (tmp_path / "x.manifest.json").exists()
 
 
 def test_verify_cli_budget_and_exit_codes(capsys, config):

@@ -1,4 +1,5 @@
 """Pole lattices, residues, tapestries, and counting functions."""
+import cmath
 import math
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from mfzeta.ifs_core import AtomicMeasureSpec, FractalStringSpec, WeightedIFS
 from mfzeta.regularity import FractionKey, OnePlusLogKey
 from mfzeta.zeta import Poly, RationalZeta, closed_form_zeta
 from mfzeta.dimensions import (
+    _lattice_terms,
+    _zero_pole_expansion,
     build_tapestry,
     closed_form_sequence,
     counting_direct,
@@ -252,6 +255,56 @@ def test_explicit_rounds_to_direct_on_samples(system, key, hi):
         assert r.truncation_Z == 20000
 
 
+def _explicit_term_by_term(system, key, x, Z):
+    """Reference: one cmath.exp and one Python complex division per pole.
+
+    Returns the real parts of the terms, lattice by lattice, and the value.
+    """
+    rz = closed_form_zeta(system, key)
+    v0 = rz.value_at_zero()
+    if v0 is not None:
+        const, zero_is_pole = float(v0), False
+    else:
+        res0, c0 = _zero_pole_expansion(rz)
+        const, zero_is_pole = res0 * math.log(x) + c0, True
+    lnx = math.log(x)
+    per_lattice = []
+    for lat in pole_lattices(rz, band=1.0):
+        terms = []
+        for j in range(-Z, Z + 1):
+            im = lat.period * (j + lat.phase_shift)
+            if zero_is_pole and abs(lat.real_part) < 1e-12 and im == 0.0:
+                continue
+            w = complex(lat.real_part, im)
+            terms.append((lat.residue * cmath.exp(w * lnx) / w).real)
+        per_lattice.append((lat, terms))
+    value = math.fsum(t for _, terms in per_lattice for t in terms) + const
+    return per_lattice, zero_is_pole, value
+
+
+# cantor: one lattice; fibonacci: two, one shifted by 1/2; sigma1 1/2: the
+# zero lattice with the double pole at s = 0; sigma2 1 and m=3 1/2: Re > 0
+@pytest.mark.parametrize(
+    "system, key",
+    [
+        (CANTOR, None),
+        (FIB, None),
+        (SIGMA1, FractionKey(F(1, 2))),
+        (SIGMA2, FractionKey(F(1))),
+        (M3, FractionKey(F(1, 2))),
+    ],
+)
+def test_explicit_is_bit_identical_to_term_by_term_sum(system, key):
+    rz = closed_form_zeta(system, key)
+    Z = 2100  # 4201 poles per lattice: two numpy blocks
+    for x in sample_off_jump_xs(rz, count=6, hi=1e12, seed=3):
+        per_lattice, zero_is_pole, value = _explicit_term_by_term(system, key, x, Z)
+        for lat, terms in per_lattice:
+            blocks = _lattice_terms(lat, Z, math.log(x), zero_is_pole)
+            assert [t for block in blocks for t in block] == terms
+        assert counting_explicit(system, key, x, Z).explicit_value == value, x
+
+
 def test_explicit_rejects_jump_proximity():
     with pytest.raises(ValueError, match="jump"):
         counting_explicit(SIGMA2, FractionKey(F(1)), 9.0, Z=1000)
@@ -297,3 +350,8 @@ def test_sample_off_jump_xs_deterministic():
     for x in a:
         assert 2.0 <= x <= 1e6
         assert jump_distance(rz, x) >= 0.02
+    # no x is 0.5 or more log-units from a jump
+    with pytest.raises(ValueError, match="jump guard"):
+        sample_off_jump_xs(rz, guard=0.5)
+    with pytest.raises(ValueError, match="0 < lo < hi"):
+        sample_off_jump_xs(rz, lo=0.0)
