@@ -49,6 +49,13 @@ from .zeta import (
     multinomial_zeta,
 )
 
+# Work cap of one `count` run, in pole terms: (2*trunc+1 + POLE_TERMS_PER_X)
+# per x value.  On a 2-vCPU Xeon VM the slowest system, the two-lattice
+# fibonacci string, takes 2.7e-7 s per pole term and 1 ms of fixed cost per
+# x (about 4,000 terms), so a run within the cap ends in about 55 s or less.
+POLE_TERMS_PER_X = 4_000
+POLE_TERM_CAP = 200_000_000
+
 
 # ---------------------------------------------------------------------------
 # Run manifests and deterministic emission
@@ -269,11 +276,19 @@ def cmd_count(args) -> int:
     if isinstance(system, AtomicMeasureSpec) and key is None:
         raise ConfigError("--alpha", "atomic families need a class key, e.g. --alpha 1/2")
     rz = closed_form_zeta(system, key)
+    if not args.x and args.samples < 1:
+        raise ConfigError("--samples", f"need at least one sample, got {args.samples}")
+    points = len(args.x) if args.x else args.samples
+    terms = (2 * args.trunc + 1 + POLE_TERMS_PER_X) * points
+    if terms > POLE_TERM_CAP:
+        raise ConfigError(
+            "--trunc/--samples",
+            f"(2*trunc+1 + {POLE_TERMS_PER_X}) * {points} x values = {terms:.3g} pole "
+            f"terms exceeds the cap of {POLE_TERM_CAP:.3g} per run",
+        )
     if args.x:
         xs = list(args.x)
     else:
-        if args.samples < 1:
-            raise ConfigError("--samples", f"need at least one sample, got {args.samples}")
         xs = sample_off_jump_xs(
             rz, count=args.samples, lo=args.xmin, hi=args.xmax,
             guard=args.jump_guard, seed=args.seed,
@@ -394,12 +409,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--x", action="append", type=float,
         help="evaluate at this x (repeatable); default: sampled off-jump points",
     )
-    count.add_argument("--samples", type=int, default=25, help="sample count (default 25)")
+    count.add_argument(
+        "--samples", type=int, default=25,
+        help="sample count (default 25); see --trunc for the cap",
+    )
     count.add_argument("--xmin", type=float, default=2.0, help="sample range low (default 2)")
     count.add_argument("--xmax", type=float, default=1e6, help="sample range high (default 1e6)")
     count.add_argument("--seed", type=int, default=7, help="sampling seed (default 7)")
     count.add_argument(
-        "--trunc", type=int, default=20000, help="pole-sum truncation Z (default 20000)"
+        "--trunc", type=int, default=20000,
+        help="pole-sum truncation Z (default 20000); a run is capped at "
+        f"(2Z+1 + {POLE_TERMS_PER_X}) * (number of x) <= {POLE_TERM_CAP:.3g} pole terms",
     )
     count.add_argument(
         "--jump-guard", type=float, default=0.02,

@@ -8,18 +8,16 @@ so masses are exact rationals at every stage within budget.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .ifs_core import (
     AtomicMeasureSpec,
     BudgetExceededError,
     PrimeExponentVector,
     WeightedIFS,
-    collapse_probabilities,
     factorize,
 )
 from .regularity import (
@@ -27,10 +25,15 @@ from .regularity import (
     FractionKey,
     InfiniteKey,
     OnePlusLogKey,
+    PreparedIFS,
     RegularityKey,
     RegularityValue,
     VectorKey,
     assert_separated,
+    collapsed_regularity,
+    prepare,
+    reduce_vector,
+    regularity_of,
     values_equal,
 )
 from .sequences import AlphaLengthSequence, multinomial
@@ -84,20 +87,13 @@ def _compositions(total: int, parts: int):
             yield (first, *rest)
 
 
-def _vector_gcd(k: Sequence[int]) -> int:
-    g = 0
-    for x in k:
-        g = math.gcd(g, x)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # IFS stages
 # ---------------------------------------------------------------------------
 
 
 def enumerate_stage(
-    ifs: WeightedIFS, K: int, budget: int = DEFAULT_BUDGET
+    ifs: WeightedIFS | PreparedIFS, K: int, budget: int = DEFAULT_BUDGET
 ) -> StageEnumeration:
     """Aggregate the N^K stage-K intervals by exponent vector.
 
@@ -105,21 +101,18 @@ def enumerate_stage(
     of all levels <= K are reported separately, aggregated by the exponent
     vector of their enclosing level-(j-1) cell.
     """
+    prepared = prepare(ifs)
+    ifs = prepared.ifs
     if K < 1:
         raise ValueError("stage K must be >= 1")
     if ifs.N**K > budget:
         raise BudgetExceededError(f"N^K = {ifs.N**K} exceeds budget {budget}")
-    p_pev = [factorize(p) for p in ifs.probs]
-    r_pev = [factorize(r) for r in ifs.ratios]
-    collapsed = collapse_probabilities(ifs) if ifs.equal_ratios() else None
+    collapsed = prepared.collapsed
 
     def key_hint_for(k: tuple[int, ...]) -> VectorKey:
         if collapsed is not None:
-            folded = collapsed.collapse_vector(k)
-            g = _vector_gcd(folded)
-            return VectorKey(tuple(x // g for x in folded), collapsed=True)
-        g = _vector_gcd(k)
-        return VectorKey(tuple(x // g for x in k))
+            return VectorKey(reduce_vector(collapsed.collapse_vector(k)), collapsed=True)
+        return VectorKey(reduce_vector(k))
 
     intervals = []
     for k in _compositions(K, ifs.N):
@@ -127,7 +120,7 @@ def enumerate_stage(
         length = Fraction(1)
         mass_pev = PrimeExponentVector()
         length_pev = PrimeExponentVector()
-        for ki, p, r, pp, rp in zip(k, ifs.probs, ifs.ratios, p_pev, r_pev):
+        for ki, p, r, pp, rp in zip(k, ifs.probs, ifs.ratios, prepared.p_pev, prepared.r_pev):
             if ki:
                 mass *= p**ki
                 length *= r**ki
@@ -141,7 +134,7 @@ def enumerate_stage(
                 length=length,
                 count=multinomial(K, k),
                 kind="ifs",
-                regularity=RegularityValue(mass_pev, length_pev),
+                regularity=RegularityValue(mass_pev, length_pev, prepared.logs),
                 key_hint=key_hint_for(k),
             )
         )
@@ -438,11 +431,11 @@ def empirical_alpha_lengths(
 
     An unattained key yields an empty sequence (a trivial regularity).
     """
-    from .regularity import collapsed_regularity, regularity_of
-
+    if isinstance(source, WeightedIFS):
+        source = prepare(source)
     target: RegularityValue | None = None
     if isinstance(key, VectorKey):
-        if not isinstance(source, WeightedIFS):
+        if not isinstance(source, PreparedIFS):
             raise ValueError("vector keys require an IFS source")
         cls = (
             collapsed_regularity(source, key.vector)
@@ -453,7 +446,7 @@ def empirical_alpha_lengths(
 
     merged: dict[Fraction, int] = {}
     for stage in range(1, depth + 1):
-        if isinstance(source, WeightedIFS):
+        if isinstance(source, PreparedIFS):
             enum = enumerate_stage(source, stage, budget=budget)
         else:
             enum = atomic_stage(source, stage, budget=budget)
@@ -467,26 +460,3 @@ def empirical_alpha_lengths(
             merged[rec.length] = merged.get(rec.length, 0) + rec.count
     entries = sorted(merged.items(), key=lambda kv: kv[0], reverse=True)
     return AlphaLengthSequence.from_entries(entries, label=str(key))
-
-
-# ---------------------------------------------------------------------------
-# CSV dump
-# ---------------------------------------------------------------------------
-
-
-def write_records_csv(records: Iterable[IntervalRecord], fh) -> None:
-    """Dump records: stage, k-vector, mass, length, regularity(float), key."""
-    writer = csv.writer(fh)
-    writer.writerow(["stage", "k", "mass", "length", "count", "regularity", "key"])
-    for rec in records:
-        writer.writerow(
-            [
-                rec.stage,
-                " ".join(str(x) for x in rec.k),
-                str(rec.mass),
-                str(rec.length),
-                rec.count,
-                repr(rec.alpha_float()),
-                str(rec.key_hint),
-            ]
-        )

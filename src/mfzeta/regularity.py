@@ -13,6 +13,12 @@ Equality of two regularity values is decided by a ladder:
 2. interval arithmetic at 64, then 256, then 1024 bits;
 3. if the intervals still overlap, ``AmbiguousRegularityError`` is
    raised — values are never silently merged.
+
+Facts that every class of one system shares (factorized parameters, the
+collapse of equal probabilities, their independence verdict, interval
+enclosures of the logs of the primes) live in a ``PreparedIFS``, built once
+by ``prepare``; every function taking a ``WeightedIFS`` here also takes its
+prepared form.
 """
 from __future__ import annotations
 
@@ -22,6 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath
+from mpmath.ctx_iv import MPIntervalContext
 
 from .ifs_core import (
     CollapsedProbabilities,
@@ -109,12 +116,59 @@ def precision_ladder() -> tuple[int, ...]:
     return tuple(p for p in _PREC_LADDER if p >= _ladder_start)
 
 
+# One private interval context per rung, made on first use.  None is ever
+# re-precisioned, so comparisons leave mpmath's global iv.prec/mp.prec alone
+# and concurrent comparisons share no mutable precision state.
+_RUNG_CONTEXTS: dict[int, MPIntervalContext] = {}
+
+
+def _rung_context(bits: int) -> MPIntervalContext:
+    ctx = _RUNG_CONTEXTS.get(bits)
+    if ctx is None:
+        if bits not in _PREC_LADDER:
+            raise ValueError(f"precision must be one of {_PREC_LADDER}, got {bits}")
+        ctx = MPIntervalContext()
+        ctx.prec = bits
+        # two threads may both get here; either context serves
+        ctx = _RUNG_CONTEXTS.setdefault(bits, ctx)
+    return ctx
+
+
+class PrimeLogs:
+    """Interval enclosures of log p for the primes of one system, at each
+    ladder rung, each computed on first use.
+
+    Two threads may compute the same entry at once; both store the same
+    value, so the race is harmless.
+    """
+
+    def __init__(self) -> None:
+        self._enclosures: dict[int, dict] = {bits: {} for bits in _PREC_LADDER}
+
+    def enclosure(self, pev: PrimeExponentVector, bits: int):
+        """Interval enclosure of sum e * log p over pev, at one ladder rung."""
+        ctx = _rung_context(bits)
+        table = self._enclosures[bits]
+        total = ctx.zero
+        for p, e in pev.items():
+            lp = table.get(p)
+            if lp is None:
+                lp = table[p] = ctx.ln(p)
+            total += e * lp
+        return total
+
+
 @dataclass(frozen=True)
 class RegularityValue:
-    """alpha = log(mass)/log(length) as an exact pair of exponent vectors."""
+    """alpha = log(mass)/log(length) as an exact pair of exponent vectors.
+
+    ``logs`` holds the log enclosures of the system the value came from;
+    values built without one use a fresh table.
+    """
 
     mass_pev: PrimeExponentVector
     length_pev: PrimeExponentVector
+    logs: PrimeLogs | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.length_pev.is_zero():
@@ -154,25 +208,14 @@ class RegularityValue:
         return self.mass_pev.log() / self.length_pev.log()
 
     def interval(self, prec_bits: int):
-        """Enclosing interval of alpha at the given binary precision."""
-        iv = mpmath.iv
-        old = iv.prec
-        old_mp = mpmath.mp.prec
-        iv.prec = prec_bits
-        # endpoint conversion must not round away interval bits
-        mpmath.mp.prec = prec_bits + 32
-        try:
-            num = iv.mpf(0)
-            for p, e in self.mass_pev.items():
-                num += e * iv.log(p)
-            den = iv.mpf(0)
-            for p, e in self.length_pev.items():
-                den += e * iv.log(p)
-            quot = num / den
-            return (mpmath.mpf(quot.a), mpmath.mpf(quot.b))
-        finally:
-            iv.prec = old
-            mpmath.mp.prec = old_mp
+        """Enclosing interval of alpha at one rung (64, 256 or 1024 bits)."""
+        logs = self.logs or PrimeLogs()
+        quot = logs.enclosure(self.mass_pev, prec_bits) / logs.enclosure(
+            self.length_pev, prec_bits
+        )
+        lo, hi = quot._mpi_
+        # make_mpf keeps the endpoints exactly; mpf() would round them to mp.prec
+        return mpmath.mp.make_mpf(lo), mpmath.mp.make_mpf(hi)
 
 
 def _divide_pev(pev: PrimeExponentVector, g: int) -> PrimeExponentVector:
@@ -229,85 +272,147 @@ class RegularityClass:
     K: int
 
 
-def _vector_gcd(k: Sequence[int]) -> int:
-    g = 0
-    for x in k:
-        g = math.gcd(g, x)
-    return g
-
-
-def regularity_of(ifs: WeightedIFS, k: Sequence[int]) -> RegularityClass:
-    """Exact regularity of the exponent vector k (convention 0*log0 = 0)."""
+def reduce_vector(k: Sequence[int]) -> tuple[int, ...]:
+    """k divided by the gcd of its parts (the primitive key of its class)."""
     k = tuple(int(x) for x in k)
-    if len(k) != ifs.N:
-        raise ValueError(f"exponent vector has length {len(k)}, expected {ifs.N}")
+    if any(x < 0 for x in k) or not any(k):
+        raise ValueError("exponent vector must be nonzero with non-negative parts")
+    g = math.gcd(*k)
+    return tuple(x // g for x in k)
+
+
+def _power_product(
+    pevs: Sequence[PrimeExponentVector], k: Sequence[int]
+) -> PrimeExponentVector:
+    """prod pevs[i]**k[i] as one exponent vector."""
+    out = PrimeExponentVector()
+    for ki, pev in zip(k, pevs):
+        if ki:
+            out = out + pev.scaled(ki)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Prepared systems
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedIFS:
+    """The facts about one ``WeightedIFS`` that all of its classes share.
+
+    Built once by ``prepare``.  ``collapsed`` (distinct probabilities, with
+    their factorizations in ``distinct_pev``) is set only for equal-ratio
+    systems; the independence verdict and its witness refer to those
+    distinct probabilities and are trivially true otherwise.
+    """
+
+    ifs: WeightedIFS
+    p_pev: tuple[PrimeExponentVector, ...]
+    r_pev: tuple[PrimeExponentVector, ...]
+    collapsed: CollapsedProbabilities | None
+    distinct_pev: tuple[PrimeExponentVector, ...]
+    independent: bool
+    witness: tuple[int, ...] | None
+    logs: PrimeLogs
+
+    @property
+    def dependence(self) -> str | None:
+        """Why collapsed classes are invalid, or None when they are valid."""
+        if self.independent:
+            return None
+        return f"distinct probabilities are multiplicatively dependent (witness {self.witness})"
+
+
+def prepare(system: WeightedIFS | PreparedIFS) -> PreparedIFS:
+    """The prepared form of a system; a prepared form is returned unchanged."""
+    if isinstance(system, PreparedIFS):
+        return system
+    collapsed = None
+    independent, witness = True, None
+    if system.equal_ratios():
+        collapsed = collapse_probabilities(system)
+        if collapsed.w > 1:
+            independent, witness = check_rational_independence(collapsed.distinct)
+    return PreparedIFS(
+        ifs=system,
+        p_pev=tuple(factorize(p) for p in system.probs),
+        r_pev=tuple(factorize(r) for r in system.ratios),
+        collapsed=collapsed,
+        distinct_pev=tuple(factorize(p) for p in collapsed.distinct) if collapsed else (),
+        independent=independent,
+        witness=witness,
+        logs=PrimeLogs(),
+    )
+
+
+def regularity_of(ifs: WeightedIFS | PreparedIFS, k: Sequence[int]) -> RegularityClass:
+    """Exact regularity of the exponent vector k (convention 0*log0 = 0)."""
+    prepared = prepare(ifs)
+    k = tuple(int(x) for x in k)
+    if len(k) != prepared.ifs.N:
+        raise ValueError(f"exponent vector has length {len(k)}, expected {prepared.ifs.N}")
     if any(x < 0 for x in k):
         raise ValueError("exponent vector components must be non-negative")
     if not any(k):
         raise ValueError("exponent vector must be nonzero")
-    mass = PrimeExponentVector()
-    length = PrimeExponentVector()
-    for ki, p, r in zip(k, ifs.probs, ifs.ratios):
-        if ki:
-            mass = mass + factorize(p).scaled(ki)
-            length = length + factorize(r).scaled(ki)
-    value = RegularityValue(mass, length)
-    g = _vector_gcd(k)
+    value = RegularityValue(
+        _power_product(prepared.p_pev, k), _power_product(prepared.r_pev, k), prepared.logs
+    )
     return RegularityClass(
-        key=VectorKey(tuple(x // g for x in k)),
+        key=VectorKey(reduce_vector(k)),
         alpha_exact=value,
         alpha_float=value.to_float(),
         K=sum(k),
     )
 
 
-def collapsed_regularity(ifs: WeightedIFS, kprime: Sequence[int]) -> RegularityClass:
+def collapsed_regularity(
+    ifs: WeightedIFS | PreparedIFS, kprime: Sequence[int]
+) -> RegularityClass:
     """Regularity of a collapsed vector k' for a single-ratio system.
 
     alpha(k') = (1/K) log_r(p'_1^{k'_1} ... p'_w^{k'_w}); valid when the
     distinct probabilities are multiplicatively independent.
     """
-    if not ifs.equal_ratios():
+    prepared = prepare(ifs)
+    collapsed = prepared.collapsed
+    if collapsed is None:
         raise ValueError("collapsed regularity requires all scaling ratios equal")
-    collapsed = collapse_probabilities(ifs)
     kprime = tuple(int(x) for x in kprime)
     if len(kprime) != collapsed.w:
         raise ValueError(f"collapsed vector has length {len(kprime)}, expected {collapsed.w}")
     if any(x < 0 for x in kprime) or not any(kprime):
         raise ValueError("collapsed vector must be nonzero with non-negative parts")
-    if collapsed.w > 1:
-        independent, witness = check_rational_independence(collapsed.distinct)
-        if not independent:
-            raise ValueError(
-                f"distinct probabilities are multiplicatively dependent (witness {witness})"
-            )
+    if prepared.dependence is not None:
+        raise ValueError(prepared.dependence)
     K = sum(kprime)
-    mass = PrimeExponentVector()
-    for kq, pq in zip(kprime, collapsed.distinct):
-        if kq:
-            mass = mass + factorize(pq).scaled(kq)
-    length = factorize(ifs.ratios[0]).scaled(K)
-    value = RegularityValue(mass, length)
-    g = _vector_gcd(kprime)
+    value = RegularityValue(
+        _power_product(prepared.distinct_pev, kprime),
+        prepared.r_pev[0].scaled(K),
+        prepared.logs,
+    )
     return RegularityClass(
-        key=VectorKey(tuple(x // g for x in kprime), collapsed=True),
+        key=VectorKey(reduce_vector(kprime), collapsed=True),
         alpha_exact=value,
         alpha_float=value.to_float(),
         K=K,
     )
 
 
-def is_monofractal(ifs: WeightedIFS) -> RegularityValue | None:
+def is_monofractal(ifs: WeightedIFS | PreparedIFS) -> RegularityValue | None:
     """The common unit-vector regularity when all maps share it, else None.
 
     Exactness matters: the common value may be irrational (e.g. the
     Devil's-staircase system), so the comparison uses the full ladder.
     """
+    prepared = prepare(ifs)
+    N = prepared.ifs.N
     units = []
-    for i in range(ifs.N):
-        k = [0] * ifs.N
+    for i in range(N):
+        k = [0] * N
         k[i] = 1
-        units.append(regularity_of(ifs, k).alpha_exact)
+        units.append(regularity_of(prepared, k).alpha_exact)
     first = units[0]
     for other in units[1:]:
         if not values_equal(first, other):
@@ -332,7 +437,7 @@ def primitive_vectors(N: int, K_max: int) -> list[tuple[int, ...]]:
         if len(prefix) == N - 1:
             for last in range(remaining + 1):
                 k = (*prefix, last)
-                if any(k) and _vector_gcd(k) == 1:
+                if math.gcd(*k) == 1:
                     out.append(k)
             return
         for v in range(remaining + 1):
@@ -353,38 +458,26 @@ class HypothesisReport:
     ambiguous: list[str] = field(default_factory=list)
 
 
-def check_hypothesis_H(ifs: WeightedIFS, K_max: int) -> HypothesisReport:
+def check_hypothesis_H(ifs: WeightedIFS | PreparedIFS, K_max: int) -> HypothesisReport:
     """Group primitive vectors by exact regularity and certify separations.
 
     Equal-ratio systems are tested over collapsed vectors (one slot per
     distinct probability): repeated probabilities make full vectors collide
     by construction, while the partition analysis runs on collapsed classes.
     """
-    collapsed = None
-    if ifs.equal_ratios():
-        from .ifs_core import check_rational_independence, collapse_probabilities
-
-        collapsed = collapse_probabilities(ifs)
-        if collapsed.w > 1:
-            independent, witness = check_rational_independence(collapsed.distinct)
-            if not independent:
-                return HypothesisReport(
-                    holds=False,
-                    collisions=[],
-                    ambiguous=[
-                        "distinct probabilities are multiplicatively dependent "
-                        f"(witness {witness})"
-                    ],
-                )
-        if collapsed.w == ifs.N:
-            collapsed = None  # all probabilities distinct: same classes
-    width = collapsed.w if collapsed is not None else ifs.N
+    prepared = prepare(ifs)
+    if prepared.dependence is not None:
+        return HypothesisReport(holds=False, collisions=[], ambiguous=[prepared.dependence])
+    collapsed = prepared.collapsed
+    if collapsed is not None and collapsed.w == prepared.ifs.N:
+        collapsed = None  # all probabilities distinct: same classes
+    width = collapsed.w if collapsed is not None else prepared.ifs.N
     groups: dict[tuple, tuple[RegularityValue, list[tuple[int, ...]]]] = {}
     for k in primitive_vectors(width, K_max):
         if collapsed is not None:
-            value = collapsed_regularity(ifs, k).alpha_exact
+            value = collapsed_regularity(prepared, k).alpha_exact
         else:
-            value = regularity_of(ifs, k).alpha_exact
+            value = regularity_of(prepared, k).alpha_exact
         key = value.canonical()
         if key in groups:
             groups[key][1].append(k)

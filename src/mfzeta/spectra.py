@@ -9,25 +9,24 @@ comparison toolkit.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .ifs_core import (
-    AtomicMeasureSpec,
-    WeightedIFS,
-    check_rational_independence,
-    collapse_probabilities,
-)
+from .ifs_core import AtomicMeasureSpec, WeightedIFS
 from .regularity import (
     FractionKey,
     OnePlusLogKey,
+    PreparedIFS,
     RegularityKey,
     VectorKey,
     check_hypothesis_H,
     collapsed_regularity,
     is_monofractal,
+    prepare,
     primitive_vectors,
     regularity_of,
 )
@@ -53,12 +52,18 @@ class EnvelopeFunction:
         if len(self.breakpoints) < 1:
             raise ValueError("envelope needs at least one breakpoint")
 
+    @cached_property
+    def _xs(self) -> tuple[float, ...]:
+        # kept on first evaluation, not at construction: most envelopes are
+        # only written out, and a sweep's hull can have ~20k vertices
+        return tuple(x for x, _ in self.breakpoints)
+
     @property
     def domain(self) -> tuple[float, float]:
         return self.breakpoints[0][0], self.breakpoints[-1][0]
 
     def __call__(self, t: float) -> float:
-        xs = [x for x, _ in self.breakpoints]
+        xs = self._xs
         lo, hi = xs[0], xs[-1]
         if not (lo <= t <= hi):
             raise ValueError(f"t = {t} outside envelope domain [{lo}, {hi}]")
@@ -102,8 +107,10 @@ class LegendrePipeline:
 # ---------------------------------------------------------------------------
 
 
-def _ifs_sweep(ifs: WeightedIFS, K_max: int) -> list[SpectrumPoint]:
-    mono = is_monofractal(ifs)
+def _ifs_sweep(ifs: WeightedIFS | PreparedIFS, K_max: int) -> list[SpectrumPoint]:
+    prepared = prepare(ifs)
+    ifs = prepared.ifs
+    mono = is_monofractal(prepared)
     if mono is not None:
         # f(D) = D exactly: emit one value for both coordinates
         d = mono.to_float()
@@ -120,18 +127,13 @@ def _ifs_sweep(ifs: WeightedIFS, K_max: int) -> list[SpectrumPoint]:
                 f_desc="Moran dimension of the support (equals alpha)",
             )
         ]
-    if ifs.equal_ratios():
-        collapsed = collapse_probabilities(ifs)
-        if collapsed.w > 1:
-            independent, witness = check_rational_independence(collapsed.distinct)
-            if not independent:
-                raise ValueError(
-                    f"distinct probabilities multiplicatively dependent (witness {witness})"
-                )
+    if prepared.collapsed is not None:
+        if prepared.dependence is not None:
+            raise ValueError(prepared.dependence)
         points = []
-        for k in primitive_vectors(collapsed.w, K_max):
-            cls = collapsed_regularity(ifs, k)
-            res = abscissa_closed(ifs, k)
+        for k in primitive_vectors(prepared.collapsed.w, K_max):
+            cls = collapsed_regularity(prepared, k)
+            res = abscissa_closed(prepared, k)
             points.append(
                 SpectrumPoint(
                     alpha=cls.alpha_float,
@@ -143,12 +145,12 @@ def _ifs_sweep(ifs: WeightedIFS, K_max: int) -> list[SpectrumPoint]:
             )
         points.sort(key=lambda p: (p.alpha, str(p.key)))
         return points
-    report = check_hypothesis_H(ifs, K_max)
+    report = check_hypothesis_H(prepared, K_max)
     if report.holds:
         points = []
         for k in primitive_vectors(ifs.N, K_max):
-            cls = regularity_of(ifs, k)
-            res = abscissa_closed(ifs, k)
+            cls = regularity_of(prepared, k)
+            res = abscissa_closed(prepared, k)
             points.append(
                 SpectrumPoint(
                     alpha=cls.alpha_float,
@@ -160,21 +162,24 @@ def _ifs_sweep(ifs: WeightedIFS, K_max: int) -> list[SpectrumPoint]:
             )
         points.sort(key=lambda p: (p.alpha, str(p.key)))
         return points
-    return _oracle_fallback_sweep(ifs, K_max)
+    return _oracle_fallback_sweep(prepared, K_max)
 
 
-def _oracle_fallback_sweep(ifs: WeightedIFS, K_max: int) -> list[SpectrumPoint]:
+def _oracle_fallback_sweep(prepared: PreparedIFS, K_max: int) -> list[SpectrumPoint]:
     """Distinct-regularity hypothesis failed: regroup stages exactly and
-    estimate each class abscissa by a root test on its deepest ladder entry."""
+    estimate each class abscissa by a root test on its deepest ladder entry.
+
+    The estimates replace closed-form abscissas, so a warning goes to stderr.
+    """
     from .ifs_core import BudgetExceededError
-    from .oracle import DEFAULT_BUDGET, enumerate_stage, group_by_regularity
+    from .oracle import enumerate_stage, group_by_regularity
     from .regularity import InfiniteKey
 
     records = []
     depth = 0
     for K in range(1, K_max + 1):
         try:
-            stage = enumerate_stage(ifs, K)
+            stage = enumerate_stage(prepared, K)
         except BudgetExceededError:
             break
         records.extend(stage.all_records())
@@ -209,6 +214,11 @@ def _oracle_fallback_sweep(ifs: WeightedIFS, K_max: int) -> list[SpectrumPoint]:
             )
         )
     points.sort(key=lambda p: (p.alpha, str(p.key)))
+    print(
+        f"warning: hypothesis H fails up to K_max = {K_max}: each f is a root-test "
+        f"estimate from oracle stages 1..{depth}, not a closed-form abscissa",
+        file=sys.stderr,
+    )
     return points
 
 
@@ -251,12 +261,12 @@ def _atomic_sweep(spec: AtomicMeasureSpec, K_max: int) -> list[SpectrumPoint]:
 
 
 def spectrum_sweep(
-    system: WeightedIFS | AtomicMeasureSpec, K_max: int = 64
+    system: WeightedIFS | PreparedIFS | AtomicMeasureSpec, K_max: int = 64
 ) -> list[SpectrumPoint]:
     """One point per primitive class with stage sum <= K_max, sorted by alpha."""
     if isinstance(system, AtomicMeasureSpec):
         return _atomic_sweep(system, K_max)
-    if isinstance(system, WeightedIFS):
+    if isinstance(system, (WeightedIFS, PreparedIFS)):
         return _ifs_sweep(system, K_max)
     raise TypeError(f"unsupported system {system!r}")
 
@@ -335,7 +345,11 @@ def solve_b(ifs: WeightedIFS, q: float, residual_tol: float = 1e-13) -> float:
     logs_r = [math.log(r) for r in ifs.ratios]
 
     def g(b: float) -> float:
-        return math.fsum(math.exp(q * lp + b * lr) for lp, lr in zip(logs_p, logs_r)) - 1
+        try:
+            return math.fsum(math.exp(q * lp + b * lr) for lp, lr in zip(logs_p, logs_r)) - 1
+        except OverflowError:
+            # a term (or the sum) exceeds the float range, so the sum is > 1
+            return math.inf
 
     lo, hi = -1.0, 1.0
     while g(lo) <= 0:

@@ -17,13 +17,18 @@ from fractions import Fraction
 
 from .ifs_core import AtomicMeasureSpec, FractalStringSpec, WeightedIFS
 from .oracle import atomic_stage, enumerate_stage, group_by_regularity
-from .regularity import FractionKey, VectorKey, collapsed_regularity, primitive_vectors
+from .regularity import (
+    FractionKey,
+    VectorKey,
+    collapsed_regularity,
+    prepare,
+    primitive_vectors,
+)
 from .sequences import FloorSumLaw, fibonacci, multinomial
 from .spectra import (
     concave_envelope,
     legendre_transform,
     moran_dimension,
-    solve_b,
     spectrum_sweep,
 )
 from .zeta import (
@@ -64,8 +69,9 @@ class CheckResult:
 
 def _check_stage_counts(K_cap: int = 12):
     for label, ifs in (("beta", BETA), ("beta0", BETA0), ("trident", TRIDENT)):
+        prepared = prepare(ifs)
         for K in range(1, K_cap + 1):
-            stage = enumerate_stage(ifs, K)
+            stage = enumerate_stage(prepared, K)
             total_mass = sum(r.mass * r.count for r in stage.all_records())
             if total_mass != 1:
                 return False, f"{label} K={K}: total mass {total_mass} != 1"
@@ -77,12 +83,13 @@ def _check_stage_counts(K_cap: int = 12):
 
 def _check_collapsed_identity(K_cap: int = 10):
     c = (2, 1)  # trident collapses to two distinct probabilities
+    trident = prepare(TRIDENT)
     for K in range(1, K_cap + 1):
-        stage = enumerate_stage(TRIDENT, K)
+        stage = enumerate_stage(trident, K)
         groups = group_by_regularity(stage.all_records())
         for i in range(K + 1):
             kp = (i, K - i)
-            cls = collapsed_regularity(TRIDENT, kp)
+            cls = collapsed_regularity(trident, kp)
             expected = multinomial(K, kp) * c[0] ** kp[0] * c[1] ** kp[1]
             got = sum(n for _, n in groups.get(cls.key, ()))
             if got != expected:
@@ -160,18 +167,17 @@ def _check_closed_forms():
 
 
 def _check_abscissas(n_root: int = 2000):
-    from .ifs_core import collapse_probabilities
-
     worst = 0.0
     # all three systems have equal ratios and collapse to two distinct
     # probabilities, so the same primitive 2-vectors index every class
     keys = primitive_vectors(2, 5)[:10]
     for ifs in (BETA, BETA0, TRIDENT):
-        c = collapse_probabilities(ifs).multiplicities
+        prepared = prepare(ifs)
+        c = prepared.collapsed.multiplicities
         r = ifs.ratios[0]
         for k in keys:
-            closed = abscissa_closed(ifs, k)
-            zeta = multinomial_zeta(ifs, k)
+            closed = abscissa_closed(prepared, k)
+            zeta = multinomial_zeta(prepared, k)
             root = abscissa_root_test(zeta, n_root)
             worst = max(worst, abs(root.value - closed.value))
             if abs(root.value - closed.value) > 0.01:

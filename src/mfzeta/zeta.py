@@ -18,34 +18,21 @@ from .ifs_core import (
     FractalStringSpec,
     PrimeExponentVector,
     WeightedIFS,
-    check_rational_independence,
-    collapse_probabilities,
-    factorize,
 )
 from .regularity import (
     FractionKey,
-    InfiniteKey,
     OnePlusLogKey,
+    PreparedIFS,
     RegularityKey,
     VectorKey,
     collapsed_regularity,
+    prepare,
     primitive_vectors,
+    reduce_vector,
     regularity_of,
     values_equal,
 )
-from .sequences import (
-    CollapsedLaw,
-    GeometricLaw,
-    MultinomialLaw,
-    MultiplicityLaw,
-    multinomial,
-)
-
-# Growth-condition constants licensing the pointwise explicit formulas for
-# every lattice zeta produced here: polynomial-free growth along the
-# screen (order kappa = 0) with constant A = 1.
-LANGUID_ORDER_KAPPA = 0.0
-LANGUID_CONSTANT_A = 1.0
+from .sequences import CollapsedLaw, MultinomialLaw, MultiplicityLaw
 
 
 class DivergenceError(ValueError):
@@ -239,22 +226,12 @@ class AbscissaResult:
 # ---------------------------------------------------------------------------
 
 
-def _reduce_vector(k: Sequence[int]) -> tuple[int, ...]:
-    k = tuple(int(x) for x in k)
-    if any(x < 0 for x in k) or not any(k):
-        raise ValueError("exponent vector must be nonzero with non-negative parts")
-    g = 0
-    for x in k:
-        g = math.gcd(g, x)
-    return tuple(x // g for x in k)
-
-
-def _assert_distinct_class(ifs: WeightedIFS, k: tuple[int, ...], K_max: int) -> None:
-    target = regularity_of(ifs, k).alpha_exact
-    for v in primitive_vectors(ifs.N, K_max):
+def _assert_distinct_class(prepared: PreparedIFS, k: tuple[int, ...], K_max: int) -> None:
+    target = regularity_of(prepared, k).alpha_exact
+    for v in primitive_vectors(prepared.ifs.N, K_max):
         if v == k:
             continue
-        if values_equal(target, regularity_of(ifs, v).alpha_exact):
+        if values_equal(target, regularity_of(prepared, v).alpha_exact):
             raise HypothesisViolationError(
                 f"regularity of {k} is also attained by {v}; "
                 "the multinomial series undercounts this class"
@@ -262,7 +239,7 @@ def _assert_distinct_class(ifs: WeightedIFS, k: tuple[int, ...], K_max: int) -> 
 
 
 def multinomial_zeta(
-    ifs: WeightedIFS, k: Sequence[int], hypothesis_K_max: int = 12
+    ifs: WeightedIFS | PreparedIFS, k: Sequence[int], hypothesis_K_max: int = 12
 ) -> SeriesZeta:
     """Stage-subsequence zeta of the class of exponent vector k.
 
@@ -271,21 +248,19 @@ def multinomial_zeta(
     (validity: multiplicative independence); otherwise the class must be
     attained by no other primitive vector up to hypothesis_K_max.
     """
+    prepared = prepare(ifs)
+    ifs = prepared.ifs
     k = tuple(int(x) for x in k)
-    if ifs.equal_ratios():
-        collapsed = collapse_probabilities(ifs)
+    collapsed = prepared.collapsed
+    if collapsed is not None:
         if len(k) == collapsed.w and collapsed.w != ifs.N:
-            kprime = _reduce_vector(k)
+            kprime = reduce_vector(k)
         elif len(k) == ifs.N:
-            kprime = _reduce_vector(collapsed.collapse_vector(_reduce_vector(k)))
+            kprime = reduce_vector(collapsed.collapse_vector(reduce_vector(k)))
         else:
             raise ValueError(f"vector length {len(k)} matches neither N nor w")
-        if collapsed.w > 1:
-            independent, witness = check_rational_independence(collapsed.distinct)
-            if not independent:
-                raise HypothesisViolationError(
-                    f"distinct probabilities multiplicatively dependent (witness {witness})"
-                )
+        if prepared.dependence is not None:
+            raise HypothesisViolationError(prepared.dependence)
         K = sum(kprime)
         base = ifs.ratios[0] ** K
         if collapsed.w == ifs.N:
@@ -293,10 +268,10 @@ def multinomial_zeta(
         else:
             law = CollapsedLaw(kprime=kprime, c=collapsed.multiplicities)
         return SeriesZeta(base_length=base, law=law, K=K, label=f"class {kprime}")
-    k = _reduce_vector(k)
+    k = reduce_vector(k)
     if len(k) != ifs.N:
         raise ValueError(f"vector length {len(k)} != N = {ifs.N}")
-    _assert_distinct_class(ifs, k, hypothesis_K_max)
+    _assert_distinct_class(prepared, k, hypothesis_K_max)
     base = Fraction(1)
     for ki, r in zip(k, ifs.ratios):
         base *= r**ki
@@ -357,17 +332,19 @@ def entropy_dimension(ratios: Sequence[Fraction], weights: Sequence[Fraction]) -
     return num / den
 
 
-def abscissa_closed(ifs: WeightedIFS, k: Sequence[int]) -> AbscissaResult:
+def abscissa_closed(ifs: WeightedIFS | PreparedIFS, k: Sequence[int]) -> AbscissaResult:
     """Closed-form abscissa of the class zeta: the entropy formula.
 
     Full vectors: f = sum (k_i/K) log(k_i/K) / sum (k_i/K) log r_i.
     Collapsed vectors: f = log_{r^K}(prod k'^k' / (prod c^k' K^K)).
     """
+    prepared = prepare(ifs)
+    ifs = prepared.ifs
     k = tuple(int(x) for x in k)
-    if ifs.equal_ratios():
-        collapsed = collapse_probabilities(ifs)
+    collapsed = prepared.collapsed
+    if collapsed is not None:
         if len(k) == collapsed.w and collapsed.w != ifs.N:
-            kprime = _reduce_vector(k)
+            kprime = reduce_vector(k)
             K = sum(kprime)
             num = math.fsum(kq * math.log(kq) for kq in kprime if kq)
             num -= math.fsum(
@@ -382,7 +359,7 @@ def abscissa_closed(ifs: WeightedIFS, k: Sequence[int]) -> AbscissaResult:
                 f" * {K}^{K}))"
             )
             return AbscissaResult(value=value, exact_description=desc, method="closed_form")
-    k = _reduce_vector(k)
+    k = reduce_vector(k)
     if len(k) != ifs.N:
         raise ValueError(f"vector length {len(k)} != N = {ifs.N}")
     K = sum(k)
@@ -397,7 +374,7 @@ def abscissa_closed(ifs: WeightedIFS, k: Sequence[int]) -> AbscissaResult:
 
 def defining_residual(ifs: WeightedIFS, k: Sequence[int], sigma: float) -> float:
     """(r1^k1...rN^kN)^sigma * K^K / prod k_i^k_i, whose unique root is the abscissa."""
-    k = _reduce_vector(k)
+    k = reduce_vector(k)
     K = sum(k)
     log_res = sigma * math.fsum(
         ki * math.log(r) for ki, r in zip(k, ifs.ratios) if ki
@@ -454,12 +431,13 @@ def _monoid_zeta(ifs: WeightedIFS, key: VectorKey) -> RationalZeta:
     regularity strictly to the same side; then words over those maps
     enumerate the class and zeta = E(z)/(1 - E(z)) with E = sum z^{e_i}.
     """
+    prepared = prepare(ifs)
     if key.collapsed:
-        target = collapsed_regularity(ifs, key.vector).alpha_exact
+        target = collapsed_regularity(prepared, key.vector).alpha_exact
     else:
-        target = regularity_of(ifs, key.vector).alpha_exact
+        target = regularity_of(prepared, key.vector).alpha_exact
     units = [
-        regularity_of(ifs, tuple(1 if j == i else 0 for j in range(ifs.N))).alpha_exact
+        regularity_of(prepared, tuple(1 if j == i else 0 for j in range(ifs.N))).alpha_exact
         for i in range(ifs.N)
     ]
     support = [i for i, u in enumerate(units) if values_equal(u, target)]
@@ -477,7 +455,7 @@ def _monoid_zeta(ifs: WeightedIFS, key: VectorKey) -> RationalZeta:
         raise ValueError(
             f"class {key} may extend beyond the single-map monoid; refusing closed form"
         )
-    base, exps = _common_base([factorize(ifs.ratios[i]) for i in support])
+    base, exps = _common_base([prepared.r_pev[i] for i in support])
     e_coeffs = [Fraction(0)] * (max(exps) + 1)
     for e in exps:
         e_coeffs[e] += 1

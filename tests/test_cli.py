@@ -19,6 +19,7 @@ CONFIGS = {
     "m2": {"type": "atomic", "family": "generalized", "m": 2},
     "beta": {"type": "ifs", "ratios": ["1/3", "1/3"], "probs": ["1/3", "2/3"]},
     "rho": {"type": "ifs", "ratios": ["1/3", "1/3"], "probs": ["1/2", "1/2"]},
+    "oracle": {"type": "ifs", "ratios": ["1/2", "1/4", "1/8"], "probs": ["1/2", "1/3", "1/6"]},
 }
 
 
@@ -144,6 +145,20 @@ def test_spectrum_monofractal_warning(tmp_path, capsys, config):
     assert not (tmp_path / "rho.envelope.csv").exists()
 
 
+def test_spectrum_oracle_fallback_warning(tmp_path, capsys, config):
+    out = tmp_path / "oracle.csv"
+    rc = main(["spectrum", "--config", config("oracle"), "--kmax", "6", "--out", str(out)])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: hypothesis H fails") and "root-test" in err[0]
+    assert "root test at length" in out.read_text()
+    manifest = json.loads((tmp_path / "oracle.manifest.json").read_text())
+    assert set(manifest) == {
+        "command", "config_path", "parameters", "tool_version", "timestamp", "output_paths"
+    }
+
+
 def test_spectrum_rejects_string_configs(tmp_path, capsys, config):
     rc = main(
         ["spectrum", "--config", config("cantor"), "--out", str(tmp_path / "x.csv")]
@@ -221,6 +236,13 @@ def test_count_error_paths(tmp_path, capsys, config):
     rc = main(["count", "--config", config("cantor"), "--samples", "0", "--out", out])
     assert rc == 2
     assert "--samples" in capsys.readouterr().err
+    # runaway work is refused up front by the pole-term cap
+    for flags in (["--trunc", "100000000", "--x", "10"], ["--samples", "100000000"]):
+        rc = main(["count", "--config", config("cantor"), *flags, "--out", out])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --trunc/--samples")
+        assert "pole terms exceeds the cap" in err[0]
     assert not (tmp_path / "x.csv").exists()
     assert not (tmp_path / "x.manifest.json").exists()
 

@@ -1,7 +1,10 @@
 """Exact regularity values, the equality ladder, and hypothesis checks."""
 import math
+import sys
+import threading
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from mfzeta.regularity import (
     collapsed_regularity,
     is_monofractal,
     precision_ladder,
+    prepare,
     primitive_vectors,
     regularity_of,
     set_precision_ladder,
@@ -174,3 +178,94 @@ def test_precision_ladder_configuration():
         set_precision_ladder(64)
     with pytest.raises(ValueError, match="precision must be one of"):
         set_precision_ladder(128)
+
+
+def test_prepare_is_idempotent_and_holds_system_facts():
+    prepared = prepare(TRIDENT)
+    assert prepare(prepared) is prepared
+    assert prepared.ifs is TRIDENT
+    assert prepared.p_pev == tuple(factorize(p) for p in TRIDENT.probs)
+    assert prepared.collapsed.distinct == (F(1, 5), F(3, 5))
+    assert prepared.independent and prepared.witness is None
+    assert prepare(ROBY).collapsed is None
+    dep = prepare(WeightedIFS(ratios=(F(1, 4),) * 3, probs=(F(1, 2), F(1, 4), F(1, 4))))
+    assert not dep.independent and dep.witness == (1, -2)
+    assert "dependent" in dep.dependence
+    # the prepared form gives the same classes as the system itself
+    for k in ((2, 1), (1, 3), (0, 1)):
+        assert collapsed_regularity(prepared, k) == collapsed_regularity(TRIDENT, k)
+
+
+def test_hypothesis_h_checks_independence_once(independence_calls):
+    calls = independence_calls
+    assert check_hypothesis_H(TRIDENT, 8).holds
+    assert len(calls) == 1
+    prepared = prepare(BETA0)
+    assert len(calls) == 2
+    assert check_hypothesis_H(prepared, 8).holds
+    assert len(calls) == 2
+
+
+def test_interval_never_sets_global_precision(monkeypatch):
+    """interval works in private contexts: mpmath's iv.prec/mp.prec stay put."""
+    value = regularity_of(ROBY, (1, 0, 1)).alpha_exact
+    expected = [value.interval(bits) for bits in (64, 256, 1024)]
+    assignments = []
+    for ctx in (mpmath.iv, mpmath.mp):
+        prop = getattr(type(ctx), "prec")
+
+        def spy(self, n, prop=prop):
+            assignments.append(n)
+            prop.fset(self, n)
+
+        monkeypatch.setattr(type(ctx), "prec", property(prop.fget, spy))
+    iv_prec, mp_prec = mpmath.iv.prec, mpmath.mp.prec
+    fresh = regularity_of(ROBY, (1, 0, 1)).alpha_exact
+    assert [fresh.interval(bits) for bits in (64, 256, 1024)] == expected
+    assert assignments == []
+    assert (mpmath.iv.prec, mpmath.mp.prec) == (iv_prec, mp_prec)
+    with pytest.raises(ValueError, match="precision must be one of"):
+        fresh.interval(128)
+
+
+def test_interval_threads_match_serial():
+    """Concurrent comparisons at 64 and 1024 bits share no precision state."""
+    prepared = prepare(ROBY)
+    values = [regularity_of(prepared, k).alpha_exact for k in primitive_vectors(3, 5)]
+    values += [regularity_of(ROBY, k).alpha_exact for k in ((1, 0, 1), (2, 1, 3))]
+    serial = {bits: [v.interval(bits) for v in values] for bits in (64, 1024)}
+    results: dict[int, list] = {}
+    errors: list[BaseException] = []
+    start = threading.Barrier(4)
+
+    def work(index: int, bits: int) -> None:
+        try:
+            start.wait(timeout=30)
+            for _ in range(5):
+                got = [v.interval(bits) for v in values]
+                if got != serial[bits]:
+                    results[index] = got
+                    return
+            results[index] = serial[bits]
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    precs = (mpmath.iv.prec, mpmath.mp.prec)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(i, bits))
+            for i, bits in enumerate((64, 1024, 64, 1024))
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    for i, bits in enumerate((64, 1024, 64, 1024)):
+        assert results[i] == serial[bits]
+    assert (mpmath.iv.prec, mpmath.mp.prec) == precs

@@ -1,11 +1,13 @@
 """Spectrum sweeps, concave envelopes, Legendre pipeline, dimensions."""
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mfzeta.ifs_core import AtomicMeasureSpec, WeightedIFS
-from mfzeta.regularity import FractionKey, OnePlusLogKey, VectorKey
+from mfzeta.regularity import FractionKey, OnePlusLogKey, VectorKey, prepare
 from mfzeta.spectra import (
     EnvelopeFunction,
     besicovitch_dimension,
@@ -100,6 +102,19 @@ def test_solve_b_uniform_is_one_minus_q(q):
 def test_solve_b_beta0_closed_form(q):
     expected = math.log2((1 / 3) ** q + (2 / 3) ** q)
     assert solve_b(BETA0, q) == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize("q", [-1000.0, -700.0, 700.0, 1000.0])
+def test_solve_b_extreme_q_is_finite(q):
+    # sum p_i^q r^b = 1 with a common ratio r: b = -logsumexp(q log p_i) / log r
+    logs = [q * math.log(p) for p in BETA.probs]
+    top = max(logs)
+    expected = -(top + math.log(math.fsum(math.exp(v - top) for v in logs))) / math.log(
+        BETA.ratios[0]
+    )
+    b = solve_b(BETA, q)
+    assert math.isfinite(b)
+    assert b == pytest.approx(expected, rel=1e-12)
 
 
 def test_solve_b_residual_invariant_on_grid():
@@ -231,6 +246,37 @@ def test_sweep_fallback_when_classes_collide():
     assert "root test" in at_one[0].f_desc
 
 
+ROWS = json.loads((Path(__file__).parent / "data" / "spectrum_rows.json").read_text())
+
+
+CERTIFIED = WeightedIFS(ratios=(F(1, 2), F(1, 3)), probs=(F(1, 3), F(2, 3)))
+
+
+@pytest.mark.parametrize(
+    "name, system, K_max", [("beta0-k32", BETA0, 32), ("ratios-1-2-1-3-k24", CERTIFIED, 24)]
+)
+def test_sweep_rows_match_stored(name, system, K_max):
+    # stored rows: collapsed closed-form path (BETA0) and the certified
+    # hypothesis-H path (unequal ratios); floats must match exactly
+    got = [
+        [p.alpha, p.f, str(p.key), p.alpha_desc, p.f_desc]
+        for p in spectrum_sweep(system, K_max=K_max)
+    ]
+    assert got == ROWS[name]
+
+
+def test_sweep_checks_independence_once(independence_calls):
+    calls = independence_calls
+    for system in (TRIDENT, BETA0, BETA):
+        before = len(calls)
+        assert len(spectrum_sweep(system, K_max=16)) > 1
+        assert len(calls) - before <= 1
+    prepared = prepare(TRIDENT)
+    before = len(calls)
+    spectrum_sweep(prepared, K_max=16)
+    assert len(calls) == before
+
+
 def test_sweep_rejects_dependent_collapsed_probs():
     bad = WeightedIFS(
         ratios=(F(1, 4), F(1, 4), F(1, 4)), probs=(F(1, 2), F(1, 4), F(1, 4))
@@ -349,3 +395,13 @@ def test_information_dimension_beta():
 def test_envelope_direct_construction_validates():
     with pytest.raises(ValueError):
         EnvelopeFunction(breakpoints=())
+
+
+def test_envelope_equality_and_repr_see_only_breakpoints():
+    bps = ((0.0, 0.0), (0.5, 0.4), (1.0, 0.5))
+    env = EnvelopeFunction(breakpoints=bps)
+    assert env(0.75) == pytest.approx(0.45)  # evaluation keeps the x-array
+    assert env == EnvelopeFunction(breakpoints=bps)
+    assert env != EnvelopeFunction(breakpoints=bps[:2])
+    assert hash(env) == hash(EnvelopeFunction(breakpoints=bps))
+    assert repr(env) == f"EnvelopeFunction(breakpoints={bps!r})"
