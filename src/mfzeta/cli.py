@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -37,10 +38,11 @@ from .regularity import (
     OnePlusLogKey,
     RegularityKey,
     VectorKey,
+    prepare,
     set_precision_ladder,
 )
-from .spectra import concave_envelope, spectrum_sweep
-from .verify import default_threads, report_json, run_suite
+from .spectra import concave_envelope, spectrum_sweep, sweep_width
+from .verify import report_json, run_suite
 from .zeta import (
     DivergenceError,
     HypothesisViolationError,
@@ -55,6 +57,12 @@ from .zeta import (
 # x (about 4,000 terms), so a run within the cap ends in about 55 s or less.
 POLE_TERMS_PER_X = 4_000
 POLE_TERM_CAP = 200_000_000
+
+# Work cap of one `spectrum` run, in candidate class vectors C(kmax + w, w),
+# w the sweep width.  The hypothesis-H path costs about 0.34 ms per class on
+# the same VM, so a sweep within the cap ends in about a minute: measured 46 s
+# for 3 unequal ratios at kmax 99 and 35 s for 2 at kmax 590.
+SWEEP_VECTOR_CAP = 175_000
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +166,17 @@ def cmd_spectrum(args) -> int:
     system = _load_system(args)
     if isinstance(system, FractalStringSpec):
         raise ConfigError("type", "spectrum sweeps apply to ifs and atomic systems")
+    if args.kmax < 1:
+        raise ConfigError("--kmax", f"need a stage-sum cap of at least 1, got {args.kmax}")
+    if isinstance(system, WeightedIFS):
+        system = prepare(system)
+    width = sweep_width(system)
+    if math.comb(args.kmax + width, width) > SWEEP_VECTOR_CAP:
+        raise ConfigError(
+            "--kmax",
+            f"C({args.kmax} + {width}, {width}) candidate class vectors exceed "
+            f"the cap of {SWEEP_VECTOR_CAP:,} per run",
+        )
     points = spectrum_sweep(system, K_max=args.kmax)
     out = Path(args.out)
     envelope_path = out.with_suffix(".envelope.csv")
@@ -329,8 +348,9 @@ def cmd_verify(args) -> int:
                 budget[name.strip()] = int(value)
             except ValueError:
                 raise ConfigError("--budget", f"expected NAME=INT, got {part!r}")
-    threads = args.threads if args.threads is not None else default_threads()
-    results = run_suite(args.suite, threads=threads, budget=budget)
+    if args.threads < 1:
+        raise ConfigError("--threads", f"need at least 1 thread, got {args.threads}")
+    results = run_suite(args.suite, budget=budget)
     report = report_json(results)
     if args.out:
         Path(args.out).write_text(report)
@@ -362,7 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
         "spectrum", help="sweep the multifractal spectrum and its concave envelope"
     )
     add_config(spectrum)
-    spectrum.add_argument("--kmax", type=int, default=64, help="stage-sum cap (default 64)")
+    spectrum.add_argument(
+        "--kmax", type=int, default=64,
+        help="stage-sum cap (default 64); a run is capped at C(kmax + w, w) <= "
+        f"{SWEEP_VECTOR_CAP:,} candidate class vectors, w the sweep width "
+        "(distinct probabilities for equal ratios, else the number of maps; 2 for "
+        "atomic systems)",
+    )
     spectrum.add_argument(
         "--precision-bits", type=int, choices=(64, 256, 1024), default=64,
         help="first rung of the interval-precision ladder (default 64)",
@@ -434,8 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--budget", help="work caps, e.g. K=10")
     verify.add_argument(
-        "--threads", type=int,
-        help="worker threads (default: MFZETA_THREADS or 1)",
+        "--threads", type=int, default=1,
+        help="accepted for compatibility (must be >= 1); checks always run "
+        "serially, since a thread pool made these CPU-bound checks no faster",
     )
     verify.add_argument("--out", help="write the report here instead of stdout")
     verify.set_defaults(func=cmd_verify)

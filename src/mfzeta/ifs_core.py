@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -322,17 +323,37 @@ class CollapsedProbabilities:
 # ---------------------------------------------------------------------------
 
 
+# Numerators and denominators of config rationals stay below 2**64: factorizing
+# a 128-bit semiprime runs Pollard rho for hours, a 64-bit one for ~0.15 s.
+RATIONAL_BOUND = 2**64
+_EXPONENT = re.compile(r"e[-+]?0*([0-9_]*)\s*$", re.IGNORECASE)
+
+
 def _parse_rational(value, path: str) -> Fraction:
     if isinstance(value, bool):
         raise ConfigError(path, "expected a rational, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+        q = Fraction(value)
+    elif isinstance(value, str):
+        # an exponent beyond len(value) + 20 puts a factor >= 10**20 > 2**64
+        # into the numerator or denominator whatever the mantissa; reject it
+        # before Fraction builds 10**exponent
+        exponent = _EXPONENT.search(value)
+        if exponent is not None:
+            digits = exponent.group(1).replace("_", "")
+            if len(digits) > 9 or int(digits or 0) > len(value) + 20:
+                raise ConfigError(path, f"exponent of {value!r} is out of range")
         try:
-            return Fraction(value)
+            q = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(path, f"malformed rational {value!r}") from exc
-    raise ConfigError(path, f"expected rational string or integer, got {type(value).__name__}")
+    else:
+        raise ConfigError(
+            path, f"expected rational string or integer, got {type(value).__name__}"
+        )
+    if abs(q.numerator) >= RATIONAL_BOUND or q.denominator >= RATIONAL_BOUND:
+        raise ConfigError(path, f"numerator and denominator of {value!r} must be below 2**64")
+    return q
 
 
 def parse_system(config_text) -> WeightedIFS | AtomicMeasureSpec | FractalStringSpec:

@@ -107,6 +107,18 @@ class LegendrePipeline:
 # ---------------------------------------------------------------------------
 
 
+def sweep_width(system: PreparedIFS | AtomicMeasureSpec) -> int:
+    """Length of the class vectors a sweep enumerates.
+
+    The collapsed width for equal ratios, N otherwise; an atomic key k1/K is
+    the vector (k1, K - k1).  A sweep to depth K_max enumerates at most
+    C(K_max + width, width) candidate vectors.
+    """
+    if isinstance(system, AtomicMeasureSpec):
+        return 2
+    return system.collapsed.w if system.collapsed is not None else system.ifs.N
+
+
 def _ifs_sweep(ifs: WeightedIFS | PreparedIFS, K_max: int) -> list[SpectrumPoint]:
     prepared = prepare(ifs)
     ifs = prepared.ifs
@@ -130,39 +142,26 @@ def _ifs_sweep(ifs: WeightedIFS | PreparedIFS, K_max: int) -> list[SpectrumPoint
     if prepared.collapsed is not None:
         if prepared.dependence is not None:
             raise ValueError(prepared.dependence)
-        points = []
-        for k in primitive_vectors(prepared.collapsed.w, K_max):
-            cls = collapsed_regularity(prepared, k)
-            res = abscissa_closed(prepared, k)
-            points.append(
-                SpectrumPoint(
-                    alpha=cls.alpha_float,
-                    f=res.value,
-                    key=cls.key,
-                    alpha_desc=f"collapsed class {k}",
-                    f_desc=res.exact_description,
-                )
+        regularity, label = collapsed_regularity, "collapsed class"
+    elif check_hypothesis_H(prepared, K_max).holds:
+        regularity, label = regularity_of, "class"
+    else:
+        return _oracle_fallback_sweep(prepared, K_max)
+    points = []
+    for k in primitive_vectors(sweep_width(prepared), K_max):
+        cls = regularity(prepared, k)
+        res = abscissa_closed(prepared, k)
+        points.append(
+            SpectrumPoint(
+                alpha=cls.alpha_float,
+                f=res.value,
+                key=cls.key,
+                alpha_desc=f"{label} {k}",
+                f_desc=res.exact_description,
             )
-        points.sort(key=lambda p: (p.alpha, str(p.key)))
-        return points
-    report = check_hypothesis_H(prepared, K_max)
-    if report.holds:
-        points = []
-        for k in primitive_vectors(ifs.N, K_max):
-            cls = regularity_of(prepared, k)
-            res = abscissa_closed(prepared, k)
-            points.append(
-                SpectrumPoint(
-                    alpha=cls.alpha_float,
-                    f=res.value,
-                    key=cls.key,
-                    alpha_desc=f"class {k}",
-                    f_desc=res.exact_description,
-                )
-            )
-        points.sort(key=lambda p: (p.alpha, str(p.key)))
-        return points
-    return _oracle_fallback_sweep(prepared, K_max)
+        )
+    points.sort(key=lambda p: (p.alpha, str(p.key)))
+    return points
 
 
 def _oracle_fallback_sweep(prepared: PreparedIFS, K_max: int) -> list[SpectrumPoint]:

@@ -1,17 +1,16 @@
 """Self-contained verification suites with deterministic reports.
 
 Each check recomputes a published identity or tolerance from scratch and
-reports pass/fail with the measured values.  Checks are pure, so they can
-run on a thread pool; results always assemble in declaration order and the
-report body carries no timings, keeping the output byte-deterministic.
+reports pass/fail with the measured values.  These checks are the only
+implementation of the published identities: the acceptance tests look their
+results up by name.  Checks run serially in declaration order and the report
+body carries no timings, keeping the output byte-deterministic.
 """
 from __future__ import annotations
 
 import inspect
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,8 +81,8 @@ def _check_stage_counts(K_cap: int = 12):
 
 
 def _check_collapsed_identity(K_cap: int = 10):
-    c = (2, 1)  # trident collapses to two distinct probabilities
     trident = prepare(TRIDENT)
+    c = trident.collapsed.multiplicities
     for K in range(1, K_cap + 1):
         stage = enumerate_stage(trident, K)
         groups = group_by_regularity(stage.all_records())
@@ -146,22 +145,23 @@ def _check_atomic_conservation():
 def _check_closed_forms():
     cantor = closed_form_zeta(FractalStringSpec(family="cantor"))
     fib = closed_form_zeta(FractalStringSpec(family="fibonacci"))
-    checks = [
+    for got, want, label in (
         (cantor.evaluate(1.0), 1.0, "cantor@1"),
-        (float(cantor.value_at_zero()), -1.0, "cantor@0"),
         (fib.evaluate(2.0), 16 / 11, "fibonacci@2"),
-        (
-            float(
-                closed_form_zeta(
-                    AtomicMeasureSpec(family="sigma2"), FractionKey(F(1))
-                ).value_at_zero()
-            ),
-            -3.0,
-            "sigma2@0",
-        ),
-    ]
-    for got, want, label in checks:
+    ):
         if abs(got - want) > 1e-12:
+            return False, f"{label}: {got} != {want}"
+    # constant terms are rational: compared exactly
+    sigma2 = AtomicMeasureSpec(family="sigma2")
+    exact = [
+        (cantor.value_at_zero(), F(-1), "cantor@0"),
+        (closed_form_zeta(sigma2, FractionKey(F(1))).value_at_zero(), F(-3), "sigma2@0"),
+    ]
+    for k1, K in ((1, 2), (2, 3), (3, 4)):
+        rz = closed_form_zeta(sigma2, FractionKey(F(k1, K)))
+        exact.append((rz.value_at_zero(), F(2 ** (k1 - 1), 1 - 2**k1), f"sigma2[{k1}/{K}]@0"))
+    for got, want, label in exact:
+        if got != want:
             return False, f"{label}: {got} != {want}"
     return True, "closed-form values (cantor, fibonacci, sigma2) exact"
 
@@ -171,6 +171,8 @@ def _check_abscissas(n_root: int = 2000):
     # all three systems have equal ratios and collapse to two distinct
     # probabilities, so the same primitive 2-vectors index every class
     keys = primitive_vectors(2, 5)[:10]
+    if len(keys) != 10:
+        return False, f"{len(keys)} primitive keys, expected 10"
     for ifs in (BETA, BETA0, TRIDENT):
         prepared = prepare(ifs)
         c = prepared.collapsed.multiplicities
@@ -264,8 +266,8 @@ def _check_binomial_hull(K_max: int = 64):
     return ok, f"pointwise entropy exact; hull sup-gap {sup:.2e} vs 5e-3"
 
 
-def _check_trident_max():
-    points = spectrum_sweep(TRIDENT, K_max=9)
+def _check_trident_max(K_max: int = 64):
+    points = spectrum_sweep(TRIDENT, K_max=K_max)
     by_key = {p.key: p for p in points}
     peak = max(p.f for p in points)
     want = math.log(3) / math.log(5)
@@ -294,7 +296,7 @@ def _check_sigma_spectra():
         spec = AtomicMeasureSpec(family=family, m=m)
         slope = math.log(m) / math.log(2 * m - 1)
         for p in spectrum_sweep(spec, K_max=12):
-            if abs(p.f - p.alpha * slope) > 1e-12:
+            if p.f != p.alpha * slope:  # exact: the same float product
                 return False, f"m={m} alpha={p.alpha}: f={p.f}"
     return True, "sigma1 flat through K=20; sigma(m) line exact for m in {2,3,5}"
 
@@ -302,6 +304,8 @@ def _check_sigma_spectra():
 def _check_legendre(K_hull: int = 256):
     for ifs in (BETA, BETA0, TRIDENT):
         pipe = legendre_transform(ifs)
+        if pipe.q_grid[0] != -8.0 or pipe.q_grid[-1] != 8.0:
+            return False, f"{ifs.probs}: q grid [{pipe.q_grid[0]}, {pipe.q_grid[-1]}]"
         for q, b in zip(pipe.q_grid, pipe.b_values):
             res = abs(
                 math.fsum(
@@ -332,11 +336,13 @@ def _check_legendre(K_hull: int = 256):
 def _check_cantor_counting():
     cantor = FractalStringSpec(family="cantor")
     rz = closed_form_zeta(cantor)
-    lat = pole_lattices(rz)[0]
+    (lat,) = pole_lattices(rz)
     if abs(lat.real_part - LOG3_2) > 1e-12:
         return False, f"real part {lat.real_part}"
     if abs(lat.period - 2 * math.pi / math.log(3)) > 1e-12:
         return False, f"period {lat.period}"
+    if lat.phase_shift != 0.0:
+        return False, f"phase shift {lat.phase_shift}"
     if abs(moran_dimension((F(1, 3), F(1, 3))) - LOG3_2) > 1e-12:
         return False, "moran mismatch"
     bad = 0
@@ -367,15 +373,18 @@ def _check_sigma1_counting():
 
     for K in range(1, 21):
         rz = closed_form_zeta(spec, FractionKey(F(1, K)))
-        lat = pole_lattices(rz)[0]
+        (lat,) = pole_lattices(rz)
         for j in (0, 1, 2):
             w = complex(0.0, lat.period * j)
             if abs(residue_numeric(rz, w) - 1 / (K * math.log(3))) > 1e-10:
                 return False, f"K={K} j={j}: residue off"
     key = FractionKey(F(1, 2))
     seq = closed_form_sequence(spec, key)
-    for x in (5, 100, 12345):
-        if counting_direct(seq, x) != math.floor(math.log(x) / math.log(9)):
+    for x in (2, 9, 81, 12345, 10**6):
+        level, threshold = 0, 9  # floor(log_9 x), in integers
+        while threshold <= x:
+            level, threshold = level + 1, threshold * 9
+        if counting_direct(seq, F(x)) != level:
             return False, f"direct at {x}"
     rz = closed_form_zeta(spec, key)
     bad = 0
@@ -436,28 +445,17 @@ CHECKS = (
 SUITES = ("oracle", "zeta", "spectra", "counting")
 
 
-def default_threads() -> int:
-    env = os.environ.get("MFZETA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 _BUDGET_PARAMS = {"K": "K_cap"}
 
 
 def run_suite(
-    suite: str = "all",
-    threads: int | None = None,
-    budget: dict[str, int] | None = None,
+    suite: str = "all", budget: dict[str, int] | None = None
 ) -> list[CheckResult]:
-    """Run one suite (or all); results come back in declaration order.
+    """Run one suite (or all) serially, in declaration order.
 
     ``budget`` tightens work caps for the checks that take one, e.g.
     ``{"K": 10}`` lowers the stage-count depth of the oracle identities.
+    Each cap must be at least 1.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
@@ -467,11 +465,12 @@ def run_suite(
                 raise ValueError(
                     f"unknown budget key {key!r}; choose from {tuple(_BUDGET_PARAMS)}"
                 )
-    selected = [c for c in CHECKS if suite == "all" or c[1] == suite]
-    workers = threads if threads is not None else default_threads()
-
-    def run_one(entry):
-        name, st, fn = entry
+            if budget[key] < 1:
+                raise ValueError(f"budget {key}={budget[key]} must be at least 1")
+    results = []
+    for name, st, fn in CHECKS:
+        if suite != "all" and st != suite:
+            continue
         kwargs = {}
         if budget:
             params = inspect.signature(fn).parameters
@@ -483,12 +482,8 @@ def run_suite(
             ok, detail = fn(**kwargs)
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"exception: {exc!r}"
-        return CheckResult(name=name, suite=st, ok=ok, detail=detail)
-
-    if workers <= 1:
-        return [run_one(c) for c in selected]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, selected))
+        results.append(CheckResult(name=name, suite=st, ok=ok, detail=detail))
+    return results
 
 
 def report_json(results: list[CheckResult]) -> str:

@@ -1,266 +1,132 @@
 """End-to-end acceptance checks, one test per shipped guarantee.
 
-Each test states a user-facing contract at its published tolerance; run
-with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line per
+The published identities are implemented once, as the checks of
+``mfzeta.verify``.  Each test claims the checks of its criterion in
+``CRITERIA`` and asserts them from one run of the whole suite, with the
+check's measured values as the failure message; run with
+``pytest -v tests/test_acceptance.py`` to get one pass/fail line per
 guarantee.  The trident endpoint-slope bound is known not to hold at the
-stated sweep depth and is left failing on purpose; the assertion message
-carries the measured values.
+stated sweep depth and is left failing on purpose.
 """
 import json
-import math
 import time
-from fractions import Fraction as F
+from pathlib import Path
 
-from mfzeta.dimensions import (
-    build_tapestry,
-    closed_form_sequence,
-    counting_direct,
-    counting_explicit,
-    pole_lattices,
-    residue_numeric,
-    sample_off_jump_xs,
-)
-from mfzeta.ifs_core import (
-    AtomicMeasureSpec,
-    FractalStringSpec,
-    WeightedIFS,
-    collapse_probabilities,
-)
-from mfzeta.oracle import atomic_stage, enumerate_stage, group_by_regularity
-from mfzeta.regularity import (
-    FractionKey,
-    VectorKey,
-    collapsed_regularity,
-    primitive_vectors,
-)
-from mfzeta.sequences import FloorSumLaw, fibonacci, multinomial
-from mfzeta.spectra import (
-    concave_envelope,
-    legendre_transform,
-    moran_dimension,
-    spectrum_sweep,
-)
-from mfzeta.verify import report_json, run_suite
-from mfzeta.zeta import (
-    abscissa_closed,
-    abscissa_root_test,
-    closed_form_zeta,
-    defining_residual,
-    multinomial_zeta,
-)
+import pytest
 
-BETA = WeightedIFS(ratios=(F(1, 3), F(1, 3)), probs=(F(1, 3), F(2, 3)))
-BETA0 = WeightedIFS(ratios=(F(1, 2), F(1, 2)), probs=(F(1, 3), F(2, 3)))
-TRIDENT = WeightedIFS(ratios=(F(1, 5),) * 3, probs=(F(1, 5), F(3, 5), F(1, 5)))
+from mfzeta import verify
 
-LOG3_2 = math.log(2) / math.log(3)
-LOG2_PHI = math.log((1 + math.sqrt(5)) / 2) / math.log(2)
-LOG5_3 = math.log(3) / math.log(5)
+CRITERIA = {
+    1: ("moran-cantor", "cantor-lattice-and-counting"),
+    2: ("fibonacci-lattices", "fibonacci-multiplicities"),
+    3: (
+        "stage-counts-multinomial",
+        "collapsed-multiplicity-trident",
+        "atomic-stage-tables",
+        "atomic-mass-conservation",
+    ),
+    4: ("abscissa-root-vs-closed", "series-vs-rational"),
+    5: ("binomial-hull-recovery",),
+    6: ("trident-spectrum-max", "trident-endpoint-slopes"),
+    7: ("sigma1-residues-and-counting",),
+    8: ("closed-form-values", "sigma-family-spectra", "sigma2-tapestry-and-counting"),
+    9: ("legendre-pipeline",),
+    10: (),  # the whole suite: wall clock and the report body
+}
+
+# the report body of `mfzeta verify --suite all`, recorded at commit 2dd623c;
+# report_json is a pure function of it, so equal payloads mean equal bytes
+REPORT = Path(__file__).parent / "data" / "verify_report.json"
 
 
-def test_criterion_01_cantor_dimension_lattice_and_counting():
-    assert abs(moran_dimension((F(1, 3), F(1, 3))) - LOG3_2) <= 1e-12
+class SuiteRun:
+    """One serial run of every check, with the seconds of each check's call."""
 
-    cantor = FractalStringSpec(family="cantor")
-    rz = closed_form_zeta(cantor)
-    (lattice,) = pole_lattices(rz)
-    assert abs(lattice.real_part - LOG3_2) <= 1e-12
-    assert abs(lattice.period - 2 * math.pi / math.log(3)) <= 1e-12
-    assert lattice.phase_shift == 0.0
+    def __init__(self):
+        self.seconds = {}
 
-    start = time.monotonic()
-    for x in sample_off_jump_xs(rz, count=25, lo=2.0, hi=1e6):
-        result = counting_explicit(cantor, None, x, Z=20000)
-        assert round(result.explicit_value) == result.direct, (
-            f"x={x}: explicit {result.explicit_value} vs direct {result.direct}"
-        )
-    assert time.monotonic() - start < 10.0
+        def timed(name, fn):
+            def call(**kwargs):
+                start = time.monotonic()
+                try:
+                    return fn(**kwargs)
+                finally:
+                    self.seconds[name] = time.monotonic() - start
 
+            return call
 
-def test_criterion_02_fibonacci_lattices_and_multiplicities():
-    fib = FractalStringSpec(family="fibonacci")
-    pos, neg = pole_lattices(closed_form_zeta(fib))
-    assert abs(pos.real_part - LOG2_PHI) <= 1e-12
-    assert abs(neg.real_part + LOG2_PHI) <= 1e-12
-    assert abs(pos.phase_shift - 0.0) <= 1e-12
-    assert abs(neg.phase_shift - 0.5) <= 1e-12  # half-period shift
-
-    law = FloorSumLaw()
-    for n in range(1, 31):
-        assert law.multiplicity(n) == fibonacci(n + 1)
-
-
-def test_criterion_03_stage_identities_and_mass_conservation():
-    for ifs in (BETA, BETA0, TRIDENT):
-        for K in range(1, 13):
-            stage = enumerate_stage(ifs, K)
-            assert sum(r.mass * r.count for r in stage.all_records()) == 1
-            for rec in stage.intervals:
-                assert rec.count == multinomial(K, rec.k)
-
-    c = collapse_probabilities(TRIDENT).multiplicities
-    for K in range(1, 11):
-        groups = group_by_regularity(enumerate_stage(TRIDENT, K).all_records())
-        for i in range(K + 1):
-            kp = (i, K - i)
-            cls = collapsed_regularity(TRIDENT, kp)
-            expected = multinomial(K, kp) * c[0] ** kp[0] * c[1] ** kp[1]
-            assert sum(n for _, n in groups.get(cls.key, ())) == expected
-
-
-def test_criterion_04_abscissa_root_test_vs_closed_form():
-    keys = primitive_vectors(2, 5)[:10]
-    assert len(keys) == 10
-    for ifs in (BETA, BETA0, TRIDENT):
-        c = collapse_probabilities(ifs).multiplicities
-        r = ifs.ratios[0]
-        for k in keys:
-            closed = abscissa_closed(ifs, k)
-            root = abscissa_root_test(multinomial_zeta(ifs, k), 2000)
-            assert abs(root.value - closed.value) <= 0.01, (
-                f"{ifs.probs} {k}: root {root.value} vs closed {closed.value}"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                verify,
+                "CHECKS",
+                tuple((name, st, timed(name, fn)) for name, st, fn in verify.CHECKS),
             )
-            if ifs.N == len(k):
-                residual = abs(defining_residual(ifs, k, closed.value) - 1)
-            else:
-                K = sum(k)
-                log_res = closed.value * K * math.log(r) + K * math.log(K)
-                log_res += math.fsum(ki * math.log(ci) for ki, ci in zip(k, c) if ki)
-                log_res -= math.fsum(ki * math.log(ki) for ki in k if ki)
-                residual = abs(math.exp(log_res) - 1)
-            assert residual <= 1e-12, f"{ifs.probs} {k}: residual {residual}"
+            start = time.monotonic()
+            self.results = verify.run_suite("all")
+            self.total_seconds = time.monotonic() - start
+        self.by_name = {r.name: r for r in self.results}
+
+    def assert_criterion(self, number: int, note: str = "") -> None:
+        for name in CRITERIA[number]:
+            result = self.by_name[name]
+            assert result.ok, f"{name}: {result.detail}{note}"
 
 
-def test_criterion_05_binomial_spectrum_recovery():
-    t_max = math.log(3) / math.log(2)
-    t_min = t_max - 1
-    points = spectrum_sweep(BETA0, K_max=64)
-    for p in points:
-        y = p.key.vector[1] / sum(p.key.vector)
-        entropy = 0.0
-        if 0 < y < 1:
-            entropy = -(y * math.log2(y) + (1 - y) * math.log2(1 - y))
-        assert abs(p.f - entropy) <= 1e-12
-
-    env = concave_envelope(points)
-
-    def f_g(t):
-        y = t_max - t
-        return -(y * math.log2(y) + (1 - y) * math.log2(1 - y))
-
-    lo, hi = t_min + 0.05, t_max - 0.05
-    sup = max(
-        abs(env(lo + i * (hi - lo) / 400) - f_g(lo + i * (hi - lo) / 400))
-        for i in range(401)
-    )
-    assert sup <= 5e-3, f"hull vs closed-form spectrum sup-gap {sup:.2e}"
+@pytest.fixture(scope="module")
+def suite():
+    return SuiteRun()
 
 
-def test_criterion_06_trident_spectrum_max_and_endpoint_slopes():
-    points = spectrum_sweep(TRIDENT, K_max=64)
-    by_key = {p.key: p for p in points}
-    peak = max(p.f for p in points)
-    assert abs(peak - LOG5_3) <= 1e-9
-    assert abs(by_key[VectorKey((2, 1), collapsed=True)].f - LOG5_3) <= 1e-9
+def test_criterion_01_cantor_dimension_lattice_and_counting(suite):
+    suite.assert_criterion(1)
+    assert suite.seconds["cantor-lattice-and-counting"] < 10.0
 
-    first, last = concave_envelope(points).endpoint_slopes()
-    assert abs(first) > 10 and abs(last) > 10, (
-        f"hull endpoint slopes at K_max=64 measured {first:.4f} and {last:.4f}; "
-        "the binding magnitude grows like 0.91*ln(K_max) (4.06 at K=64, 5.33 "
+
+def test_criterion_02_fibonacci_lattices_and_multiplicities(suite):
+    suite.assert_criterion(2)
+
+
+def test_criterion_03_stage_identities_and_mass_conservation(suite):
+    suite.assert_criterion(3)
+
+
+def test_criterion_04_abscissa_root_test_vs_closed_form(suite):
+    suite.assert_criterion(4)
+
+
+def test_criterion_05_binomial_spectrum_recovery(suite):
+    suite.assert_criterion(5)
+
+
+def test_criterion_06_trident_spectrum_max_and_endpoint_slopes(suite):
+    suite.assert_criterion(
+        6,
+        note="; the binding magnitude grows like 0.91*ln(K_max) (4.06 at K=64, 5.33 "
         "at 256, 6.59 at 1024), so exceeding 10 extrapolates to K_max near "
-        "4e4 - a sweep of roughly 5e8 classes, far beyond the stated depth"
+        "4e4 - a sweep of roughly 5e8 classes, far beyond the stated depth",
     )
 
 
-def test_criterion_07_sigma1_spectrum_residues_and_counting():
-    spec = AtomicMeasureSpec(family="sigma1")
-    assert all(p.f == 0.0 for p in spectrum_sweep(spec, K_max=20))
-
-    for K in range(1, 21):
-        rz = closed_form_zeta(spec, FractionKey(F(1, K)))
-        (lattice,) = pole_lattices(rz)
-        for j in (0, 1, 2):
-            got = residue_numeric(rz, complex(0.0, lattice.period * j))
-            assert abs(got - 1 / (K * math.log(3))) <= 1e-10, f"K={K}, j={j}"
-
-    key = FractionKey(F(1, 2))
-    seq = closed_form_sequence(spec, key)
-    for x in (2, 9, 81, 12345, 10**6):
-        level, threshold = 0, 9
-        while threshold <= x:
-            level, threshold = level + 1, threshold * 9
-        assert counting_direct(seq, F(x)) == level  # = floor(log_9 x)
-
-    rz = closed_form_zeta(spec, key)
-    for x in sample_off_jump_xs(rz, count=25, lo=2.0, hi=1e6):
-        result = counting_explicit(spec, key, x, Z=20000)
-        assert round(result.explicit_value) == result.direct, f"x={x}"
+def test_criterion_07_sigma1_spectrum_residues_and_counting(suite):
+    suite.assert_criterion(7)
 
 
-def test_criterion_08_sigma_family_spectra_tapestry_and_counting():
-    sigma2 = AtomicMeasureSpec(family="sigma2")
-    assert closed_form_zeta(sigma2, FractionKey(F(1))).value_at_zero() == -3
-    for k1, K in ((1, 2), (2, 3), (3, 4)):
-        rz = closed_form_zeta(sigma2, FractionKey(F(k1, K)))
-        assert rz.value_at_zero() == F(2 ** (k1 - 1), 1 - 2**k1)
-
-    for m in (2, 3, 5):
-        family = "sigma2" if m == 2 else "generalized"
-        spec = AtomicMeasureSpec(family=family, m=m)
-        slope = math.log(m) / math.log(2 * m - 1)
-        for p in spectrum_sweep(spec, K_max=12):
-            assert p.f == p.alpha * slope  # exact: same float product
-
-        for alpha, lattice in build_tapestry(spec, K_max=6).pairs:
-            assert abs(lattice.real_part - float(alpha) * slope) <= 1e-12
-
-        for key in (FractionKey(F(1)), FractionKey(F(1, 2))):
-            rz = closed_form_zeta(spec, key)
-            for x in sample_off_jump_xs(rz, count=25, lo=2.0, hi=1e4):
-                result = counting_explicit(spec, key, x, Z=20000)
-                assert round(result.explicit_value) == result.direct, (
-                    f"m={m} key={key}: x={x}"
-                )
+def test_criterion_08_sigma_family_spectra_tapestry_and_counting(suite):
+    suite.assert_criterion(8)
 
 
-def test_criterion_09_legendre_pipeline_agreement():
-    for ifs in (BETA, BETA0, TRIDENT):
-        pipe = legendre_transform(ifs)
-        assert pipe.q_grid[0] == -8.0 and pipe.q_grid[-1] == 8.0
-        for q, b in zip(pipe.q_grid, pipe.b_values):
-            residual = abs(
-                math.fsum(
-                    float(p) ** q * float(r) ** b
-                    for p, r in zip(ifs.probs, ifs.ratios)
-                )
-                - 1
-            )
-            assert residual <= 1e-12, f"{ifs.probs} q={q}"
-
-    env = concave_envelope(spectrum_sweep(BETA0, K_max=256))
-    pipe = legendre_transform(BETA0)
-    worst = max(
-        abs(env(t) - b_star)
-        for t, b_star in zip(pipe.t_values, pipe.b_star_values)
-    )
-    assert worst <= 5e-3, f"|hull(-b'(q)) - b*(-b'(q))| worst {worst:.2e}"
+def test_criterion_09_legendre_pipeline_agreement(suite):
+    suite.assert_criterion(9)
 
 
-def test_criterion_10_verify_suite_wallclock_and_determinism():
-    start = time.monotonic()
-    single = run_suite("all", threads=1)
-    single_seconds = time.monotonic() - start
-
-    start = time.monotonic()
-    eight = run_suite("all", threads=8)
-    eight_seconds = time.monotonic() - start
-
-    assert single_seconds < 300.0, f"single-core run took {single_seconds:.1f}s"
-    assert eight_seconds < 60.0, f"8-thread run took {eight_seconds:.1f}s"
-
-    one_report = report_json(single)
-    assert one_report.encode() == report_json(eight).encode()
-
+def test_criterion_10_verify_suite_wallclock_and_determinism(suite):
+    # the run is serial, so the 1-minute bound once set for 8 threads binds it
+    assert suite.total_seconds < 60.0, f"suite took {suite.total_seconds:.1f}s"
     # the suite's only red check is the known endpoint-slope shortfall
-    failed = [c["name"] for c in json.loads(one_report)["checks"] if not c["ok"]]
-    assert failed == ["trident-endpoint-slopes"]
+    assert [r.name for r in suite.results if not r.ok] == ["trident-endpoint-slopes"]
+    assert json.loads(verify.report_json(suite.results)) == json.loads(REPORT.read_text())
+
+
+def test_every_check_is_claimed_by_exactly_one_criterion():
+    claimed = sorted(name for names in CRITERIA.values() for name in names)
+    assert claimed == sorted(name for name, _, _ in verify.CHECKS)

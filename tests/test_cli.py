@@ -166,6 +166,30 @@ def test_spectrum_rejects_string_configs(tmp_path, capsys, config):
     assert rc == 2
 
 
+def test_spectrum_refuses_bad_input_before_writing(tmp_path, capsys, config):
+    out = tmp_path / "s.csv"
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(
+        {"type": "ifs", "ratios": ["1/3", "1/3"], "probs": ["1e-32000", "1"]}
+    ))
+    cases = [
+        (str(huge), ["--kmax", "8"], "error: probs[0]: exponent"),
+        (config("sigma2"), ["--kmax", "0"], "error: --kmax: need a stage-sum cap"),
+        # the smallest refused depths at widths 2 and 3
+        (config("beta"), ["--kmax", "591"], "error: --kmax: C(591 + 2, 2)"),
+        (config("oracle"), ["--kmax", "100"], "error: --kmax: C(100 + 3, 3)"),
+        (config("sigma2"), ["--kmax", "591"], "error: --kmax: C(591 + 2, 2)"),
+    ]
+    for cfg, flags, prefix in cases:
+        capsys.readouterr()
+        assert main(["spectrum", "--config", cfg, *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(prefix), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["huge.json", "sigma2.json", "beta.json", "oracle.json"]
+    )
+
+
 def test_tapestry_sigma2(capsys, config):
     rc, rows = run_json(
         capsys, ["tapestry", "--config", config("sigma2"), "--kmax", "2", "--band", "10"]
@@ -247,7 +271,7 @@ def test_count_error_paths(tmp_path, capsys, config):
     assert not (tmp_path / "x.manifest.json").exists()
 
 
-def test_verify_cli_budget_and_exit_codes(capsys, config):
+def test_verify_cli_budget_and_exit_codes(tmp_path, capsys, config):
     rc, payload = run_json(capsys, ["verify", "--suite", "oracle", "--budget", "K=6"])
     assert rc == 0
     assert payload["failed"] == 0 and payload["passed"] == 4
@@ -261,6 +285,17 @@ def test_verify_cli_budget_and_exit_codes(capsys, config):
     assert main(["verify", "--suite", "oracle", "--budget", "K=banana"]) == 2
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "everything"])
+
+    # a cap below 1 would pass vacuously; no threads is not a run
+    report = tmp_path / "report.json"
+    for flags in (["--budget", "K=0"], ["--budget", "K=-3"], ["--threads", "0"]):
+        capsys.readouterr()
+        rc = main(["verify", "--suite", "oracle", *flags, "--out", str(report)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "at least 1" in err[0]
+    assert not report.exists()
 
 
 def test_verify_report_file(tmp_path, capsys, config):

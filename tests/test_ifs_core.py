@@ -142,6 +142,27 @@ def test_parse_errors_carry_field_paths():
         parse_system('{"type": "atomic", "family": "generalized", "m": 1}')
 
 
+def test_parse_bounds_rational_size():
+    def ifs(p0, p1="1"):
+        return {"type": "ifs", "ratios": ["1/3", "1/3"], "probs": [p0, p1]}
+
+    top = 2**64 - 1
+    assert parse_system(ifs(f"1/{top}", f"{top - 1}/{top}")).probs[0] == F(1, top)
+    semiprime = (2**61 - 1) * (2**89 - 1)
+    for p0, message in (
+        ("1/18446744073709551616", r"below 2\*\*64"),
+        (f"1/{semiprime}", r"below 2\*\*64"),
+        ("1e-20", r"below 2\*\*64"),
+        (2**64, r"below 2\*\*64"),
+        ("1e-32000", "exponent"),
+        ("1e-10000000", "exponent"),
+        ("1e-" + "9" * 5000, "exponent"),
+    ):
+        with pytest.raises(ConfigError, match=message) as exc:
+            parse_system(ifs(p0))
+        assert exc.value.field_path == "probs[0]"
+
+
 def test_parse_accepts_dict():
     sys = parse_system({"type": "ifs", "ratios": ["1/5", "1/5", "1/5"], "probs": ["1/5", "3/5", "1/5"]})
     assert sys == TRIDENT

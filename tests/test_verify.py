@@ -4,7 +4,7 @@ import json
 import pytest
 
 from mfzeta import verify
-from mfzeta.verify import CHECKS, SUITES, default_threads, report_json, run_suite
+from mfzeta.verify import CHECKS, SUITES, report_json, run_suite
 
 
 def test_unknown_suite_raises():
@@ -39,14 +39,14 @@ def test_spectra_suite_has_exactly_the_slope_failure():
     assert "measured" in slope.detail
 
 
-def test_report_is_byte_identical_across_thread_counts():
-    one = report_json(run_suite("zeta", threads=1))
-    three = report_json(run_suite("zeta", threads=3))
-    assert one == three
+def test_report_is_byte_identical_across_runs():
+    first = report_json(run_suite("zeta"))
+    second = report_json(run_suite("zeta"))
+    assert first.encode() == second.encode()
 
 
 def test_report_json_shape():
-    results = run_suite("oracle", threads=2)
+    results = run_suite("oracle")
     payload = json.loads(report_json(results))
     assert set(payload) == {"checks", "passed", "failed"}
     assert payload["passed"] + payload["failed"] == len(results) == len(payload["checks"])
@@ -59,6 +59,9 @@ def test_budget_tightens_oracle_caps():
     assert all(r.ok for r in results)
     with pytest.raises(ValueError, match="unknown budget key"):
         run_suite("oracle", budget={"depth": 6})
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            run_suite("oracle", budget={"K": cap})
 
 
 def test_crashed_check_reports_as_failure(monkeypatch):
@@ -69,12 +72,3 @@ def test_crashed_check_reports_as_failure(monkeypatch):
     (result,) = run_suite("oracle")
     assert not result.ok
     assert "deliberate" in result.detail
-
-
-def test_default_threads_reads_environment(monkeypatch):
-    monkeypatch.delenv("MFZETA_THREADS", raising=False)
-    assert default_threads() == 1
-    monkeypatch.setenv("MFZETA_THREADS", "8")
-    assert default_threads() == 8
-    monkeypatch.setenv("MFZETA_THREADS", "zero")
-    assert default_threads() == 1
