@@ -16,7 +16,6 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -26,10 +25,12 @@ from .dimensions import (
     sample_off_jump_xs,
 )
 from .ifs_core import (
+    RATIONAL_BOUND,
     AtomicMeasureSpec,
     ConfigError,
     FractalStringSpec,
     WeightedIFS,
+    parse_rational,
     parse_system,
 )
 from .regularity import (
@@ -38,14 +39,15 @@ from .regularity import (
     OnePlusLogKey,
     RegularityKey,
     VectorKey,
+    _PREC_LADDER,
     prepare,
-    set_precision_ladder,
 )
 from .spectra import concave_envelope, spectrum_sweep, sweep_width
 from .verify import report_json, run_suite
 from .zeta import (
     DivergenceError,
     HypothesisViolationError,
+    KeyRangeError,
     closed_form_zeta,
     eval_series,
     multinomial_zeta,
@@ -63,6 +65,12 @@ POLE_TERM_CAP = 200_000_000
 # the same VM, so a sweep within the cap ends in about a minute: measured 46 s
 # for 3 unequal ratios at kmax 99 and 35 s for 2 at kmax 590.
 SWEEP_VECTOR_CAP = 175_000
+
+# Work cap of one `tapestry` run, in candidate keys k1/K with K <= kmax, that
+# is kmax(kmax + 1)/2; about 0.61 of them are reduced, one pole lattice each.
+# A lattice costs about 0.54 ms on the same VM (sigma2, the slowest family),
+# so a run within the cap ends in about a minute.
+TAPESTRY_KEY_CAP = 180_000
 
 
 # ---------------------------------------------------------------------------
@@ -141,19 +149,35 @@ def _load_system(args):
     return parse_system(text)
 
 
+def _key_int(text: str) -> int:
+    value = int(text)
+    if abs(value) >= RATIONAL_BOUND:
+        raise ConfigError("--alpha", f"{text.strip()} is not below 2**64")
+    return value
+
+
 def parse_alpha_key(text: str) -> RegularityKey:
     """Accept ``k1,k2,...`` (exponent vector), ``p/q`` or an integer
-    (regularity fraction), or ``1+log:LEVEL`` (half-weight leftmost cells)."""
+    (regularity fraction), or ``1+log:LEVEL`` (half-weight leftmost cells).
+
+    Numbers obey the bounds of config rationals: below 2**64, with no
+    out-of-range decimal exponent.
+    """
     t = text.strip()
     if t.startswith("1+log:"):
-        return OnePlusLogKey(level=int(t[len("1+log:"):]))
+        return OnePlusLogKey(level=_key_int(t[len("1+log:"):]))
     body = t[1:-1] if t.startswith("(") and t.endswith(")") else t
     if "," in body:
-        return VectorKey(tuple(int(x) for x in body.split(",")))
+        return VectorKey(tuple(_key_int(x) for x in body.split(",")))
+    return FractionKey(parse_rational(t, "--alpha"))
+
+
+def _class_zeta(build, system, key):
+    """build(system, key), naming --alpha when the key is too deep for doubles."""
     try:
-        return FractionKey(Fraction(t))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError("--alpha", f"malformed key {text!r}") from exc
+        return build(system, key)
+    except KeyRangeError as exc:
+        raise ConfigError("--alpha", str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +186,6 @@ def parse_alpha_key(text: str) -> RegularityKey:
 
 
 def cmd_spectrum(args) -> int:
-    set_precision_ladder(args.precision_bits)
     system = _load_system(args)
     if isinstance(system, FractalStringSpec):
         raise ConfigError("type", "spectrum sweeps apply to ifs and atomic systems")
@@ -183,7 +206,7 @@ def cmd_spectrum(args) -> int:
     outputs = [out] if len(points) < 2 else [out, envelope_path]
     manifest_path = _write_manifest(
         out, "spectrum", args.config,
-        {"kmax": args.kmax, "precision_bits": args.precision_bits}, outputs,
+        {"kmax": args.kmax, "precision_bits": _PREC_LADDER[0]}, outputs,
     )
     _write_csv(
         out,
@@ -215,7 +238,6 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    set_precision_ladder(args.precision_bits)
     system = _load_system(args)
     try:
         s = complex(args.s)
@@ -228,7 +250,7 @@ def cmd_zeta(args) -> int:
             raise ConfigError(
                 "--alpha", "ifs systems need an exponent-vector key, e.g. --alpha 2,1"
             )
-        zeta = multinomial_zeta(system, key.vector)
+        zeta = _class_zeta(multinomial_zeta, system, key.vector)
         sv = eval_series(zeta, s, tail_tol=args.tol, max_terms=args.terms)
         payload = {
             "mode": "series",
@@ -241,7 +263,7 @@ def cmd_zeta(args) -> int:
     else:
         if isinstance(system, FractalStringSpec) and key is not None:
             raise ConfigError("--alpha", "string zetas take no class key")
-        rz = closed_form_zeta(system, key)
+        rz = _class_zeta(closed_form_zeta, system, key)
         z = rz.z_of(s)
         den = rz.den(z)
         if abs(den) < 1e-15:
@@ -270,6 +292,12 @@ def cmd_tapestry(args) -> int:
     system = _load_system(args)
     if not isinstance(system, AtomicMeasureSpec):
         raise ConfigError("type", "tapestries are built for the atomic families")
+    keys = args.kmax * (args.kmax + 1) // 2
+    if keys > TAPESTRY_KEY_CAP:
+        raise ConfigError(
+            "--kmax",
+            f"{keys:,} candidate keys k1/K exceed the cap of {TAPESTRY_KEY_CAP:,} per run",
+        )
     tapestry = build_tapestry(system, K_max=args.kmax, band=args.band)
     rows = []
     for alpha, lat in tapestry.pairs:
@@ -294,7 +322,7 @@ def cmd_count(args) -> int:
     key = parse_alpha_key(args.alpha) if args.alpha is not None else None
     if isinstance(system, AtomicMeasureSpec) and key is None:
         raise ConfigError("--alpha", "atomic families need a class key, e.g. --alpha 1/2")
-    rz = closed_form_zeta(system, key)
+    rz = _class_zeta(closed_form_zeta, system, key)
     if not args.x and args.samples < 1:
         raise ConfigError("--samples", f"need at least one sample, got {args.samples}")
     points = len(args.x) if args.x else args.samples
@@ -302,7 +330,7 @@ def cmd_count(args) -> int:
     if terms > POLE_TERM_CAP:
         raise ConfigError(
             "--trunc/--samples",
-            f"(2*trunc+1 + {POLE_TERMS_PER_X}) * {points} x values = {terms:.3g} pole "
+            f"(2*trunc+1 + {POLE_TERMS_PER_X}) * {points} x values = {terms:,} pole "
             f"terms exceeds the cap of {POLE_TERM_CAP:.3g} per run",
         )
     if args.x:
@@ -389,10 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(distinct probabilities for equal ratios, else the number of maps; 2 for "
         "atomic systems)",
     )
-    spectrum.add_argument(
-        "--precision-bits", type=int, choices=(64, 256, 1024), default=64,
-        help="first rung of the interval-precision ladder (default 64)",
-    )
     spectrum.add_argument("--out", required=True, help="spectrum CSV path")
     spectrum.set_defaults(func=cmd_spectrum)
 
@@ -408,10 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     zeta.add_argument(
         "--terms", type=int, default=100000, help="series term cap (default 100000)"
     )
-    zeta.add_argument(
-        "--precision-bits", type=int, choices=(64, 256, 1024), default=64,
-        help="first rung of the interval-precision ladder (default 64)",
-    )
     zeta.add_argument("--out", help="write the JSON here instead of stdout")
     zeta.set_defaults(func=cmd_zeta)
 
@@ -419,7 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
         "tapestry", help="pole lattices of every class key up to --kmax"
     )
     add_config(tapestry)
-    tapestry.add_argument("--kmax", type=int, default=64, help="key depth cap (default 64)")
+    tapestry.add_argument(
+        "--kmax", type=int, default=64,
+        help="key depth cap (default 64); a run is capped at kmax(kmax + 1)/2 <= "
+        f"{TAPESTRY_KEY_CAP:,} candidate keys k1/K",
+    )
     tapestry.add_argument(
         "--band", type=float, default=50.0, help="imaginary-part band (default 50)"
     )

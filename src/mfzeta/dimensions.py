@@ -35,7 +35,6 @@ class DimensionLattice:
     residue: complex | None  # constant along the lattice; None when non-simple
     simple: bool
     multiplicity: int
-    real_desc: str
 
     def poles(self, band: float) -> tuple[complex, ...]:
         """All lattice poles with |Im s| <= band, ordered by imaginary part."""
@@ -122,7 +121,6 @@ def pole_lattices(rz: RationalZeta, band: float = 50.0) -> list[DimensionLattice
                 residue=residue,
                 simple=simple,
                 multiplicity=mult,
-                real_desc=f"ln(1/|{root:.12g}|)/ln(1/{rz.base})",
             )
         )
     lattices.sort(key=lambda l: (-l.real_part, l.phase_shift))
@@ -168,7 +166,8 @@ def build_tapestry(
     if K_max < 1:
         raise ValueError("K_max must be >= 1")
     pairs = []
-    for K in range(1, K_max + 1):
+    # deepest keys first, so a key too deep for doubles fails before any work
+    for K in range(K_max, 0, -1):
         for k1 in range(1, K + 1):
             if math.gcd(k1, K) != 1:
                 continue

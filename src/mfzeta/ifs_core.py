@@ -218,7 +218,6 @@ class WeightedIFS:
 
     ratios: tuple[Fraction, ...]
     probs: tuple[Fraction, ...]
-    placement: str = "left-chain"
 
     def __post_init__(self):
         if len(self.ratios) != len(self.probs):
@@ -326,10 +325,12 @@ class CollapsedProbabilities:
 # Numerators and denominators of config rationals stay below 2**64: factorizing
 # a 128-bit semiprime runs Pollard rho for hours, a 64-bit one for ~0.15 s.
 RATIONAL_BOUND = 2**64
-_EXPONENT = re.compile(r"e[-+]?0*([0-9_]*)\s*$", re.IGNORECASE)
+# \d, not [0-9]: Fraction also reads an exponent in other Unicode digits
+_EXPONENT = re.compile(r"e[-+]?0*([\d_]*)\s*$", re.IGNORECASE)
 
 
-def _parse_rational(value, path: str) -> Fraction:
+def parse_rational(value, path: str) -> Fraction:
+    """An integer, or a string that ``Fraction`` reads, within the bounds above."""
     if isinstance(value, bool):
         raise ConfigError(path, "expected a rational, got a boolean")
     if isinstance(value, int):
@@ -381,8 +382,8 @@ def parse_system(config_text) -> WeightedIFS | AtomicMeasureSpec | FractalString
             raise ConfigError("probs", "expected a non-empty list")
         if len(ratios) < 2:
             raise ConfigError("ratios", "need at least 2 maps")
-        r = tuple(_parse_rational(v, f"ratios[{i}]") for i, v in enumerate(ratios))
-        p = tuple(_parse_rational(v, f"probs[{i}]") for i, v in enumerate(probs))
+        r = tuple(parse_rational(v, f"ratios[{i}]") for i, v in enumerate(ratios))
+        p = tuple(parse_rational(v, f"probs[{i}]") for i, v in enumerate(probs))
         return WeightedIFS(ratios=r, probs=p)
     if kind == "atomic":
         family = cfg.get("family")

@@ -16,7 +16,6 @@ from typing import Iterable
 from .ifs_core import (
     AtomicMeasureSpec,
     BudgetExceededError,
-    PrimeExponentVector,
     WeightedIFS,
     factorize,
 )
@@ -29,6 +28,7 @@ from .regularity import (
     RegularityKey,
     RegularityValue,
     VectorKey,
+    _power_product,
     assert_separated,
     collapsed_regularity,
     prepare,
@@ -58,11 +58,6 @@ class IntervalRecord:
     kind: str  # "ifs" | "atomic" | "gap"
     regularity: RegularityValue | None
     key_hint: RegularityKey
-
-    def alpha_float(self) -> float:
-        if self.regularity is None:
-            return math.inf
-        return self.regularity.to_float()
 
 
 @dataclass(frozen=True)
@@ -118,14 +113,13 @@ def enumerate_stage(
     for k in _compositions(K, ifs.N):
         mass = Fraction(1)
         length = Fraction(1)
-        mass_pev = PrimeExponentVector()
-        length_pev = PrimeExponentVector()
-        for ki, p, r, pp, rp in zip(k, ifs.probs, ifs.ratios, prepared.p_pev, prepared.r_pev):
+        for ki, p, r in zip(k, ifs.probs, ifs.ratios):
             if ki:
                 mass *= p**ki
                 length *= r**ki
-                mass_pev = mass_pev + pp.scaled(ki)
-                length_pev = length_pev + rp.scaled(ki)
+        regularity = RegularityValue(
+            _power_product(prepared.p_pev, k), _power_product(prepared.r_pev, k), prepared.logs
+        )
         intervals.append(
             IntervalRecord(
                 stage=K,
@@ -134,7 +128,7 @@ def enumerate_stage(
                 length=length,
                 count=multinomial(K, k),
                 kind="ifs",
-                regularity=RegularityValue(mass_pev, length_pev, prepared.logs),
+                regularity=regularity,
                 key_hint=key_hint_for(k),
             )
         )

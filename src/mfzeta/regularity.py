@@ -95,25 +95,9 @@ RegularityKey = VectorKey | FractionKey | OnePlusLogKey | InfiniteKey
 # Exact values
 # ---------------------------------------------------------------------------
 
+# Interval precisions tried in turn; a pair still overlapping at the last
+# rung is ambiguous.
 _PREC_LADDER = (64, 256, 1024)
-_ladder_start = 64
-
-
-def set_precision_ladder(start_bits: int) -> None:
-    """Choose the first rung of the interval-precision ladder (64/256/1024).
-
-    Comparisons still escalate through the remaining rungs before declaring
-    two values inseparable; a higher start just skips the cheap rungs.
-    """
-    global _ladder_start
-    if start_bits not in _PREC_LADDER:
-        raise ValueError(f"precision must be one of {_PREC_LADDER}, got {start_bits}")
-    _ladder_start = start_bits
-
-
-def precision_ladder() -> tuple[int, ...]:
-    """The active ladder: rungs at or above the configured starting precision."""
-    return tuple(p for p in _PREC_LADDER if p >= _ladder_start)
 
 
 # One private interval context per rung, made on first use.  None is ever
@@ -163,33 +147,27 @@ class RegularityValue:
     """alpha = log(mass)/log(length) as an exact pair of exponent vectors.
 
     ``logs`` holds the log enclosures of the system the value came from;
-    values built without one use a fresh table.
+    values built without one use a fresh table.  The exact rational alpha
+    of a parallel pair is worked out once, at construction.
     """
 
     mass_pev: PrimeExponentVector
     length_pev: PrimeExponentVector
     logs: PrimeLogs | None = field(default=None, compare=False, repr=False)
+    _rational: Fraction | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.length_pev.is_zero():
             raise ValueError("length exponent vector must be nonzero")
+        object.__setattr__(self, "_rational", _parallel_ratio(self.mass_pev, self.length_pev))
 
     def rational_value(self) -> Fraction | None:
         """The exact rational alpha when the two vectors are parallel, else None."""
-        if self.mass_pev.is_zero():
-            return Fraction(0)
-        den = self.length_pev.exponents()
-        num = self.mass_pev.exponents()
-        p0, d0 = next(iter(sorted(den.items())))
-        n0 = num.get(p0, 0)
-        # candidate alpha = n0/d0; parallel iff num*d0 == den*n0
-        if self.mass_pev.scaled(d0) == self.length_pev.scaled(n0):
-            return Fraction(n0, d0)
-        return None
+        return self._rational
 
     def canonical(self) -> tuple:
         """Hashable canonical form: equal values share it, proportional pairs merge."""
-        q = self.rational_value()
+        q = self._rational
         if q is not None:
             return ("rational", q)
         g = 0
@@ -202,7 +180,7 @@ class RegularityValue:
         return ("pair", mass.key(), length.key())
 
     def to_float(self) -> float:
-        q = self.rational_value()
+        q = self._rational
         if q is not None:
             return float(q)
         return self.mass_pev.log() / self.length_pev.log()
@@ -218,6 +196,18 @@ class RegularityValue:
         return mpmath.mp.make_mpf(lo), mpmath.mp.make_mpf(hi)
 
 
+def _parallel_ratio(mass: PrimeExponentVector, length: PrimeExponentVector) -> Fraction | None:
+    """a/b when b * mass == a * length (alpha is then rational), else None."""
+    num, den = mass.exponents(), length.exponents()
+    if num.keys() - den.keys():
+        return None
+    p0, b = next(iter(den.items()))
+    a = num.get(p0, 0)
+    if all(num.get(p, 0) * b == e * a for p, e in den.items()):
+        return Fraction(a, b)
+    return None
+
+
 def _divide_pev(pev: PrimeExponentVector, g: int) -> PrimeExponentVector:
     return PrimeExponentVector({p: e // g for p, e in pev.items()})
 
@@ -226,13 +216,13 @@ def values_equal(a: RegularityValue, b: RegularityValue) -> bool:
     """Exact equality via the structural/interval ladder."""
     if a.canonical() == b.canonical():
         return True
-    qa, qb = a.rational_value(), b.rational_value()
+    qa, qb = a._rational, b._rational
     if qa is not None and qb is not None:
         return qa == qb
     if (qa is None) != (qb is None):
         # a rational never equals a non-parallel (irrational) quotient
         return False
-    for prec in precision_ladder():
+    for prec in _PREC_LADDER:
         lo_a, hi_a = a.interval(prec)
         lo_b, hi_b = b.interval(prec)
         if hi_a < lo_b or hi_b < lo_a:
@@ -426,9 +416,13 @@ def is_monofractal(ifs: WeightedIFS | PreparedIFS) -> RegularityValue | None:
 
 
 def primitive_vectors(N: int, K_max: int) -> list[tuple[int, ...]]:
-    """All k with gcd 1 and 1 <= sum(k) <= K_max, in lexicographic order."""
-    if N < 2:
-        raise ValueError("N must be at least 2")
+    """All k with gcd 1 and 1 <= sum(k) <= K_max, in lexicographic order.
+
+    For N = 1 that is (1,) alone: the one class of a system whose
+    probabilities collapse to a single value.
+    """
+    if N < 1:
+        raise ValueError("N must be at least 1")
     if K_max < 1:
         raise ValueError("K_max must be at least 1")
     out: list[tuple[int, ...]] = []
@@ -451,11 +445,16 @@ def primitive_vectors(N: int, K_max: int) -> list[tuple[int, ...]]:
 
 @dataclass
 class HypothesisReport:
-    """Result of checking that primitive vectors have pairwise distinct regularity."""
+    """Result of checking that primitive vectors have pairwise distinct regularity.
+
+    When the hypothesis holds, ``classes`` are the classes of all primitive
+    vectors in enumeration order; otherwise it is empty.
+    """
 
     holds: bool
     collisions: list[tuple[float, list[tuple[int, ...]]]] = field(default_factory=list)
     ambiguous: list[str] = field(default_factory=list)
+    classes: list[RegularityClass] = field(default_factory=list)
 
 
 def check_hypothesis_H(ifs: WeightedIFS | PreparedIFS, K_max: int) -> HypothesisReport:
@@ -472,28 +471,29 @@ def check_hypothesis_H(ifs: WeightedIFS | PreparedIFS, K_max: int) -> Hypothesis
     if collapsed is not None and collapsed.w == prepared.ifs.N:
         collapsed = None  # all probabilities distinct: same classes
     width = collapsed.w if collapsed is not None else prepared.ifs.N
-    groups: dict[tuple, tuple[RegularityValue, list[tuple[int, ...]]]] = {}
+    regularity = collapsed_regularity if collapsed is not None else regularity_of
+    groups: dict[tuple, tuple[RegularityClass, list[tuple[int, ...]]]] = {}
     for k in primitive_vectors(width, K_max):
-        if collapsed is not None:
-            value = collapsed_regularity(prepared, k).alpha_exact
-        else:
-            value = regularity_of(prepared, k).alpha_exact
-        key = value.canonical()
+        cls = regularity(prepared, k)
+        key = cls.alpha_exact.canonical()
         if key in groups:
             groups[key][1].append(k)
         else:
-            groups[key] = (value, [k])
+            groups[key] = (cls, [k])
     collisions = [
-        (value.to_float(), vectors) for value, vectors in groups.values() if len(vectors) > 1
+        (cls.alpha_float, vectors) for cls, vectors in groups.values() if len(vectors) > 1
     ]
     collisions.sort(key=lambda item: item[0])
     ambiguous: list[str] = []
     try:
-        assert_separated([value for value, _ in groups.values()])
+        assert_separated([cls.alpha_exact for cls, _ in groups.values()])
     except AmbiguousRegularityError as exc:
         ambiguous.append(str(exc))
+    holds = not collisions and not ambiguous
     return HypothesisReport(
-        holds=not collisions and not ambiguous,
+        holds=holds,
         collisions=collisions,
         ambiguous=ambiguous,
+        # without collisions every group holds one vector, in enumeration order
+        classes=[cls for cls, _ in groups.values()] if holds else [],
     )

@@ -67,9 +67,6 @@ class MultinomialLaw:
         nK = n * self.K
         return math.lgamma(nK + 1) - sum(math.lgamma(n * ki + 1) for ki in self.k)
 
-    def describe(self) -> str:
-        return f"multinomial(n*{self.K}; {','.join(f'n*{ki}' for ki in self.k)})"
-
 
 @dataclass(frozen=True)
 class CollapsedLaw:
@@ -101,11 +98,6 @@ class CollapsedLaw:
         out += sum(n * kq * math.log(cq) for kq, cq in zip(self.kprime, self.c))
         return out
 
-    def describe(self) -> str:
-        parts = ",".join(f"n*{kq}" for kq in self.kprime)
-        weights = "*".join(f"{cq}^(n*{kq})" for cq, kq in zip(self.c, self.kprime))
-        return f"multinomial(n*{self.K}; {parts}) * {weights}"
-
 
 @dataclass(frozen=True)
 class GeometricLaw:
@@ -123,9 +115,6 @@ class GeometricLaw:
     def log_multiplicity(self, n: int) -> float:
         return math.log(self.a) + (n - 1) * math.log(self.g)
 
-    def describe(self) -> str:
-        return f"{self.a}*{self.g}^(n-1)"
-
 
 @dataclass(frozen=True)
 class FloorSumLaw:
@@ -140,9 +129,6 @@ class FloorSumLaw:
 
     def log_multiplicity(self, n: int) -> float:
         return math.log(self.multiplicity(n))
-
-    def describe(self) -> str:
-        return "sum_{j<=n/2} C(n-j, j)"
 
 
 @dataclass(frozen=True)
@@ -162,9 +148,6 @@ class ExplicitLaw:
     def log_multiplicity(self, n: int) -> float:
         m = self.multiplicity(n)
         return math.log(m) if m else -math.inf
-
-    def describe(self) -> str:
-        return f"explicit{list(self.multiplicities)}"
 
 
 MultiplicityLaw = MultinomialLaw | CollapsedLaw | GeometricLaw | FloorSumLaw | ExplicitLaw

@@ -28,7 +28,6 @@ from .regularity import (
     is_monofractal,
     prepare,
     primitive_vectors,
-    regularity_of,
 )
 from .zeta import abscissa_closed, entropy_dimension
 
@@ -57,10 +56,6 @@ class EnvelopeFunction:
         # kept on first evaluation, not at construction: most envelopes are
         # only written out, and a sweep's hull can have ~20k vertices
         return tuple(x for x, _ in self.breakpoints)
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return self.breakpoints[0][0], self.breakpoints[-1][0]
 
     def __call__(self, t: float) -> float:
         xs = self._xs
@@ -142,14 +137,19 @@ def _ifs_sweep(ifs: WeightedIFS | PreparedIFS, K_max: int) -> list[SpectrumPoint
     if prepared.collapsed is not None:
         if prepared.dependence is not None:
             raise ValueError(prepared.dependence)
-        regularity, label = collapsed_regularity, "collapsed class"
-    elif check_hypothesis_H(prepared, K_max).holds:
-        regularity, label = regularity_of, "class"
+        # one class at a time, and the vector list goes with the spent
+        # generator: holding either through the sort raises peak memory
+        width = sweep_width(prepared)
+        classes = (collapsed_regularity(prepared, k) for k in primitive_vectors(width, K_max))
+        label = "collapsed class"
     else:
-        return _oracle_fallback_sweep(prepared, K_max)
+        report = check_hypothesis_H(prepared, K_max)
+        if not report.holds:
+            return _oracle_fallback_sweep(prepared, K_max)
+        classes, label = report.classes, "class"
     points = []
-    for k in primitive_vectors(sweep_width(prepared), K_max):
-        cls = regularity(prepared, k)
+    for cls in classes:
+        k = cls.key.vector  # a primitive vector is its own key
         res = abscissa_closed(prepared, k)
         points.append(
             SpectrumPoint(
@@ -372,16 +372,26 @@ def solve_b(ifs: WeightedIFS, q: float, residual_tol: float = 1e-13) -> float:
 def legendre_transform(
     ifs: WeightedIFS, q_grid: Sequence[float] | None = None
 ) -> LegendrePipeline:
-    """b, b' (central differences, h = 1e-4), t = -b', b*(t) = t q + b(q)."""
+    """b, b', t = -b', b*(t) = t q + b(q).
+
+    b' is exact: differentiating sum w_i = 1 with w_i = p_i^q r_i^b(q) gives
+    b'(q) = -sum w_i log p_i / sum w_i log r_i.
+    """
     if q_grid is None:
         n = round(2 * 8 / 0.05)
         q_grid = [-8 + 0.05 * i for i in range(n + 1)]
     q_grid = tuple(float(q) for q in q_grid)
-    h = 1e-4
+    logs_p = [math.log(p) for p in ifs.probs]
+    logs_r = [math.log(r) for r in ifs.ratios]
     b_vals = tuple(solve_b(ifs, q) for q in q_grid)
-    b_prime = tuple(
-        (solve_b(ifs, q + h) - solve_b(ifs, q - h)) / (2 * h) for q in q_grid
-    )
+    b_prime = []
+    for q, b in zip(q_grid, b_vals):
+        w = [math.exp(q * lp + b * lr) for lp, lr in zip(logs_p, logs_r)]
+        b_prime.append(
+            -math.fsum(wi * lp for wi, lp in zip(w, logs_p))
+            / math.fsum(wi * lr for wi, lr in zip(w, logs_r))
+        )
+    b_prime = tuple(b_prime)
     t_vals = tuple(-bp for bp in b_prime)
     b_star = tuple(t * q + b for t, q, b in zip(t_vals, q_grid, b_vals))
     degenerate = is_monofractal(ifs) is not None

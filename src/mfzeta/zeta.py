@@ -43,6 +43,28 @@ class HypothesisViolationError(ValueError):
     """Distinct-regularity hypothesis fails for the requested class."""
 
 
+class KeyRangeError(ValueError):
+    """A class key whose length base would round to 0.0 as a double."""
+
+
+# a positive rational at or below 2**-1075 rounds to the double 0.0
+_LOG_ZERO_DOUBLE = -1075 * math.log(2)
+
+
+def _length_base(factors: Sequence[tuple[Fraction, int]], key) -> Fraction:
+    """prod b**e over the (b, e) factors: the length base of the class ``key``.
+
+    Every consumer takes the log of the base as a double, so a base that would
+    round to 0.0 is refused; the logs decide it before any power is built.
+    """
+    if math.fsum(e * math.log(b) for b, e in factors) <= _LOG_ZERO_DOUBLE:
+        raise KeyRangeError(f"class {key} is too deep: its length base rounds to 0.0")
+    base = Fraction(1)
+    for b, e in factors:
+        base *= b**e
+    return base
+
+
 # ---------------------------------------------------------------------------
 # Exact polynomials over the rationals
 # ---------------------------------------------------------------------------
@@ -262,7 +284,7 @@ def multinomial_zeta(
         if prepared.dependence is not None:
             raise HypothesisViolationError(prepared.dependence)
         K = sum(kprime)
-        base = ifs.ratios[0] ** K
+        base = _length_base([(ifs.ratios[0], K)], kprime)
         if collapsed.w == ifs.N:
             law: MultiplicityLaw = MultinomialLaw(k=kprime)
         else:
@@ -271,10 +293,8 @@ def multinomial_zeta(
     k = reduce_vector(k)
     if len(k) != ifs.N:
         raise ValueError(f"vector length {len(k)} != N = {ifs.N}")
+    base = _length_base(list(zip(ifs.ratios, k)), k)
     _assert_distinct_class(prepared, k, hypothesis_K_max)
-    base = Fraction(1)
-    for ki, r in zip(k, ifs.ratios):
-        base *= r**ki
     return SeriesZeta(
         base_length=base, law=MultinomialLaw(k=k), K=sum(k), label=f"class {k}"
     )
@@ -502,7 +522,7 @@ def _atomic_closed_form(spec: AtomicMeasureSpec, key: RegularityKey | None) -> R
         return RationalZeta(
             num=z,
             den=one,
-            base=Fraction(1, 3) ** key.level,
+            base=_length_base([(Fraction(1, 3), key.level)], key),
             label=f"entire {key}",
         )
     if not isinstance(key, FractionKey):
@@ -513,7 +533,8 @@ def _atomic_closed_form(spec: AtomicMeasureSpec, key: RegularityKey | None) -> R
     k1, K = q.numerator, q.denominator
     if spec.family == "sigma1":
         return RationalZeta(
-            num=z, den=one - z, base=Fraction(1, 3) ** K, label=f"sigma1 {q}"
+            num=z, den=one - z, base=_length_base([(Fraction(1, 3), K)], key),
+            label=f"sigma1 {q}",
         )
     m = spec.m
     lam = spec.lam
@@ -529,6 +550,6 @@ def _atomic_closed_form(spec: AtomicMeasureSpec, key: RegularityKey | None) -> R
     return RationalZeta(
         num=z.scale(Fraction((m - 1) * m ** (k1 - 1))),
         den=one - z.scale(Fraction(m**k1)),
-        base=lam**K,
+        base=_length_base([(lam, K)], key),
         label=f"{spec.family} {q}",
     )

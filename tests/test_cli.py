@@ -20,6 +20,7 @@ CONFIGS = {
     "beta": {"type": "ifs", "ratios": ["1/3", "1/3"], "probs": ["1/3", "2/3"]},
     "rho": {"type": "ifs", "ratios": ["1/3", "1/3"], "probs": ["1/2", "1/2"]},
     "oracle": {"type": "ifs", "ratios": ["1/2", "1/4", "1/8"], "probs": ["1/2", "1/3", "1/6"]},
+    "certified": {"type": "ifs", "ratios": ["1/2", "1/3"], "probs": ["1/3", "2/3"]},
 }
 
 
@@ -47,6 +48,26 @@ def test_alpha_key_parsing():
     assert parse_alpha_key("1+log:3") == OnePlusLogKey(3)
     with pytest.raises(ConfigError):
         parse_alpha_key("one half")
+
+
+def test_alpha_keys_are_bounded(tmp_path, capsys, config):
+    out = tmp_path / "z.json"
+    cases = [
+        ("zeta", "sigma2", "1e-1000000", "exponent"),
+        ("zeta", "sigma2", "1/100000000", "too deep"),
+        ("zeta", "sigma2", "1/1000000", "too deep"),
+        ("zeta", "sigma1", "1+log:100000000", "too deep"),
+        ("zeta", "beta", "100000000,1", "too deep"),
+        ("zeta", "certified", "3000,1", "too deep"),
+        ("zeta", "certified", "18446744073709551616,1", "below 2**64"),
+        ("count", "sigma2", "1/100000000", "too deep"),
+    ]
+    for command, name, alpha, message in cases:
+        argv = [command, "--config", config(name), "--alpha", alpha, "--out", str(out)]
+        assert main(argv + (["--s", "2"] if command == "zeta" else [])) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --alpha: ") and message in err[0]
+    assert not out.exists() and not (tmp_path / "z.manifest.json").exists()
 
 
 def test_version_flag(capsys):
@@ -216,6 +237,14 @@ def test_tapestry_rejects_non_atomic(capsys, config):
     assert main(["tapestry", "--config", config("cantor")]) == 2
 
 
+def test_tapestry_refuses_runaway_kmax(tmp_path, capsys, config):
+    out = tmp_path / "t.json"
+    assert main(["tapestry", "--config", config("sigma2"), "--kmax", "600", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: --kmax: 180,300 candidate keys k1/K exceed the cap of 180,000 per run\n"
+
+
 def test_count_cantor_fixed_points(tmp_path, capsys, config):
     out = tmp_path / "count.csv"
     rc = main(
@@ -261,7 +290,11 @@ def test_count_error_paths(tmp_path, capsys, config):
     assert rc == 2
     assert "--samples" in capsys.readouterr().err
     # runaway work is refused up front by the pole-term cap
-    for flags in (["--trunc", "100000000", "--x", "10"], ["--samples", "100000000"]):
+    for flags in (
+        ["--trunc", "100000000", "--x", "10"],
+        ["--samples", "100000000"],
+        ["--trunc", "1" + "0" * 400, "--x", "10"],  # beyond the float range
+    ):
         rc = main(["count", "--config", config("cantor"), *flags, "--out", out])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()

@@ -1,9 +1,10 @@
 """System definitions, parsing, exact factorization."""
+import json
 import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfzeta.ifs_core import (
@@ -157,6 +158,7 @@ def test_parse_bounds_rational_size():
         ("1e-32000", "exponent"),
         ("1e-10000000", "exponent"),
         ("1e-" + "9" * 5000, "exponent"),
+        ("1e-١٠٠٠٠٠٠٠٠", "exponent"),  # Fraction reads Unicode digits too
     ):
         with pytest.raises(ConfigError, match=message) as exc:
             parse_system(ifs(p0))
@@ -166,3 +168,28 @@ def test_parse_bounds_rational_size():
 def test_parse_accepts_dict():
     sys = parse_system({"type": "ifs", "ratios": ["1/5", "1/5", "1/5"], "probs": ["1/5", "3/5", "1/5"]})
     assert sys == TRIDENT
+
+
+_NUMBERS = st.from_regex(r"-?\d{1,3}(/\d{1,3})?([eE]-?\d{1,9})?", fullmatch=True)
+_VALUE = _NUMBERS | st.integers(-5, 2**70) | st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=6)
+)
+_FAMILIES = ["sigma1", "sigma2", "generalized", "cantor", "fibonacci", "other"]
+_CONFIGS = st.fixed_dictionaries(
+    {"type": st.sampled_from(["ifs", "atomic", "string", "other"])},
+    optional={
+        "ratios": st.lists(_VALUE, min_size=1, max_size=4) | _VALUE,
+        "probs": st.lists(_VALUE, min_size=1, max_size=4) | _VALUE,
+        "family": st.sampled_from(_FAMILIES),
+        "m": _VALUE,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=_CONFIGS | _CONFIGS.map(json.dumps) | st.text())
+def test_parse_system_fails_only_with_config_error(config):
+    try:
+        parse_system(config)
+    except ConfigError:
+        pass

@@ -6,10 +6,11 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfzeta.ifs_core import WeightedIFS, factorize
+from mfzeta.oracle import enumerate_stage
 from mfzeta.regularity import (
     FractionKey,
     InfiniteKey,
@@ -20,13 +21,12 @@ from mfzeta.regularity import (
     check_hypothesis_H,
     collapsed_regularity,
     is_monofractal,
-    precision_ladder,
     prepare,
     primitive_vectors,
     regularity_of,
-    set_precision_ladder,
     values_equal,
 )
+from mfzeta.sequences import multinomial
 
 BETA = WeightedIFS(ratios=(F(1, 3), F(1, 3)), probs=(F(1, 3), F(2, 3)))
 BETA0 = WeightedIFS(ratios=(F(1, 2), F(1, 2)), probs=(F(1, 3), F(2, 3)))
@@ -138,10 +138,12 @@ def test_primitive_vectors():
     assert len(set(vecs)) == len(vecs)
     small = primitive_vectors(2, 3)
     assert set(small) == {(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)}
+    assert primitive_vectors(1, 5) == [(1,)]
 
 
 def test_hypothesis_h():
     assert check_hypothesis_H(BETA, 8).holds
+    assert check_hypothesis_H(RHO, 8).holds  # one distinct probability, one class
     assert check_hypothesis_H(BETA0, 8).holds
     assert check_hypothesis_H(TRIDENT, 8).holds  # collapsed classes are distinct
     report = check_hypothesis_H(ROBY, 4)
@@ -158,26 +160,52 @@ def test_hypothesis_h_dependent_probs():
     assert not report.holds and report.ambiguous
 
 
+@st.composite
+def small_systems(draw) -> WeightedIFS:
+    """N = 2-3 maps with ratios 1/d (equal or not) and probabilities w_i/sum(w)."""
+    n = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        ratios = (F(1, draw(st.integers(n, 7))),) * n
+    else:
+        ratios = tuple(F(1, draw(st.integers(n, 9))) for _ in range(n))
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    return WeightedIFS(ratios=ratios, probs=tuple(F(w, sum(weights)) for w in weights))
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=small_systems(), K=st.integers(1, 5))
+def test_stage_records_match_closed_forms(system, K):
+    prepared = prepare(system)
+    for rec in enumerate_stage(prepared, K).intervals:
+        assert rec.count == multinomial(K, rec.k)
+        assert rec.mass == math.prod(p**ki for p, ki in zip(system.probs, rec.k))
+        value = regularity_of(prepared, rec.k).alpha_exact
+        assert rec.regularity == value
+        assert rec.regularity.canonical() == value.canonical()
+        assert rec.regularity.rational_value() == value.rational_value()
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=small_systems(), K_max=st.integers(1, 8))
+def test_hypothesis_h_classes_are_the_enumeration(system, K_max):
+    prepared = prepare(system)
+    collapsed = prepared.collapsed
+    if collapsed is not None and collapsed.w < system.N:
+        regularity, width = collapsed_regularity, collapsed.w
+    else:
+        regularity, width = regularity_of, system.N
+    report = check_hypothesis_H(prepared, K_max)
+    if report.holds:
+        assert report.classes == [regularity(prepared, k) for k in primitive_vectors(width, K_max)]
+    else:
+        assert report.classes == []
+
+
 def test_key_strings():
     assert str(VectorKey((2, 1))) == "(2,1)"
     assert str(FractionKey(F(1, 2))) == "1/2"
     assert str(OnePlusLogKey(2)) == "1+log_{3^2}2"
     assert str(InfiniteKey()) == "inf"
-
-
-def test_precision_ladder_configuration():
-    assert precision_ladder() == (64, 256, 1024)
-    try:
-        set_precision_ladder(256)
-        assert precision_ladder() == (256, 1024)
-        # separation still works when the cheap rung is skipped
-        a = regularity_of(BETA, (1, 0)).alpha_exact
-        b = regularity_of(BETA, (0, 1)).alpha_exact
-        assert not values_equal(a, b)
-    finally:
-        set_precision_ladder(64)
-    with pytest.raises(ValueError, match="precision must be one of"):
-        set_precision_ladder(128)
 
 
 def test_prepare_is_idempotent_and_holds_system_facts():

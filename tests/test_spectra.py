@@ -132,8 +132,12 @@ def test_legendre_beta0_pipeline():
     pipe = legendre_transform(BETA0)
     assert len(pipe.q_grid) == 321
     assert pipe.q_grid[0] == pytest.approx(-8.0) and pipe.q_grid[-1] == pytest.approx(8.0)
-    for q, b in zip(pipe.q_grid, pipe.b_values):
+    for q, b, t in zip(pipe.q_grid, pipe.b_values, pipe.t_values):
         assert b == pytest.approx(math.log2((1 / 3) ** q + (2 / 3) ** q), abs=1e-9)
+        # t = -b'(q) = sum p^q log p / (sum p^q log 1/2)
+        w = ((1 / 3) ** q, (2 / 3) ** q)
+        exact = (w[0] * math.log(1 / 3) + w[1] * math.log(2 / 3)) / (sum(w) * math.log(1 / 2))
+        assert t == pytest.approx(exact, abs=1e-12)
     # b strictly decreasing, t within the regularity range
     assert all(b1 < b0 for b0, b1 in zip(pipe.b_values, pipe.b_values[1:]))
     for t in pipe.t_values:
