@@ -298,7 +298,7 @@ def cmd_tapestry(args) -> int:
             "--kmax",
             f"{keys:,} candidate keys k1/K exceed the cap of {TAPESTRY_KEY_CAP:,} per run",
         )
-    tapestry = build_tapestry(system, K_max=args.kmax, band=args.band)
+    tapestry = build_tapestry(system, K_max=args.kmax)
     rows = []
     for alpha, lat in tapestry.pairs:
         rows.append(
@@ -443,9 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--kmax", type=int, default=64,
         help="key depth cap (default 64); a run is capped at kmax(kmax + 1)/2 <= "
         f"{TAPESTRY_KEY_CAP:,} candidate keys k1/K",
-    )
-    tapestry.add_argument(
-        "--band", type=float, default=50.0, help="imaginary-part band (default 50)"
     )
     tapestry.add_argument("--out", help="write the JSON here instead of stdout")
     tapestry.set_defaults(func=cmd_tapestry)

@@ -36,20 +36,10 @@ class DimensionLattice:
     simple: bool
     multiplicity: int
 
-    def poles(self, band: float) -> tuple[complex, ...]:
-        """All lattice poles with |Im s| <= band, ordered by imaginary part."""
-        j_lo = math.ceil(-band / self.period - self.phase_shift)
-        j_hi = math.floor(band / self.period - self.phase_shift)
-        return tuple(
-            complex(self.real_part, self.period * (j + self.phase_shift))
-            for j in range(j_lo, j_hi + 1)
-        )
-
 
 @dataclass(frozen=True)
 class Tapestry:
     pairs: tuple[tuple[Fraction, DimensionLattice], ...]
-    band: float
 
 
 @dataclass(frozen=True)
@@ -72,14 +62,12 @@ def _analytic_residue(rz: RationalZeta, root: complex) -> complex:
     return rz.num(root) / (dp * dz_ds)
 
 
-def pole_lattices(rz: RationalZeta, band: float = 50.0) -> list[DimensionLattice]:
+def pole_lattices(rz: RationalZeta) -> list[DimensionLattice]:
     """One lattice per denominator root of the rational zeta.
 
     Roots come from companion-matrix eigenvalues with one Newton polish
     step; repeated roots are merged and flagged non-simple (residue omitted).
     """
-    if band <= 0:
-        raise ValueError("band must be positive")
     if rz.den.degree < 1:
         raise ValueError("denominator is constant: the zeta is entire")
     coeffs = [float(c) for c in rz.den.coeffs]
@@ -127,13 +115,6 @@ def pole_lattices(rz: RationalZeta, band: float = 50.0) -> list[DimensionLattice
     return lattices
 
 
-def residue_of(rz: RationalZeta, lattice: DimensionLattice) -> complex:
-    """Residue in s, constant along a simple lattice."""
-    if not lattice.simple:
-        raise ValueError("lattice has a multiple root; residue undefined here")
-    return _analytic_residue(rz, lattice.root_z)
-
-
 def residue_numeric(
     rz: RationalZeta, omega: complex, h: float | None = None
 ) -> complex:
@@ -156,9 +137,7 @@ def residue_numeric(
 # ---------------------------------------------------------------------------
 
 
-def build_tapestry(
-    spec: AtomicMeasureSpec, K_max: int, band: float = 50.0
-) -> Tapestry:
+def build_tapestry(spec: AtomicMeasureSpec, K_max: int) -> Tapestry:
     """(alpha, lattice) pairs over reduced fractions k1/K with K <= K_max.
 
     The entire-monomial keys carry no poles and are omitted.
@@ -173,12 +152,12 @@ def build_tapestry(
                 continue
             alpha = Fraction(k1, K)
             rz = closed_form_zeta(spec, FractionKey(alpha))
-            lattices = pole_lattices(rz, band)
+            lattices = pole_lattices(rz)
             if len(lattices) != 1:
                 raise ValueError(f"expected one lattice for alpha={alpha}")
             pairs.append((alpha, lattices[0]))
     pairs.sort(key=lambda p: p[0])
-    return Tapestry(pairs=tuple(pairs), band=band)
+    return Tapestry(pairs=tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +310,7 @@ def counting_explicit(
         const = res0 * math.log(x) + c0
         zero_is_pole = True
     lnx = math.log(x)
-    lattices = pole_lattices(rz, band=1.0)
+    lattices = pole_lattices(rz)
     if not all(lat.simple for lat in lattices):
         raise ValueError("non-simple pole lattice; explicit sum unsupported")
     blocks = (b for lat in lattices for b in _lattice_terms(lat, Z, lnx, zero_is_pole))

@@ -309,13 +309,6 @@ class CollapsedProbabilities:
     def w(self) -> int:
         return len(self.distinct)
 
-    def collapse_vector(self, k: Sequence[int]) -> tuple[int, ...]:
-        """Fold an N-dim exponent vector onto the w distinct slots."""
-        out = [0] * self.w
-        for i, ki in enumerate(k):
-            out[self.slot_of[i]] += ki
-        return tuple(out)
-
 
 # ---------------------------------------------------------------------------
 # Parsing

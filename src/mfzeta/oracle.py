@@ -28,11 +28,9 @@ from .regularity import (
     RegularityKey,
     RegularityValue,
     VectorKey,
-    _power_product,
     assert_separated,
     collapsed_regularity,
     prepare,
-    reduce_vector,
     regularity_of,
     values_equal,
 )
@@ -102,13 +100,6 @@ def enumerate_stage(
         raise ValueError("stage K must be >= 1")
     if ifs.N**K > budget:
         raise BudgetExceededError(f"N^K = {ifs.N**K} exceeds budget {budget}")
-    collapsed = prepared.collapsed
-
-    def key_hint_for(k: tuple[int, ...]) -> VectorKey:
-        if collapsed is not None:
-            return VectorKey(reduce_vector(collapsed.collapse_vector(k)), collapsed=True)
-        return VectorKey(reduce_vector(k))
-
     intervals = []
     for k in _compositions(K, ifs.N):
         mass = Fraction(1)
@@ -117,9 +108,7 @@ def enumerate_stage(
             if ki:
                 mass *= p**ki
                 length *= r**ki
-        regularity = RegularityValue(
-            _power_product(prepared.p_pev, k), _power_product(prepared.r_pev, k), prepared.logs
-        )
+        cls = regularity_of(prepared, k)
         intervals.append(
             IntervalRecord(
                 stage=K,
@@ -128,8 +117,8 @@ def enumerate_stage(
                 length=length,
                 count=multinomial(K, k),
                 kind="ifs",
-                regularity=regularity,
-                key_hint=key_hint_for(k),
+                regularity=cls.alpha_exact,
+                key_hint=cls.key,
             )
         )
 
@@ -208,49 +197,6 @@ def atomic_cdf(spec: AtomicMeasureSpec, y: Fraction) -> Fraction:
         if count > 0:
             total += Fraction(count, b**j)
         j += 1
-
-
-def _atomic_cdf_grid(spec: AtomicMeasureSpec, n: int, t: int) -> Fraction:
-    """F(t * base^-n) by integer arithmetic on the stage-n grid."""
-    b = spec.base
-    if t <= 0:
-        return Fraction(0)
-    if spec.family == "sigma1":
-        # largest e with 3^e < t gives the first materialized atom index
-        e = 0
-        while 3 ** (e + 1) < t:
-            e += 1
-        if 3**e >= t:  # t == 1
-            i0 = n + 1
-        else:
-            i0 = n - e
-        if i0 < 1:
-            return Fraction(1, 2)
-        return Fraction(3, 2) * Fraction(1, 3**i0)
-    m = spec.m
-    total_num = 0  # accumulated numerator over denominator b**jmax
-    terms: list[tuple[int, int]] = []  # (count or tail numerator, power j)
-    j = 1
-    while True:
-        # full-tail test: t/b^n > m^(j-1)/b^(j-1)
-        if t * b ** (j - 1) > m ** (j - 1) * b**n:
-            terms.append((m ** (j - 1), j - 1))
-            break
-        n_j = (m - 1) * m ** (j - 1)
-        # count = clamp(ceil(t*b^(j-n) - m^j)) computed exactly
-        if j >= n:
-            q = t * b ** (j - n) - m**j
-        else:
-            d = b ** (n - j)
-            q = -((m**j * d - t) // d)
-        count = min(n_j, max(0, q))
-        if count > 0:
-            terms.append((count, j))
-        j += 1
-    jmax = max(p for _, p in terms)
-    for c, p in terms:
-        total_num += c * b ** (jmax - p)
-    return Fraction(total_num, b**jmax)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +314,7 @@ def _key_sort_token(key: RegularityKey):
     if isinstance(key, FractionKey):
         payload = (key.value.numerator, key.value.denominator)
     elif isinstance(key, VectorKey):
-        payload = (int(key.collapsed), key.vector)
+        payload = key.vector
     elif isinstance(key, OnePlusLogKey):
         payload = (key.level,)
     else:
@@ -431,12 +377,7 @@ def empirical_alpha_lengths(
     if isinstance(key, VectorKey):
         if not isinstance(source, PreparedIFS):
             raise ValueError("vector keys require an IFS source")
-        cls = (
-            collapsed_regularity(source, key.vector)
-            if key.collapsed
-            else regularity_of(source, key.vector)
-        )
-        target = cls.alpha_exact
+        target = collapsed_regularity(source, source.class_vector(key.vector)).alpha_exact
 
     merged: dict[Fraction, int] = {}
     for stage in range(1, depth + 1):

@@ -14,11 +14,11 @@ Equality of two regularity values is decided by a ladder:
 3. if the intervals still overlap, ``AmbiguousRegularityError`` is
    raised — values are never silently merged.
 
-Facts that every class of one system shares (factorized parameters, the
-collapse of equal probabilities, their independence verdict, interval
-enclosures of the logs of the primes) live in a ``PreparedIFS``, built once
-by ``prepare``; every function taking a ``WeightedIFS`` here also takes its
-prepared form.
+Facts that every class of one system shares (its class space with the
+factorized parameters of each slot, the independence verdict of its distinct
+probabilities, interval enclosures of the logs of the primes) live in a
+``PreparedIFS``, built once by ``prepare``; every function taking a
+``WeightedIFS`` here also takes its prepared form.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 
 from .ifs_core import (
-    CollapsedProbabilities,
     PrimeExponentVector,
     WeightedIFS,
     check_rational_independence,
@@ -51,10 +50,9 @@ class AmbiguousRegularityError(RuntimeError):
 
 @dataclass(frozen=True)
 class VectorKey:
-    """Primitive exponent vector; ``collapsed`` marks distinct-probability slots."""
+    """Primitive class vector of a weighted IFS (see ``PreparedIFS``)."""
 
     vector: tuple[int, ...]
-    collapsed: bool = False
 
     def __str__(self) -> str:
         return "(" + ",".join(str(v) for v in self.vector) + ")"
@@ -275,11 +273,12 @@ def _power_product(
     pevs: Sequence[PrimeExponentVector], k: Sequence[int]
 ) -> PrimeExponentVector:
     """prod pevs[i]**k[i] as one exponent vector."""
-    out = PrimeExponentVector()
+    out: dict[int, int] = {}
     for ki, pev in zip(k, pevs):
         if ki:
-            out = out + pev.scaled(ki)
-    return out
+            for p, e in pev.items():
+                out[p] = out.get(p, 0) + ki * e
+    return PrimeExponentVector(out)
 
 
 # ---------------------------------------------------------------------------
@@ -291,102 +290,134 @@ def _power_product(
 class PreparedIFS:
     """The facts about one ``WeightedIFS`` that all of its classes share.
 
-    Built once by ``prepare``.  ``collapsed`` (distinct probabilities, with
-    their factorizations in ``distinct_pev``) is set only for equal-ratio
-    systems; the independence verdict and its witness refer to those
-    distinct probabilities and are trivially true otherwise.
+    Built once by ``prepare``.  It owns the class space.  With equal ratios,
+    all intervals with the same counts of each distinct probability share
+    one regularity, so a class vector has one slot per distinct probability,
+    in ascending order; otherwise it has one slot per map.  ``slot_of`` sends
+    each map to its slot, ``multiplicities`` counts the maps in each slot,
+    and ``slot_ratios``, ``slot_p_pev`` and ``slot_r_pev`` hold each slot's
+    ratio and factorized probability and ratio.  The independence verdict
+    and its witness refer to the distinct probabilities of an equal-ratio
+    system and are trivially true otherwise.
     """
 
     ifs: WeightedIFS
-    p_pev: tuple[PrimeExponentVector, ...]
-    r_pev: tuple[PrimeExponentVector, ...]
-    collapsed: CollapsedProbabilities | None
-    distinct_pev: tuple[PrimeExponentVector, ...]
+    slot_of: tuple[int, ...]
+    multiplicities: tuple[int, ...]
+    slot_ratios: tuple[Fraction, ...]
+    slot_p_pev: tuple[PrimeExponentVector, ...]
+    slot_r_pev: tuple[PrimeExponentVector, ...]
     independent: bool
     witness: tuple[int, ...] | None
     logs: PrimeLogs
 
     @property
+    def width(self) -> int:
+        """The number of slots w of a class vector."""
+        return len(self.multiplicities)
+
+    @property
+    def folds(self) -> bool:
+        """True when some slot holds several maps (w < N)."""
+        return self.width < self.ifs.N
+
+    @property
     def dependence(self) -> str | None:
-        """Why collapsed classes are invalid, or None when they are valid."""
+        """Why the slots are not the regularity classes, or None when they are."""
         if self.independent:
             return None
         return f"distinct probabilities are multiplicatively dependent (witness {self.witness})"
+
+    def fold(self, k: Sequence[int]) -> tuple[int, ...]:
+        """The class vector of the per-map exponent vector k."""
+        out = [0] * self.width
+        for slot, ki in zip(self.slot_of, k):
+            out[slot] += ki
+        return tuple(out)
+
+    def class_vector(self, k: Sequence[int]) -> tuple[int, ...]:
+        """The primitive class vector that a given vector names.
+
+        A vector of length w is a class vector; one of length N != w is a
+        per-map vector and is folded.
+        """
+        k = reduce_vector(k)
+        if len(k) == self.width:
+            return k
+        if len(k) == self.ifs.N:
+            return reduce_vector(self.fold(k))
+        raise ValueError(
+            f"vector length {len(k)} matches neither N = {self.ifs.N} nor w = {self.width}"
+        )
 
 
 def prepare(system: WeightedIFS | PreparedIFS) -> PreparedIFS:
     """The prepared form of a system; a prepared form is returned unchanged."""
     if isinstance(system, PreparedIFS):
         return system
-    collapsed = None
     independent, witness = True, None
     if system.equal_ratios():
         collapsed = collapse_probabilities(system)
+        probs, slot_of, mult = collapsed.distinct, collapsed.slot_of, collapsed.multiplicities
+        ratios = (system.ratios[0],) * collapsed.w
         if collapsed.w > 1:
-            independent, witness = check_rational_independence(collapsed.distinct)
+            independent, witness = check_rational_independence(probs)
+    else:
+        probs, ratios = system.probs, system.ratios
+        slot_of, mult = tuple(range(system.N)), (1,) * system.N
     return PreparedIFS(
         ifs=system,
-        p_pev=tuple(factorize(p) for p in system.probs),
-        r_pev=tuple(factorize(r) for r in system.ratios),
-        collapsed=collapsed,
-        distinct_pev=tuple(factorize(p) for p in collapsed.distinct) if collapsed else (),
+        slot_of=slot_of,
+        multiplicities=mult,
+        slot_ratios=ratios,
+        slot_p_pev=tuple(factorize(p) for p in probs),
+        slot_r_pev=tuple(factorize(r) for r in ratios),
         independent=independent,
         witness=witness,
         logs=PrimeLogs(),
     )
 
 
-def regularity_of(ifs: WeightedIFS | PreparedIFS, k: Sequence[int]) -> RegularityClass:
-    """Exact regularity of the exponent vector k (convention 0*log0 = 0)."""
-    prepared = prepare(ifs)
+def _nonzero_vector(k: Sequence[int], length: int, kind: str) -> tuple[int, ...]:
     k = tuple(int(x) for x in k)
-    if len(k) != prepared.ifs.N:
-        raise ValueError(f"exponent vector has length {len(k)}, expected {prepared.ifs.N}")
-    if any(x < 0 for x in k):
-        raise ValueError("exponent vector components must be non-negative")
-    if not any(k):
-        raise ValueError("exponent vector must be nonzero")
-    value = RegularityValue(
-        _power_product(prepared.p_pev, k), _power_product(prepared.r_pev, k), prepared.logs
-    )
-    return RegularityClass(
-        key=VectorKey(reduce_vector(k)),
-        alpha_exact=value,
-        alpha_float=value.to_float(),
-        K=sum(k),
-    )
+    if len(k) != length:
+        raise ValueError(f"{kind} vector has length {len(k)}, expected {length}")
+    if any(x < 0 for x in k) or not any(k):
+        raise ValueError(f"{kind} vector must be nonzero with non-negative parts")
+    return k
+
+
+def regularity_of(ifs: WeightedIFS | PreparedIFS, k: Sequence[int]) -> RegularityClass:
+    """Exact regularity of the per-map exponent vector k, keyed by its class
+    (convention 0*log0 = 0)."""
+    prepared = prepare(ifs)
+    k = _nonzero_vector(k, prepared.ifs.N, "exponent")
+    return _class_regularity(prepared, prepared.fold(k))
 
 
 def collapsed_regularity(
     ifs: WeightedIFS | PreparedIFS, kprime: Sequence[int]
 ) -> RegularityClass:
-    """Regularity of a collapsed vector k' for a single-ratio system.
+    """Regularity of the class vector k' of any system.
 
-    alpha(k') = (1/K) log_r(p'_1^{k'_1} ... p'_w^{k'_w}); valid when the
-    distinct probabilities are multiplicatively independent.
+    alpha(k') = log(prod p'_q^{k'_q}) / log(prod r'_q^{k'_q}) over the slots
+    q of the class space; for equal ratios the denominator is K log r.
     """
     prepared = prepare(ifs)
-    collapsed = prepared.collapsed
-    if collapsed is None:
-        raise ValueError("collapsed regularity requires all scaling ratios equal")
-    kprime = tuple(int(x) for x in kprime)
-    if len(kprime) != collapsed.w:
-        raise ValueError(f"collapsed vector has length {len(kprime)}, expected {collapsed.w}")
-    if any(x < 0 for x in kprime) or not any(kprime):
-        raise ValueError("collapsed vector must be nonzero with non-negative parts")
-    if prepared.dependence is not None:
-        raise ValueError(prepared.dependence)
-    K = sum(kprime)
+    return _class_regularity(prepared, _nonzero_vector(kprime, prepared.width, "class"))
+
+
+def _class_regularity(prepared: PreparedIFS, kprime: tuple[int, ...]) -> RegularityClass:
     value = RegularityValue(
-        _power_product(prepared.distinct_pev, kprime),
-        prepared.r_pev[0].scaled(K),
+        _power_product(prepared.slot_p_pev, kprime),
+        _power_product(prepared.slot_r_pev, kprime),
         prepared.logs,
     )
     return RegularityClass(
-        key=VectorKey(reduce_vector(kprime), collapsed=True),
+        key=VectorKey(reduce_vector(kprime)),
         alpha_exact=value,
         alpha_float=value.to_float(),
-        K=K,
+        K=sum(kprime),
     )
 
 
@@ -458,23 +489,18 @@ class HypothesisReport:
 
 
 def check_hypothesis_H(ifs: WeightedIFS | PreparedIFS, K_max: int) -> HypothesisReport:
-    """Group primitive vectors by exact regularity and certify separations.
+    """Group primitive class vectors by exact regularity and certify separations.
 
-    Equal-ratio systems are tested over collapsed vectors (one slot per
-    distinct probability): repeated probabilities make full vectors collide
-    by construction, while the partition analysis runs on collapsed classes.
+    The vectors range over the class space of ``PreparedIFS``: for equal
+    ratios, maps with the same probability share a slot, since they make
+    per-map vectors collide by construction.
     """
     prepared = prepare(ifs)
     if prepared.dependence is not None:
         return HypothesisReport(holds=False, collisions=[], ambiguous=[prepared.dependence])
-    collapsed = prepared.collapsed
-    if collapsed is not None and collapsed.w == prepared.ifs.N:
-        collapsed = None  # all probabilities distinct: same classes
-    width = collapsed.w if collapsed is not None else prepared.ifs.N
-    regularity = collapsed_regularity if collapsed is not None else regularity_of
     groups: dict[tuple, tuple[RegularityClass, list[tuple[int, ...]]]] = {}
-    for k in primitive_vectors(width, K_max):
-        cls = regularity(prepared, k)
+    for k in primitive_vectors(prepared.width, K_max):
+        cls = collapsed_regularity(prepared, k)
         key = cls.alpha_exact.canonical()
         if key in groups:
             groups[key][1].append(k)

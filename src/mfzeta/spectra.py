@@ -105,42 +105,39 @@ class LegendrePipeline:
 def sweep_width(system: PreparedIFS | AtomicMeasureSpec) -> int:
     """Length of the class vectors a sweep enumerates.
 
-    The collapsed width for equal ratios, N otherwise; an atomic key k1/K is
-    the vector (k1, K - k1).  A sweep to depth K_max enumerates at most
-    C(K_max + width, width) candidate vectors.
+    The width of the class space of an IFS (see ``PreparedIFS``); an atomic
+    key k1/K is the vector (k1, K - k1).  A sweep to depth K_max enumerates
+    at most C(K_max + width, width) candidate vectors.
     """
     if isinstance(system, AtomicMeasureSpec):
         return 2
-    return system.collapsed.w if system.collapsed is not None else system.ifs.N
+    return system.width
 
 
 def _ifs_sweep(ifs: WeightedIFS | PreparedIFS, K_max: int) -> list[SpectrumPoint]:
     prepared = prepare(ifs)
-    ifs = prepared.ifs
     mono = is_monofractal(prepared)
     if mono is not None:
         # f(D) = D exactly: emit one value for both coordinates
         d = mono.to_float()
-        if ifs.equal_ratios():
-            key: RegularityKey = VectorKey((1,), collapsed=True)
-        else:
-            key = VectorKey((1,) * ifs.N)
         return [
             SpectrumPoint(
                 alpha=d,
                 f=d,
-                key=key,
+                key=VectorKey((1,) * prepared.width),
                 alpha_desc="common single-map regularity",
                 f_desc="Moran dimension of the support (equals alpha)",
             )
         ]
-    if prepared.collapsed is not None:
+    if prepared.ifs.equal_ratios():
+        # independent distinct probabilities make every class distinct
         if prepared.dependence is not None:
             raise ValueError(prepared.dependence)
         # one class at a time, and the vector list goes with the spent
         # generator: holding either through the sort raises peak memory
-        width = sweep_width(prepared)
-        classes = (collapsed_regularity(prepared, k) for k in primitive_vectors(width, K_max))
+        classes = (
+            collapsed_regularity(prepared, k) for k in primitive_vectors(prepared.width, K_max)
+        )
         label = "collapsed class"
     else:
         report = check_hypothesis_H(prepared, K_max)

@@ -82,7 +82,7 @@ def _check_stage_counts(K_cap: int = 12):
 
 def _check_collapsed_identity(K_cap: int = 10):
     trident = prepare(TRIDENT)
-    c = trident.collapsed.multiplicities
+    c = trident.multiplicities
     for K in range(1, K_cap + 1):
         stage = enumerate_stage(trident, K)
         groups = group_by_regularity(stage.all_records())
@@ -175,7 +175,7 @@ def _check_abscissas(n_root: int = 2000):
         return False, f"{len(keys)} primitive keys, expected 10"
     for ifs in (BETA, BETA0, TRIDENT):
         prepared = prepare(ifs)
-        c = prepared.collapsed.multiplicities
+        c = prepared.multiplicities
         r = ifs.ratios[0]
         for k in keys:
             closed = abscissa_closed(prepared, k)
@@ -184,7 +184,7 @@ def _check_abscissas(n_root: int = 2000):
             worst = max(worst, abs(root.value - closed.value))
             if abs(root.value - closed.value) > 0.01:
                 return False, f"{ifs.probs} {k}: root {root.value} vs {closed.value}"
-            if ifs.N == len(k):
+            if not prepared.folds:
                 res = abs(defining_residual(ifs, k, closed.value) - 1)
             else:
                 # collapsed defining identity (r^K)^s K^K prod c^k' / prod k'^k' = 1
@@ -271,7 +271,7 @@ def _check_trident_max(K_max: int = 64):
     by_key = {p.key: p for p in points}
     peak = max(p.f for p in points)
     want = math.log(3) / math.log(5)
-    at = by_key[VectorKey((2, 1), collapsed=True)].f
+    at = by_key[VectorKey((2, 1))].f
     ok = abs(peak - want) <= 1e-9 and abs(at - want) <= 1e-9
     return ok, f"max f = {peak!r} at k'=(2,1), target log_5 3 = {want!r}"
 

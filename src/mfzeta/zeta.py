@@ -249,11 +249,11 @@ class AbscissaResult:
 
 
 def _assert_distinct_class(prepared: PreparedIFS, k: tuple[int, ...], K_max: int) -> None:
-    target = regularity_of(prepared, k).alpha_exact
-    for v in primitive_vectors(prepared.ifs.N, K_max):
+    target = collapsed_regularity(prepared, k).alpha_exact
+    for v in primitive_vectors(prepared.width, K_max):
         if v == k:
             continue
-        if values_equal(target, regularity_of(prepared, v).alpha_exact):
+        if values_equal(target, collapsed_regularity(prepared, v).alpha_exact):
             raise HypothesisViolationError(
                 f"regularity of {k} is also attained by {v}; "
                 "the multinomial series undercounts this class"
@@ -263,41 +263,24 @@ def _assert_distinct_class(prepared: PreparedIFS, k: tuple[int, ...], K_max: int
 def multinomial_zeta(
     ifs: WeightedIFS | PreparedIFS, k: Sequence[int], hypothesis_K_max: int = 12
 ) -> SeriesZeta:
-    """Stage-subsequence zeta of the class of exponent vector k.
+    """Stage-subsequence zeta of the class of vector k (see ``PreparedIFS.class_vector``).
 
-    Accepts a full N-vector, or a collapsed w-vector for an equal-ratio
-    system.  Equal-ratio systems fold onto distinct probabilities
-    (validity: multiplicative independence); otherwise the class must be
-    attained by no other primitive vector up to hypothesis_K_max.
+    For equal ratios the classes are valid when the distinct probabilities
+    are multiplicatively independent; otherwise the class must be attained
+    by no other primitive vector up to hypothesis_K_max.
     """
     prepared = prepare(ifs)
-    ifs = prepared.ifs
-    k = tuple(int(x) for x in k)
-    collapsed = prepared.collapsed
-    if collapsed is not None:
-        if len(k) == collapsed.w and collapsed.w != ifs.N:
-            kprime = reduce_vector(k)
-        elif len(k) == ifs.N:
-            kprime = reduce_vector(collapsed.collapse_vector(reduce_vector(k)))
-        else:
-            raise ValueError(f"vector length {len(k)} matches neither N nor w")
-        if prepared.dependence is not None:
-            raise HypothesisViolationError(prepared.dependence)
-        K = sum(kprime)
-        base = _length_base([(ifs.ratios[0], K)], kprime)
-        if collapsed.w == ifs.N:
-            law: MultiplicityLaw = MultinomialLaw(k=kprime)
-        else:
-            law = CollapsedLaw(kprime=kprime, c=collapsed.multiplicities)
-        return SeriesZeta(base_length=base, law=law, K=K, label=f"class {kprime}")
-    k = reduce_vector(k)
-    if len(k) != ifs.N:
-        raise ValueError(f"vector length {len(k)} != N = {ifs.N}")
-    base = _length_base(list(zip(ifs.ratios, k)), k)
-    _assert_distinct_class(prepared, k, hypothesis_K_max)
-    return SeriesZeta(
-        base_length=base, law=MultinomialLaw(k=k), K=sum(k), label=f"class {k}"
-    )
+    kprime = prepared.class_vector(k)
+    if prepared.dependence is not None:
+        raise HypothesisViolationError(prepared.dependence)
+    base = _length_base(list(zip(prepared.slot_ratios, kprime)), kprime)
+    if not prepared.ifs.equal_ratios():
+        _assert_distinct_class(prepared, kprime, hypothesis_K_max)
+    if prepared.folds:
+        law: MultiplicityLaw = CollapsedLaw(kprime=kprime, c=prepared.multiplicities)
+    else:
+        law = MultinomialLaw(k=kprime)
+    return SeriesZeta(base_length=base, law=law, K=sum(kprime), label=f"class {kprime}")
 
 
 def eval_series(
@@ -355,36 +338,27 @@ def entropy_dimension(ratios: Sequence[Fraction], weights: Sequence[Fraction]) -
 def abscissa_closed(ifs: WeightedIFS | PreparedIFS, k: Sequence[int]) -> AbscissaResult:
     """Closed-form abscissa of the class zeta: the entropy formula.
 
-    Full vectors: f = sum (k_i/K) log(k_i/K) / sum (k_i/K) log r_i.
-    Collapsed vectors: f = log_{r^K}(prod k'^k' / (prod c^k' K^K)).
+    One map per slot: f = sum (k_i/K) log(k_i/K) / sum (k_i/K) log r_i.
+    Slots of several maps (multiplicities c): f = log_{r^K}(prod k'^k' / (prod c^k' K^K)).
     """
     prepared = prepare(ifs)
-    ifs = prepared.ifs
-    k = tuple(int(x) for x in k)
-    collapsed = prepared.collapsed
-    if collapsed is not None:
-        if len(k) == collapsed.w and collapsed.w != ifs.N:
-            kprime = reduce_vector(k)
-            K = sum(kprime)
-            num = math.fsum(kq * math.log(kq) for kq in kprime if kq)
-            num -= math.fsum(
-                kq * math.log(cq) for kq, cq in zip(kprime, collapsed.multiplicities)
-            )
-            num -= K * math.log(K)
-            den = K * math.log(ifs.ratios[0])
-            value = max(0.0, num / den)
-            desc = (
-                f"log_(r^{K})({'*'.join(f'{kq}^{kq}' for kq in kprime if kq)}"
-                f" / ({'*'.join(f'{cq}^{kq}' for cq, kq in zip(collapsed.multiplicities, kprime))}"
-                f" * {K}^{K}))"
-            )
-            return AbscissaResult(value=value, exact_description=desc, method="closed_form")
-    k = reduce_vector(k)
-    if len(k) != ifs.N:
-        raise ValueError(f"vector length {len(k)} != N = {ifs.N}")
-    K = sum(k)
-    weights = [Fraction(ki, K) for ki in k]
-    value = max(0.0, entropy_dimension(ifs.ratios, weights))
+    kprime = prepared.class_vector(k)
+    K = sum(kprime)
+    if prepared.folds:
+        c = prepared.multiplicities
+        num = math.fsum(kq * math.log(kq) for kq in kprime if kq)
+        num -= math.fsum(kq * math.log(cq) for kq, cq in zip(kprime, c))
+        num -= K * math.log(K)
+        den = K * math.log(prepared.slot_ratios[0])
+        value = max(0.0, num / den)
+        desc = (
+            f"log_(r^{K})({'*'.join(f'{kq}^{kq}' for kq in kprime if kq)}"
+            f" / ({'*'.join(f'{cq}^{kq}' for cq, kq in zip(c, kprime))}"
+            f" * {K}^{K}))"
+        )
+        return AbscissaResult(value=value, exact_description=desc, method="closed_form")
+    weights = [Fraction(kq, K) for kq in kprime]
+    value = max(0.0, entropy_dimension(prepared.slot_ratios, weights))
     desc = (
         f"sum (k_i/K) log(k_i/K) / sum (k_i/K) log r_i with k/K = "
         f"({', '.join(str(w) for w in weights)})"
@@ -452,10 +426,7 @@ def _monoid_zeta(ifs: WeightedIFS, key: VectorKey) -> RationalZeta:
     enumerate the class and zeta = E(z)/(1 - E(z)) with E = sum z^{e_i}.
     """
     prepared = prepare(ifs)
-    if key.collapsed:
-        target = collapsed_regularity(prepared, key.vector).alpha_exact
-    else:
-        target = regularity_of(prepared, key.vector).alpha_exact
+    target = collapsed_regularity(prepared, prepared.class_vector(key.vector)).alpha_exact
     units = [
         regularity_of(prepared, tuple(1 if j == i else 0 for j in range(ifs.N))).alpha_exact
         for i in range(ifs.N)
@@ -475,7 +446,7 @@ def _monoid_zeta(ifs: WeightedIFS, key: VectorKey) -> RationalZeta:
         raise ValueError(
             f"class {key} may extend beyond the single-map monoid; refusing closed form"
         )
-    base, exps = _common_base([prepared.r_pev[i] for i in support])
+    base, exps = _common_base([prepared.slot_r_pev[prepared.slot_of[i]] for i in support])
     e_coeffs = [Fraction(0)] * (max(exps) + 1)
     for e in exps:
         e_coeffs[e] += 1

@@ -1,12 +1,15 @@
 """CLI subcommands: emission formats, determinism, examples, exit codes."""
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import mfzeta
 from mfzeta.cli import main, parse_alpha_key
 from mfzeta.ifs_core import ConfigError
 from mfzeta.regularity import FractionKey, OnePlusLogKey, VectorKey, primitive_vectors
@@ -213,7 +216,7 @@ def test_spectrum_refuses_bad_input_before_writing(tmp_path, capsys, config):
 
 def test_tapestry_sigma2(capsys, config):
     rc, rows = run_json(
-        capsys, ["tapestry", "--config", config("sigma2"), "--kmax", "2", "--band", "10"]
+        capsys, ["tapestry", "--config", config("sigma2"), "--kmax", "2"]
     )
     assert rc == 0
     assert [r["alpha"] for r in rows] == [0.5, 1.0]
@@ -221,6 +224,10 @@ def test_tapestry_sigma2(capsys, config):
     assert abs(rows[0]["real_part"] - d / 2) < 1e-12
     assert abs(rows[1]["real_part"] - d) < 1e-12
     assert set(rows[0]) == {"alpha", "real_part", "period", "shift", "residue_re", "residue_im"}
+    # --band is gone: it never changed a row
+    with pytest.raises(SystemExit) as exc:
+        main(["tapestry", "--config", config("sigma2"), "--kmax", "2", "--band", "10"])
+    assert exc.value.code == 2
 
 
 def test_tapestry_m2_matches_sigma2(capsys, config):
@@ -339,9 +346,12 @@ def test_verify_report_file(tmp_path, capsys, config):
 
 
 def test_module_entry_point():
+    # the child imports mfzeta from wherever this process did, installed or not
+    src = str(Path(mfzeta.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "mfzeta", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "mfzeta" in proc.stdout

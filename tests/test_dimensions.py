@@ -18,7 +18,6 @@ from mfzeta.dimensions import (
     jump_distance,
     pole_lattices,
     residue_numeric,
-    residue_of,
     sample_off_jump_xs,
 )
 
@@ -97,7 +96,6 @@ def test_residue_constant_along_lattice():
         for j in (0, 1, 2):
             w = complex(lat.real_part, lat.period * j)
             assert abs(residue_numeric(rz, w) - lat.residue) < 1e-9
-        assert residue_of(rz, lat) == lat.residue
 
 
 def test_non_simple_root_flagged():
@@ -110,8 +108,6 @@ def test_non_simple_root_flagged():
     assert not lats[0].simple
     assert lats[0].multiplicity == 2
     assert lats[0].residue is None
-    with pytest.raises(ValueError):
-        residue_of(rz, lats[0])
 
 
 def test_entire_zeta_has_no_lattices():
@@ -120,27 +116,16 @@ def test_entire_zeta_has_no_lattices():
         pole_lattices(rz)
 
 
-def test_poles_enumeration_within_band():
-    lat = pole_lattices(closed_form_zeta(SIGMA1, FractionKey(F(1))))[0]
-    poles = lat.poles(40.0)
-    # spacing 2*pi/log 3: 13 poles in |Im| <= 40
-    assert len(poles) == 13
-    assert all(abs(w.imag) <= 40 for w in poles)
-    assert [w.imag for w in poles] == sorted(w.imag for w in poles)
-    assert poles[6] == 0
-
-
 # ---------------------------------------------------------------------------
 # tapestry
 # ---------------------------------------------------------------------------
 
 
 def test_tapestry_sigma1_on_imaginary_axis():
-    tap = build_tapestry(SIGMA1, 3, band=40.0)
+    tap = build_tapestry(SIGMA1, 3)
     assert [a for a, _ in tap.pairs] == [F(1, 3), F(1, 2), F(2, 3), F(1)]
     for _, lat in tap.pairs:
         assert abs(lat.real_part) <= 1e-12
-    assert tap.band == 40.0
 
 
 def test_tapestry_sigma2_real_parts_follow_spectrum():
@@ -269,7 +254,7 @@ def _explicit_term_by_term(system, key, x, Z):
         const, zero_is_pole = res0 * math.log(x) + c0, True
     lnx = math.log(x)
     per_lattice = []
-    for lat in pole_lattices(rz, band=1.0):
+    for lat in pole_lattices(rz):
         terms = []
         for j in range(-Z, Z + 1):
             im = lat.period * (j + lat.phase_shift)

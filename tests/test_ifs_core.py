@@ -88,8 +88,7 @@ def test_collapse_probabilities():
     assert c.distinct == (F(1, 5), F(3, 5))
     assert c.multiplicities == (2, 1)
     assert c.w == 2
-    assert c.collapse_vector((1, 1, 1)) == (2, 1)
-    assert c.collapse_vector((0, 2, 0)) == (0, 2)
+    assert c.slot_of == (0, 1, 0)
 
 
 def test_rational_independence():

@@ -2,13 +2,12 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mfzeta.ifs_core import AtomicMeasureSpec, BudgetExceededError, WeightedIFS
 from mfzeta.oracle import (
     atomic_cdf,
-    _atomic_cdf_grid,
     atomic_stage,
     empirical_alpha_lengths,
     enumerate_stage,
@@ -44,9 +43,9 @@ def test_beta_conservation(K):
 def test_trident_stage2_classes():
     stage = enumerate_stage(TRIDENT, 2)
     groups = group_by_regularity(stage.all_records())
-    assert groups[VectorKey((1, 0), collapsed=True)] == [(F(1, 25), 4)]
-    assert groups[VectorKey((1, 1), collapsed=True)] == [(F(1, 25), 4)]
-    assert groups[VectorKey((0, 1), collapsed=True)] == [(F(1, 25), 1)]
+    assert groups[VectorKey((1, 0))] == [(F(1, 25), 4)]
+    assert groups[VectorKey((1, 1))] == [(F(1, 25), 4)]
+    assert groups[VectorKey((0, 1))] == [(F(1, 25), 1)]
     assert groups[InfiniteKey()] == [(F(1, 5), 2), (F(1, 25), 6)]
 
 
@@ -125,12 +124,20 @@ def test_atomic_conservation(spec, total):
         assert sum(r.count for r in stage.intervals) == spec.base**n
 
 
-@settings(max_examples=120)
-@given(n=st.integers(1, 6), data=st.data())
-def test_cdf_generic_matches_grid(n, data):
-    spec = data.draw(st.sampled_from([S1, S2, S3]))
-    t = data.draw(st.integers(0, spec.base**n))
-    assert atomic_cdf(spec, F(t, spec.base**n)) == _atomic_cdf_grid(spec, n, t)
+def test_atomic_stage_cells_are_cdf_differences():
+    """Cell t of stage n holds F((t+1)/b^n) - F(t/b^n), the last cell closed."""
+    m5 = AtomicMeasureSpec(family="generalized", m=5)
+    for spec, depth in ((S1, 5), (S2, 5), (S3, 5), (m5, 3)):
+        for n in range(1, depth + 1):
+            cells = spec.base**n
+            ends = [atomic_cdf(spec, F(t, cells)) for t in range(cells)] + [spec.total_mass()]
+            masses = [hi - lo for lo, hi in zip(ends, ends[1:])]
+            stage = atomic_stage(spec, n)
+            assert sum(r.count for r in stage.intervals) == cells
+            for rec in stage.intervals:
+                (first,) = rec.k
+                assert masses.index(rec.mass) == first, (spec, n, rec)
+                assert masses.count(rec.mass) == rec.count, (spec, n, rec)
 
 
 @given(

@@ -33,6 +33,7 @@ BETA0 = WeightedIFS(ratios=(F(1, 2), F(1, 2)), probs=(F(1, 3), F(2, 3)))
 TRIDENT = WeightedIFS(ratios=(F(1, 5),) * 3, probs=(F(1, 5), F(3, 5), F(1, 5)))
 RHO = WeightedIFS(ratios=(F(1, 3), F(1, 3)), probs=(F(1, 2), F(1, 2)))
 ROBY = WeightedIFS(ratios=(F(1, 2), F(1, 4), F(1, 10)), probs=(F(1, 2), F(1, 4), F(1, 4)))
+THREE_MAP = WeightedIFS(ratios=(F(1, 5),) * 3, probs=(F(1, 5), F(1, 7), F(23, 35)))
 
 
 def test_beta_values():
@@ -61,13 +62,14 @@ def test_trident_collapsed():
     cls = collapsed_regularity(TRIDENT, (2, 1))
     expected = 1 - F(1, 3) * math.log(3) / math.log(5)
     assert math.isclose(cls.alpha_float, expected, abs_tol=1e-14)
-    assert cls.key == VectorKey((2, 1), collapsed=True)
+    assert cls.key == VectorKey((2, 1))
     assert cls.K == 3
 
 
-def test_collapsed_requires_equal_ratios():
-    with pytest.raises(ValueError):
-        collapsed_regularity(ROBY, (1, 0, 0))
+def test_collapsed_regularity_without_equal_ratios_is_per_map():
+    # unequal ratios: one slot per map, so a class vector is a per-map vector
+    for k in primitive_vectors(3, 4):
+        assert collapsed_regularity(ROBY, k) == regularity_of(ROBY, k)
 
 
 @given(
@@ -152,6 +154,16 @@ def test_hypothesis_h():
     assert any({(1, 0, 0), (0, 1, 0)} <= s for s in flat)  # alpha = 1 twice
 
 
+def test_regularity_of_is_keyed_by_class():
+    # per-map vectors of one class share its key and value
+    for k in ((2, 0, 1), (1, 0, 2), (3, 0, 0)):
+        cls = regularity_of(TRIDENT, k)
+        assert cls.key == VectorKey((1, 0))
+        assert cls.alpha_exact == collapsed_regularity(TRIDENT, (3, 0)).alpha_exact
+    # distinct but unsorted probabilities: the slots are in ascending order
+    assert regularity_of(THREE_MAP, (1, 0, 0)).key == VectorKey((0, 1, 0))
+
+
 def test_hypothesis_h_dependent_probs():
     dep = WeightedIFS(
         ratios=(F(1, 4),) * 3, probs=(F(1, 2), F(1, 4), F(1, 4))
@@ -189,14 +201,11 @@ def test_stage_records_match_closed_forms(system, K):
 @given(system=small_systems(), K_max=st.integers(1, 8))
 def test_hypothesis_h_classes_are_the_enumeration(system, K_max):
     prepared = prepare(system)
-    collapsed = prepared.collapsed
-    if collapsed is not None and collapsed.w < system.N:
-        regularity, width = collapsed_regularity, collapsed.w
-    else:
-        regularity, width = regularity_of, system.N
     report = check_hypothesis_H(prepared, K_max)
     if report.holds:
-        assert report.classes == [regularity(prepared, k) for k in primitive_vectors(width, K_max)]
+        assert report.classes == [
+            collapsed_regularity(prepared, k) for k in primitive_vectors(prepared.width, K_max)
+        ]
     else:
         assert report.classes == []
 
@@ -212,10 +221,21 @@ def test_prepare_is_idempotent_and_holds_system_facts():
     prepared = prepare(TRIDENT)
     assert prepare(prepared) is prepared
     assert prepared.ifs is TRIDENT
-    assert prepared.p_pev == tuple(factorize(p) for p in TRIDENT.probs)
-    assert prepared.collapsed.distinct == (F(1, 5), F(3, 5))
+    # equal ratios: one slot per distinct probability, ascending
+    assert prepared.width == 2 and prepared.folds
+    assert prepared.slot_of == (0, 1, 0) and prepared.multiplicities == (2, 1)
+    assert prepared.slot_p_pev == (factorize(F(1, 5)), factorize(F(3, 5)))
+    assert prepared.slot_r_pev == (factorize(F(1, 5)),) * 2
     assert prepared.independent and prepared.witness is None
-    assert prepare(ROBY).collapsed is None
+    assert prepared.fold((1, 1, 1)) == (2, 1) and prepared.fold((0, 2, 0)) == (0, 2)
+    # a length-N vector is per-map and folds; a length-w vector is a class vector
+    assert prepared.class_vector((2, 0, 1)) == prepared.class_vector((3, 0)) == (1, 0)
+    with pytest.raises(ValueError, match="matches neither"):
+        prepared.class_vector((1, 1, 1, 1))
+    # unequal ratios: one slot per map
+    roby = prepare(ROBY)
+    assert roby.width == 3 and not roby.folds and roby.slot_of == (0, 1, 2)
+    assert roby.slot_ratios == ROBY.ratios
     dep = prepare(WeightedIFS(ratios=(F(1, 4),) * 3, probs=(F(1, 2), F(1, 4), F(1, 4))))
     assert not dep.independent and dep.witness == (1, -2)
     assert "dependent" in dep.dependence

@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 
 from mfzeta.ifs_core import AtomicMeasureSpec, WeightedIFS
-from mfzeta.regularity import FractionKey, OnePlusLogKey, VectorKey, prepare
+from mfzeta.regularity import (
+    FractionKey,
+    OnePlusLogKey,
+    VectorKey,
+    check_hypothesis_H,
+    prepare,
+)
 from mfzeta.spectra import (
     EnvelopeFunction,
     besicovitch_dimension,
@@ -30,6 +36,7 @@ TRIDENT = WeightedIFS(
 ROBY = WeightedIFS(
     ratios=(F(1, 2), F(1, 4), F(1, 10)), probs=(F(1, 2), F(1, 4), F(1, 4))
 )
+THREE_MAP = WeightedIFS(ratios=(F(1, 5),) * 3, probs=(F(1, 5), F(1, 7), F(23, 35)))
 
 LOG3_2 = math.log(2) / math.log(3)
 LOG5_2 = math.log(2) / math.log(5)
@@ -188,11 +195,11 @@ def test_sweep_beta_matches_besicovitch_everywhere():
 def test_sweep_trident_collapsed_values():
     points = spectrum_sweep(TRIDENT, K_max=9)
     by_key = {p.key: p for p in points}
-    assert by_key[VectorKey((1, 0), collapsed=True)].f == pytest.approx(
+    assert by_key[VectorKey((1, 0))].f == pytest.approx(
         LOG5_2, abs=1e-12
     )
-    assert by_key[VectorKey((0, 1), collapsed=True)].f == pytest.approx(0.0, abs=1e-12)
-    assert by_key[VectorKey((2, 1), collapsed=True)].f == pytest.approx(
+    assert by_key[VectorKey((0, 1))].f == pytest.approx(0.0, abs=1e-12)
+    assert by_key[VectorKey((2, 1))].f == pytest.approx(
         LOG5_3, abs=1e-12
     )
     assert max(p.f for p in points) == pytest.approx(LOG5_3, abs=1e-12)
@@ -203,7 +210,7 @@ def test_sweep_monofractal_single_point():
     assert len(points) == 1
     assert points[0].alpha == pytest.approx(LOG3_2, abs=1e-12)
     assert points[0].f == pytest.approx(LOG3_2, abs=1e-12)
-    assert points[0].key == VectorKey((1,), collapsed=True)
+    assert points[0].key == VectorKey((1,))
 
 
 def test_sweep_sigma2_is_a_line():
@@ -279,6 +286,14 @@ def test_sweep_checks_independence_once(independence_calls):
     before = len(calls)
     spectrum_sweep(prepared, K_max=16)
     assert len(calls) == before
+
+
+def test_hypothesis_h_classes_are_the_sweep_classes():
+    # distinct but unsorted probabilities: both run on the ascending slots
+    report = check_hypothesis_H(THREE_MAP, 8)
+    assert report.holds
+    swept = {p.key: p.alpha for p in spectrum_sweep(THREE_MAP, K_max=8)}
+    assert {cls.key: cls.alpha_float for cls in report.classes} == swept
 
 
 def test_sweep_rejects_dependent_collapsed_probs():

@@ -1,0 +1,45 @@
+"""The benchmark tracer wraps mfzeta functions by name; each name must resolve.
+
+``bench/tracer.py`` is loaded read-only (its ``install`` is never called), so a
+rename inside the package fails here instead of only in a traced benchmark run.
+"""
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the file runs
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def _resolves(modname: str, dotted: str) -> bool:
+    owner = importlib.import_module(f"mfzeta.{modname}")
+    for part in dotted.split("."):
+        owner = getattr(owner, part, None)
+        if owner is None:
+            return False
+    return callable(owner)
+
+
+def test_tracer_layers_and_counters_resolve():
+    tracer = _load_tracer()
+    names = [(modname, attr) for modname, attr, _, _ in tracer.LAYERS]
+    names += [
+        (modname, f"{cls}.{meth}")
+        for modname, classes, meth, _ in tracer.COUNTERS
+        for cls in classes
+    ]
+    missing = [f"mfzeta.{m}.{a}" for m, a in names if not _resolves(m, a)]
+    assert not missing
+    assert len(names) == len(tracer.LAYERS) + 5

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mfzeta.ifs_core import AtomicMeasureSpec, FractalStringSpec, WeightedIFS
 from mfzeta.regularity import FractionKey, OnePlusLogKey, VectorKey
 from mfzeta.sequences import FloorSumLaw, GeometricLaw, fibonacci
+from mfzeta.spectra import spectrum_sweep
 from mfzeta.zeta import (
     AbscissaResult,
     DivergenceError,
@@ -30,6 +31,7 @@ BETA0 = WeightedIFS(ratios=(F(1, 2), F(1, 2)), probs=(F(1, 3), F(2, 3)))
 TRIDENT = WeightedIFS(ratios=(F(1, 5),) * 3, probs=(F(1, 5), F(3, 5), F(1, 5)))
 RHO = WeightedIFS(ratios=(F(1, 3), F(1, 3)), probs=(F(1, 2), F(1, 2)))
 ROBY = WeightedIFS(ratios=(F(1, 2), F(1, 4), F(1, 10)), probs=(F(1, 2), F(1, 4), F(1, 4)))
+THREE_MAP = WeightedIFS(ratios=(F(1, 5),) * 3, probs=(F(1, 5), F(1, 7), F(23, 35)))
 S1 = AtomicMeasureSpec(family="sigma1")
 S2 = AtomicMeasureSpec(family="sigma2")
 
@@ -99,6 +101,14 @@ def test_multinomial_zeta_shapes():
 
 def test_multinomial_zeta_accepts_full_trident_vector():
     assert multinomial_zeta(TRIDENT, (1, 1, 0)) == multinomial_zeta(TRIDENT, (1, 1))
+
+
+def test_spectrum_keys_round_trip_through_multinomial_labels():
+    for system in (TRIDENT, THREE_MAP, BETA):
+        for p in spectrum_sweep(system, K_max=4):
+            k = p.key.vector
+            assert multinomial_zeta(system, k).label == f"class {k}"
+            assert abscissa_closed(system, k).value == p.f
 
 
 def test_hypothesis_violation_refused():
@@ -188,6 +198,12 @@ def test_abscissa_closed_values():
     assert abscissa_closed(TRIDENT, (1, 0)).value == pytest.approx(
         math.log(2) / math.log(5), abs=1e-14
     )
+
+
+def test_abscissa_closed_folds_per_map_vectors():
+    # (2,0,1) and (1,0,0) put every count on the maps of probability 1/5
+    assert abscissa_closed(TRIDENT, (2, 0, 1)) == abscissa_closed(TRIDENT, (1, 0))
+    assert abscissa_closed(TRIDENT, (1, 0, 0)) == abscissa_closed(TRIDENT, (1, 0))
 
 
 @given(
@@ -291,7 +307,7 @@ def test_monofractal_lattice_zeta():
     assert mono.num.coeffs == (F(0), F(2)) and mono.den.coeffs == (F(1), F(-2))
     assert abs(mono.evaluate(1) - 2) < 1e-12
     # the collapsed single-slot key designates the same class
-    alt = closed_form_zeta(RHO, VectorKey((1,), collapsed=True))
+    alt = closed_form_zeta(RHO, VectorKey((1,)))
     assert (alt.num, alt.den, alt.base) == (mono.num, mono.den, mono.base)
 
 
