@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -61,9 +62,12 @@ POLE_TERMS_PER_X = 4_000
 POLE_TERM_CAP = 200_000_000
 
 # Work cap of one `spectrum` run, in candidate class vectors C(kmax + w, w),
-# w the sweep width.  The hypothesis-H path costs about 0.34 ms per class on
-# the same VM, so a sweep within the cap ends in about a minute: measured 46 s
-# for 3 unequal ratios at kmax 99 and 35 s for 2 at kmax 590.
+# w the sweep width; `zeta` applies it to the hypothesis check of an
+# unequal-ratio class.  On the same VM the hypothesis-H path costs about
+# 0.13 ms per class and the collapsed path about 0.09 ms, so a sweep within
+# the cap ends in well under a minute: measured 18-20 s (354 MB peak) for 3
+# unequal ratios at kmax 99 and 9-10 s for 2 equal ratios at kmax 590.  Time
+# would allow a larger cap, but the peak memory of a sweep grows with it.
 SWEEP_VECTOR_CAP = 175_000
 
 # Work cap of one `tapestry` run, in candidate keys k1/K with K <= kmax, that
@@ -250,6 +254,20 @@ def cmd_zeta(args) -> int:
             raise ConfigError(
                 "--alpha", "ifs systems need an exponent-vector key, e.g. --alpha 2,1"
             )
+        system = prepare(system)
+        if not system.ifs.equal_ratios():
+            # multinomial_zeta checks the class against every primitive vector
+            # up to its hypothesis_K_max, like a sweep to that depth
+            depth = inspect.signature(multinomial_zeta).parameters["hypothesis_K_max"].default
+            width = system.width
+            candidates = math.comb(depth + width, width)
+            if candidates > SWEEP_VECTOR_CAP:
+                raise ConfigError(
+                    "ratios",
+                    f"the hypothesis check of an unequal-ratio class covers "
+                    f"C({depth} + {width}, {width}) = {candidates:,} candidate class "
+                    f"vectors, above the cap of {SWEEP_VECTOR_CAP:,} per run",
+                )
         zeta = _class_zeta(multinomial_zeta, system, key.vector)
         sv = eval_series(zeta, s, tail_tol=args.tol, max_terms=args.terms)
         payload = {

@@ -10,14 +10,19 @@ Equality of two regularity values is decided by a ladder:
 1. structural — proportional (mass, length) exponent-vector pairs are
    equal; a parallel pair means alpha is the rational exponent ratio, and
    a rational value can never equal a non-parallel (irrational) one;
-2. interval arithmetic at 64, then 256, then 1024 bits;
-3. if the intervals still overlap, ``AmbiguousRegularityError`` is
+2. float filter — each value's outward-rounded double enclosure (every
+   product, sum and quotient widened by one ulp, from float bounds of
+   log p cut outward from the 64-bit interval); disjoint enclosures prove
+   the values distinct, which settles nearly every pair without mpmath;
+3. interval arithmetic at 64, then 256, then 1024 bits, only for pairs
+   whose float enclosures overlap;
+4. if the intervals still overlap, ``AmbiguousRegularityError`` is
    raised — values are never silently merged.
 
 Facts that every class of one system shares (its class space with the
 factorized parameters of each slot, the independence verdict of its distinct
-probabilities, interval enclosures of the logs of the primes) live in a
-``PreparedIFS``, built once by ``prepare``; every function taking a
+probabilities, float and interval enclosures of the logs of the primes) live
+in a ``PreparedIFS``, built once by ``prepare``; every function taking a
 ``WeightedIFS`` here also takes its prepared form.
 """
 from __future__ import annotations
@@ -29,6 +34,7 @@ from typing import Sequence
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import to_float
 
 from .ifs_core import (
     PrimeExponentVector,
@@ -116,9 +122,21 @@ def _rung_context(bits: int) -> MPIntervalContext:
     return ctx
 
 
+def _down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+# An enclosure that overlaps everything: the float filter then decides nothing.
+_NO_FILTER = (-math.inf, math.inf)
+
+
 class PrimeLogs:
-    """Interval enclosures of log p for the primes of one system, at each
-    ladder rung, each computed on first use.
+    """Enclosures of log p for the primes of one system: an interval at each
+    ladder rung and a pair of float bounds, each computed on first use.
 
     Two threads may compute the same entry at once; both store the same
     value, so the race is harmless.
@@ -126,18 +144,44 @@ class PrimeLogs:
 
     def __init__(self) -> None:
         self._enclosures: dict[int, dict] = {bits: {} for bits in _PREC_LADDER}
+        self._float_logs: dict[int, tuple[float, float]] = {}
+
+    def _log(self, p: int, bits: int):
+        table = self._enclosures[bits]
+        lp = table.get(p)
+        if lp is None:
+            lp = table[p] = _rung_context(bits).ln(p)
+        return lp
 
     def enclosure(self, pev: PrimeExponentVector, bits: int):
         """Interval enclosure of sum e * log p over pev, at one ladder rung."""
-        ctx = _rung_context(bits)
-        table = self._enclosures[bits]
-        total = ctx.zero
+        total = _rung_context(bits).zero
         for p, e in pev.items():
-            lp = table.get(p)
-            if lp is None:
-                lp = table[p] = ctx.ln(p)
-            total += e * lp
+            total += e * self._log(p, bits)
         return total
+
+    def float_enclosure(self, pev: PrimeExponentVector) -> tuple[float, float]:
+        """Float bounds on sum e * log p over pev, each step rounded outward."""
+        lo = hi = 0.0
+        for p, e in pev.items():
+            if abs(e) > 2**53:
+                return _NO_FILTER  # e would round on its way to a double
+            bounds = self._float_logs.get(p)
+            if bounds is None:
+                bounds = self._float_logs[p] = self._float_log(p)
+            lp_lo, lp_hi = bounds if e > 0 else bounds[::-1]
+            lo = _down(lo + _down(e * lp_lo))
+            hi = _up(hi + _up(e * lp_hi))
+        return lo, hi
+
+    def _float_log(self, p: int) -> tuple[float, float]:
+        """Float bounds on log p, cut outward from its 64-bit enclosure.
+
+        ``to_float`` rounds each end to a neighbouring double, so one step
+        outward encloses the interval.
+        """
+        lo, hi = self._log(p, _PREC_LADDER[0])._mpi_
+        return _down(to_float(lo)), _up(to_float(hi))
 
 
 @dataclass(frozen=True)
@@ -153,6 +197,9 @@ class RegularityValue:
     length_pev: PrimeExponentVector
     logs: PrimeLogs | None = field(default=None, compare=False, repr=False)
     _rational: Fraction | None = field(init=False, compare=False, repr=False)
+    _float_bounds: tuple[float, float] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.length_pev.is_zero():
@@ -183,6 +230,22 @@ class RegularityValue:
             return float(q)
         return self.mass_pev.log() / self.length_pev.log()
 
+    def float_enclosure(self) -> tuple[float, float]:
+        """Float bounds on alpha, every product, sum and quotient widened by
+        one ulp; worked out on first use and kept."""
+        bounds = self._float_bounds
+        if bounds is None:
+            logs = self.logs or PrimeLogs()
+            m_lo, m_hi = logs.float_enclosure(self.mass_pev)
+            l_lo, l_hi = logs.float_enclosure(self.length_pev)
+            if l_lo <= 0.0 <= l_hi:
+                bounds = _NO_FILTER
+            else:
+                quotients = (m_lo / l_lo, m_lo / l_hi, m_hi / l_lo, m_hi / l_hi)
+                bounds = _down(min(quotients)), _up(max(quotients))
+            object.__setattr__(self, "_float_bounds", bounds)
+        return bounds
+
     def interval(self, prec_bits: int):
         """Enclosing interval of alpha at one rung (64, 256 or 1024 bits)."""
         logs = self.logs or PrimeLogs()
@@ -211,7 +274,7 @@ def _divide_pev(pev: PrimeExponentVector, g: int) -> PrimeExponentVector:
 
 
 def values_equal(a: RegularityValue, b: RegularityValue) -> bool:
-    """Exact equality via the structural/interval ladder."""
+    """Exact equality via the structural / float filter / interval ladder."""
     if a.canonical() == b.canonical():
         return True
     qa, qb = a._rational, b._rational
@@ -219,6 +282,10 @@ def values_equal(a: RegularityValue, b: RegularityValue) -> bool:
         return qa == qb
     if (qa is None) != (qb is None):
         # a rational never equals a non-parallel (irrational) quotient
+        return False
+    lo_a, hi_a = a.float_enclosure()
+    lo_b, hi_b = b.float_enclosure()
+    if hi_a < lo_b or hi_b < lo_a:
         return False
     for prec in _PREC_LADDER:
         lo_a, hi_a = a.interval(prec)

@@ -417,7 +417,7 @@ def _common_base(pevs: Sequence[PrimeExponentVector]) -> tuple[Fraction, list[in
     return direction.as_fraction(), out
 
 
-def _monoid_zeta(ifs: WeightedIFS, key: VectorKey) -> RationalZeta:
+def _monoid_zeta(prepared: PreparedIFS, key: VectorKey) -> RationalZeta:
     """Lattice zeta of a class equal to the sub-monoid of maps attaining it.
 
     The class of `key` must be spanned by the maps i whose single-map
@@ -425,7 +425,7 @@ def _monoid_zeta(ifs: WeightedIFS, key: VectorKey) -> RationalZeta:
     regularity strictly to the same side; then words over those maps
     enumerate the class and zeta = E(z)/(1 - E(z)) with E = sum z^{e_i}.
     """
-    prepared = prepare(ifs)
+    ifs = prepared.ifs
     target = collapsed_regularity(prepared, prepared.class_vector(key.vector)).alpha_exact
     units = [
         regularity_of(prepared, tuple(1 if j == i else 0 for j in range(ifs.N))).alpha_exact
@@ -456,7 +456,7 @@ def _monoid_zeta(ifs: WeightedIFS, key: VectorKey) -> RationalZeta:
 
 
 def closed_form_zeta(
-    system: WeightedIFS | AtomicMeasureSpec | FractalStringSpec,
+    system: WeightedIFS | PreparedIFS | AtomicMeasureSpec | FractalStringSpec,
     key: RegularityKey | None = None,
 ) -> RationalZeta:
     """Exact rational-lattice zeta for the families that admit one.
@@ -477,10 +477,10 @@ def closed_form_zeta(
         )
     if isinstance(system, AtomicMeasureSpec):
         return _atomic_closed_form(system, key)
-    if isinstance(system, WeightedIFS):
+    if isinstance(system, (WeightedIFS, PreparedIFS)):
         if not isinstance(key, VectorKey):
             raise ValueError("IFS closed forms are keyed by exponent vectors")
-        return _monoid_zeta(system, key)
+        return _monoid_zeta(prepare(system), key)
     raise TypeError(f"unsupported system {system!r}")
 
 

@@ -126,6 +126,23 @@ def test_zeta_error_paths(capsys, config):
     assert rc == 2
 
 
+def test_zeta_refuses_runaway_hypothesis_check(tmp_path, capsys):
+    # 9 unequal ratios: the class check would cover C(12 + 9, 9) = 293,930 vectors
+    cfg = tmp_path / "nine.json"
+    cfg.write_text(json.dumps({
+        "type": "ifs",
+        "ratios": [f"1/{d}" for d in range(10, 19)],
+        "probs": ["1/9"] * 9,
+    }))
+    argv = ["zeta", "--config", str(cfg), "--alpha", ",".join(["1"] * 9), "--s", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ratios: "), err
+    assert "C(12 + 9, 9) = 293,930" in err[0]
+
+
 def test_spectrum_files_and_manifest(tmp_path, capsys, config):
     out = tmp_path / "beta.csv"
     rc = main(["spectrum", "--config", config("beta"), "--kmax", "8", "--out", str(out)])

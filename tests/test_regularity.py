@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfzeta.ifs_core import WeightedIFS, factorize
+from mfzeta.ifs_core import PrimeExponentVector, WeightedIFS, factorize
 from mfzeta.oracle import enumerate_stage
 from mfzeta.regularity import (
     FractionKey,
@@ -120,6 +120,67 @@ def test_interval_brackets_value():
     assert hi2 - lo2 < hi - lo
 
 
+@pytest.fixture
+def interval_rungs(monkeypatch):
+    """The prec_bits of every RegularityValue.interval call, in call order."""
+    rungs = []
+    interval = RegularityValue.interval
+
+    def spy(self, prec_bits):
+        rungs.append(prec_bits)
+        return interval(self, prec_bits)
+
+    monkeypatch.setattr(RegularityValue, "interval", spy)
+    return rungs
+
+
+def _near_tie(mass_two: int, length_two: int) -> RegularityValue:
+    """alpha of (mass 2^-mass_two / 3, length 2^-length_two), near log2(3)."""
+    return RegularityValue(
+        PrimeExponentVector({2: -mass_two, 3: -1}), PrimeExponentVector({2: -length_two})
+    )
+
+
+def _overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
+    return not (a[1] < b[0] or b[1] < a[0])
+
+
+def test_float_filter_near_ties_fall_through_to_the_ladder(interval_rungs):
+    a = RegularityValue(factorize(F(1, 3)), factorize(F(1, 2)))
+    # separated by the first mpmath rung, not by doubles
+    b = _near_tie(85137581, 53715834)
+    assert _overlap(a.float_enclosure(), b.float_enclosure())
+    assert not values_equal(a, b)
+    assert set(interval_rungs) == {64}
+    # closer still: the 64-bit intervals overlap too
+    interval_rungs.clear()
+    b2 = _near_tie(630138897, 397573380)
+    assert _overlap(a.float_enclosure(), b2.float_enclosure())
+    assert not values_equal(a, b2)
+    assert 256 in interval_rungs
+
+
+def test_float_filter_defers_what_doubles_cannot_bound(interval_rungs):
+    a = RegularityValue(factorize(F(1, 3)), factorize(F(1, 2)))
+    # an exponent beyond 2**53 would round on its way to a double
+    deep = RegularityValue(
+        PrimeExponentVector({3: -(2**60)}), PrimeExponentVector({2: -(2**60) - 1})
+    )
+    # a length so close to 1 that the float bounds on its log straddle 0
+    flat = RegularityValue(factorize(F(1, 2)), factorize(F(2**61 - 1, 2**61)))
+    for value in (deep, flat):
+        assert value.float_enclosure() == (-math.inf, math.inf)
+        interval_rungs.clear()
+        assert not values_equal(a, value)
+        assert interval_rungs
+
+
+def test_float_filter_separates_a_certified_sweep(interval_rungs):
+    system = WeightedIFS(ratios=(F(1, 2), F(1, 3)), probs=(F(1, 3), F(2, 3)))
+    assert check_hypothesis_H(system, 32).holds
+    assert interval_rungs == []
+
+
 def test_assert_separated():
     vals = [regularity_of(BETA, (2 - i, i)).alpha_exact for i in range(3)]
     assert_separated(vals)  # should not raise
@@ -208,6 +269,17 @@ def test_hypothesis_h_classes_are_the_enumeration(system, K_max):
         ]
     else:
         assert report.classes == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=small_systems(), K_max=st.integers(1, 6))
+def test_float_enclosure_contains_the_1024_bit_interval(system, K_max):
+    prepared = prepare(system)
+    for k in primitive_vectors(prepared.width, K_max):
+        value = collapsed_regularity(prepared, k).alpha_exact
+        lo, hi = value.float_enclosure()
+        lo_iv, hi_iv = value.interval(1024)
+        assert lo <= lo_iv <= hi_iv <= hi
 
 
 def test_key_strings():

@@ -5,8 +5,11 @@ rename inside the package fails here instead of only in a traced benchmark run.
 """
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
+
+from mfzeta.regularity import RegularityValue
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -43,3 +46,10 @@ def test_tracer_layers_and_counters_resolve():
     missing = [f"mfzeta.{m}.{a}" for m, a in names if not _resolves(m, a)]
     assert not missing
     assert len(names) == len(tracer.LAYERS) + 5
+
+
+def test_interval_rung_counter_reads_prec_bits():
+    """The tracer's ``rung{N}`` counters read ``prec_bits`` from ``interval``'s
+    arguments, positionally or by keyword, so its parameters must stay put."""
+    params = list(inspect.signature(RegularityValue.interval).parameters)
+    assert params == ["self", "prec_bits"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfzeta.ifs_core import AtomicMeasureSpec, FractalStringSpec, WeightedIFS
-from mfzeta.regularity import FractionKey, OnePlusLogKey, VectorKey
+from mfzeta.regularity import FractionKey, OnePlusLogKey, VectorKey, prepare
 from mfzeta.sequences import FloorSumLaw, GeometricLaw, fibonacci
 from mfzeta.spectra import spectrum_sweep
 from mfzeta.zeta import (
@@ -288,6 +288,7 @@ def test_roby_recovery_zeta():
     assert rz.num.coeffs == (F(0), F(1), F(1))
     assert rz.den.coeffs == (F(1), F(-1), F(-1))
     assert abs(rz.evaluate(2) - F(5, 11)) < 1e-12
+    assert closed_form_zeta(prepare(ROBY), VectorKey((1, 0, 0))) == rz
 
 
 def test_roby_recovery_counts_are_fibonacci():
