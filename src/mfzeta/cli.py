@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import io
 import json
 import math
@@ -46,6 +45,7 @@ from .regularity import (
 from .spectra import concave_envelope, spectrum_sweep, sweep_width
 from .verify import report_json, run_suite
 from .zeta import (
+    HYPOTHESIS_K_MAX,
     DivergenceError,
     HypothesisViolationError,
     KeyRangeError,
@@ -257,16 +257,15 @@ def cmd_zeta(args) -> int:
         system = prepare(system)
         if not system.ifs.equal_ratios():
             # multinomial_zeta checks the class against every primitive vector
-            # up to its hypothesis_K_max, like a sweep to that depth
-            depth = inspect.signature(multinomial_zeta).parameters["hypothesis_K_max"].default
+            # up to HYPOTHESIS_K_MAX, like a sweep to that depth
             width = system.width
-            candidates = math.comb(depth + width, width)
+            candidates = math.comb(HYPOTHESIS_K_MAX + width, width)
             if candidates > SWEEP_VECTOR_CAP:
                 raise ConfigError(
                     "ratios",
                     f"the hypothesis check of an unequal-ratio class covers "
-                    f"C({depth} + {width}, {width}) = {candidates:,} candidate class "
-                    f"vectors, above the cap of {SWEEP_VECTOR_CAP:,} per run",
+                    f"C({HYPOTHESIS_K_MAX} + {width}, {width}) = {candidates:,} "
+                    f"candidate class vectors, above the cap of {SWEEP_VECTOR_CAP:,} per run",
                 )
         zeta = _class_zeta(multinomial_zeta, system, key.vector)
         sv = eval_series(zeta, s, tail_tol=args.tol, max_terms=args.terms)

@@ -19,9 +19,9 @@ from typing import Iterator
 import numpy as np
 
 from .ifs_core import AtomicMeasureSpec, FractalStringSpec
-from .regularity import FractionKey, OnePlusLogKey, RegularityKey
-from .sequences import AlphaLengthSequence, FloorSumLaw, GeometricLaw
-from .zeta import RationalZeta, closed_form_zeta
+from .regularity import FractionKey, RegularityKey
+from .sequences import AlphaLengthSequence
+from .zeta import RationalZeta, closed_form_sequence, closed_form_zeta
 
 
 @dataclass(frozen=True)
@@ -165,41 +165,6 @@ def build_tapestry(spec: AtomicMeasureSpec, K_max: int) -> Tapestry:
 # ---------------------------------------------------------------------------
 
 
-def closed_form_sequence(
-    system: AtomicMeasureSpec | FractalStringSpec, key: RegularityKey | None = None
-) -> AlphaLengthSequence:
-    """Alpha-length ladder matching closed_form_zeta (lengths < 1 only)."""
-    if isinstance(system, FractalStringSpec):
-        if system.family == "cantor":
-            return AlphaLengthSequence.from_law(Fraction(1, 3), GeometricLaw(1, 2))
-        return AlphaLengthSequence.from_law(Fraction(1, 2), FloorSumLaw())
-    if not isinstance(system, AtomicMeasureSpec):
-        raise TypeError(f"no closed-form ladder for {system!r}")
-    if isinstance(key, OnePlusLogKey):
-        if system.family != "sigma1":
-            raise ValueError("1+log keys exist only for the sigma1 family")
-        return AlphaLengthSequence.from_entries(
-            [(Fraction(1, 3**key.level), 1)]
-        )
-    if not isinstance(key, FractionKey):
-        raise TypeError(f"unsupported key {key!r}")
-    q = key.value
-    K = q.denominator
-    if not (0 < q <= 1):
-        raise ValueError(f"key {q} outside (0, 1]")
-    if system.family == "sigma1":
-        return AlphaLengthSequence.from_law(
-            Fraction(1, 3**K), GeometricLaw(1, 1)
-        )
-    m = system.m
-    if q == 1:
-        return AlphaLengthSequence.from_law(system.lam, GeometricLaw(2 * m - 1, m))
-    k1 = q.numerator
-    return AlphaLengthSequence.from_law(
-        system.lam**K, GeometricLaw((m - 1) * m ** (k1 - 1), m**k1)
-    )
-
-
 def counting_direct(seq: AlphaLengthSequence, x) -> int:
     """Exact #{i : 1/length_i <= x}, multiplicities included (jumps inclusive)."""
     if x <= 0:
@@ -297,10 +262,9 @@ def counting_explicit(
             f"x = {x} is within {jump_guard} log-units of a jump "
             "(the truncated series converges to the midpoint there)"
         )
-    seq = closed_form_sequence(system, key)
-    direct = counting_direct(seq, Fraction(x))
-    if isinstance(system, FractalStringSpec) and system.family == "fibonacci":
-        direct += 1  # the generating function counts the unit first length too
+    # the zeta's z^0 term counts lengths equal to 1, which every x > 1 passes
+    head = rz.num(Fraction(0)) / rz.den(Fraction(0))
+    direct = counting_direct(closed_form_sequence(system, key), Fraction(x)) + int(head)
     v0 = rz.value_at_zero()
     if v0 is not None:
         const = float(v0)

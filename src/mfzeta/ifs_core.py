@@ -169,15 +169,6 @@ class PrimeExponentVector:
             return PrimeExponentVector()
         return PrimeExponentVector({p: c * e for p, e in self._e.items()})
 
-    def __add__(self, other: "PrimeExponentVector") -> "PrimeExponentVector":
-        e = dict(self._e)
-        for p, v in other._e.items():
-            e[p] = e.get(p, 0) + v
-        return PrimeExponentVector(e)
-
-    def __sub__(self, other: "PrimeExponentVector") -> "PrimeExponentVector":
-        return self + other.scaled(-1)
-
     def key(self) -> tuple:
         """Canonical hashable form (sorted (prime, exponent) pairs)."""
         return tuple(sorted(self._e.items()))

@@ -2,7 +2,9 @@
 
 A sequence assigns to term n >= 1 the length base_length**n with an
 integer multiplicity m_n.  The laws cover every family handled in closed
-form; enumerated data uses explicit (length, multiplicity) entries.
+form; enumerated data uses explicit (length, multiplicity) entries.  The
+laws of lattice classes also give their generating function sum m_n z^n as
+a ratio of integer polynomials, from which the rational zetas are built.
 """
 from __future__ import annotations
 
@@ -115,6 +117,10 @@ class GeometricLaw:
     def log_multiplicity(self, n: int) -> float:
         return math.log(self.a) + (n - 1) * math.log(self.g)
 
+    def generating_function(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(num, den) coefficients, ascending in z: a z / (1 - g z)."""
+        return (0, self.a), (1, -self.g)
+
 
 @dataclass(frozen=True)
 class FloorSumLaw:
@@ -129,6 +135,10 @@ class FloorSumLaw:
 
     def log_multiplicity(self, n: int) -> float:
         return math.log(self.multiplicity(n))
+
+    def generating_function(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(num, den) coefficients, ascending in z: E / (1 - E) with E = z + z^2."""
+        return (0, 1, 1), (1, -1, -1)
 
 
 @dataclass(frozen=True)
@@ -148,6 +158,10 @@ class ExplicitLaw:
     def log_multiplicity(self, n: int) -> float:
         m = self.multiplicity(n)
         return math.log(m) if m else -math.inf
+
+    def generating_function(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(num, den) coefficients, ascending in z: the polynomial sum m_n z^n."""
+        return (0, *self.multiplicities), (1,)
 
 
 MultiplicityLaw = MultinomialLaw | CollapsedLaw | GeometricLaw | FloorSumLaw | ExplicitLaw

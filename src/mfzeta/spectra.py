@@ -335,7 +335,11 @@ def information_dimension(envelope: EnvelopeFunction) -> float:
 # ---------------------------------------------------------------------------
 
 
-def solve_b(ifs: WeightedIFS, q: float, residual_tol: float = 1e-13) -> float:
+# solve_b stops bisecting once |sum p_i^q r_i^b - 1| is this small
+SOLVE_B_RESIDUAL_TOL = 1e-13
+
+
+def solve_b(ifs: WeightedIFS, q: float) -> float:
     """Unique b with sum p_i^q r_i^b = 1, by bisection (decreasing in b)."""
     logs_p = [math.log(p) for p in ifs.probs]
     logs_r = [math.log(r) for r in ifs.ratios]
@@ -355,7 +359,7 @@ def solve_b(ifs: WeightedIFS, q: float, residual_tol: float = 1e-13) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = g(mid)
-        if abs(val) <= residual_tol:
+        if abs(val) <= SOLVE_B_RESIDUAL_TOL:
             return mid
         if val > 0:
             lo = mid

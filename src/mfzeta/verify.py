@@ -33,6 +33,7 @@ from .spectra import (
 from .zeta import (
     abscissa_closed,
     abscissa_root_test,
+    closed_form_sequence,
     closed_form_zeta,
     defining_residual,
     eval_series,
@@ -40,6 +41,7 @@ from .zeta import (
 )
 from .dimensions import (
     build_tapestry,
+    counting_direct,
     counting_explicit,
     pole_lattices,
     residue_numeric,
@@ -175,8 +177,6 @@ def _check_abscissas(n_root: int = 2000):
         return False, f"{len(keys)} primitive keys, expected 10"
     for ifs in (BETA, BETA0, TRIDENT):
         prepared = prepare(ifs)
-        c = prepared.multiplicities
-        r = ifs.ratios[0]
         for k in keys:
             closed = abscissa_closed(prepared, k)
             zeta = multinomial_zeta(prepared, k)
@@ -184,15 +184,7 @@ def _check_abscissas(n_root: int = 2000):
             worst = max(worst, abs(root.value - closed.value))
             if abs(root.value - closed.value) > 0.01:
                 return False, f"{ifs.probs} {k}: root {root.value} vs {closed.value}"
-            if not prepared.folds:
-                res = abs(defining_residual(ifs, k, closed.value) - 1)
-            else:
-                # collapsed defining identity (r^K)^s K^K prod c^k' / prod k'^k' = 1
-                K = sum(k)
-                log_res = closed.value * K * math.log(r) + K * math.log(K)
-                log_res += math.fsum(ki * math.log(ci) for ki, ci in zip(k, c) if ki)
-                log_res -= math.fsum(ki * math.log(ki) for ki in k if ki)
-                res = abs(math.exp(log_res) - 1)
+            res = abs(defining_residual(prepared, k, closed.value) - 1)
             if res > 1e-12:
                 return False, f"{ifs.probs} {k}: residual {res}"
     return True, f"root test vs closed abscissa, worst gap {worst:.2e} <= 0.01"
@@ -212,14 +204,9 @@ def _check_series_vs_rational():
         (AtomicMeasureSpec(family="sigma1"), FractionKey(F(1, 2)), 1.0),
         (AtomicMeasureSpec(family="sigma2"), FractionKey(F(1)), 0.9),
     ]
-    from .dimensions import closed_form_sequence
-    from .zeta import SeriesZeta
-
     for system, key, s in cases:
         rz = closed_form_zeta(system, key)
-        seq = closed_form_sequence(system, key)
-        sz = SeriesZeta(base_length=seq.base_length, law=seq.law, K=1)
-        val = eval_series(sz, s)
+        val = eval_series(closed_form_sequence(system, key), s)
         want = rz.evaluate(s)
         got = val.value
         if abs(got - want) > max(1e-10, 10 * val.tail_bound):
@@ -369,8 +356,6 @@ def _check_fibonacci_lattices():
 
 def _check_sigma1_counting():
     spec = AtomicMeasureSpec(family="sigma1")
-    from .dimensions import closed_form_sequence, counting_direct
-
     for K in range(1, 21):
         rz = closed_form_zeta(spec, FractionKey(F(1, K)))
         (lat,) = pole_lattices(rz)

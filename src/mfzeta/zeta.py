@@ -1,8 +1,11 @@
 """Partition zeta functions and classical geometric zeta functions.
 
-Series forms carry a multiplicity law and certified geometric tail
-bounds; lattice classes get exact rational functions of z = b^s over a
-rational base b in (0,1).  Abscissas of convergence come in a closed
+A class zeta is the series sum_n m_n (base^n)^s of an ``AlphaLengthSequence``:
+a base length and a multiplicity law, evaluated with certified geometric
+tail bounds.  ``closed_form_sequence`` is the one table of the string and
+atomic classes; their exact rational zetas in z = base^s are the generating
+functions of its laws.  IFS classes spanned by single maps get a rational
+zeta from their sub-monoid.  Abscissas of convergence come in a closed
 (entropy-formula) flavor and a numeric root-test flavor.
 """
 from __future__ import annotations
@@ -28,11 +31,22 @@ from .regularity import (
     collapsed_regularity,
     prepare,
     primitive_vectors,
-    reduce_vector,
     regularity_of,
     values_equal,
 )
-from .sequences import CollapsedLaw, MultinomialLaw, MultiplicityLaw
+from .sequences import (
+    AlphaLengthSequence,
+    CollapsedLaw,
+    ExplicitLaw,
+    FloorSumLaw,
+    GeometricLaw,
+    MultinomialLaw,
+    MultiplicityLaw,
+)
+
+# an unequal-ratio class must be attained by no other primitive vector up to
+# this total count (see ``multinomial_zeta``)
+HYPOTHESIS_K_MAX = 12
 
 
 class DivergenceError(ValueError):
@@ -216,20 +230,6 @@ class RationalZeta:
 
 
 @dataclass(frozen=True)
-class SeriesZeta:
-    """zeta(s) = sum_n m_n * (base_length^n)^s for a multiplicity law."""
-
-    base_length: Fraction
-    law: MultiplicityLaw
-    K: int
-    label: str = ""
-
-    def __post_init__(self):
-        if not (0 < self.base_length < 1):
-            raise ValueError("base_length must lie in (0,1)")
-
-
-@dataclass(frozen=True)
 class SeriesValue:
     value: complex
     tail_bound: float
@@ -260,14 +260,12 @@ def _assert_distinct_class(prepared: PreparedIFS, k: tuple[int, ...], K_max: int
             )
 
 
-def multinomial_zeta(
-    ifs: WeightedIFS | PreparedIFS, k: Sequence[int], hypothesis_K_max: int = 12
-) -> SeriesZeta:
+def multinomial_zeta(ifs: WeightedIFS | PreparedIFS, k: Sequence[int]) -> AlphaLengthSequence:
     """Stage-subsequence zeta of the class of vector k (see ``PreparedIFS.class_vector``).
 
     For equal ratios the classes are valid when the distinct probabilities
     are multiplicatively independent; otherwise the class must be attained
-    by no other primitive vector up to hypothesis_K_max.
+    by no other primitive vector up to HYPOTHESIS_K_MAX.
     """
     prepared = prepare(ifs)
     kprime = prepared.class_vector(k)
@@ -275,16 +273,16 @@ def multinomial_zeta(
         raise HypothesisViolationError(prepared.dependence)
     base = _length_base(list(zip(prepared.slot_ratios, kprime)), kprime)
     if not prepared.ifs.equal_ratios():
-        _assert_distinct_class(prepared, kprime, hypothesis_K_max)
+        _assert_distinct_class(prepared, kprime, HYPOTHESIS_K_MAX)
     if prepared.folds:
         law: MultiplicityLaw = CollapsedLaw(kprime=kprime, c=prepared.multiplicities)
     else:
         law = MultinomialLaw(k=kprime)
-    return SeriesZeta(base_length=base, law=law, K=sum(kprime), label=f"class {kprime}")
+    return AlphaLengthSequence.from_law(base, law, label=f"class {kprime}")
 
 
 def eval_series(
-    zeta: SeriesZeta, s: complex, tail_tol: float = 1e-12, max_terms: int = 100000
+    zeta: AlphaLengthSequence, s: complex, tail_tol: float = 1e-12, max_terms: int = 100000
 ) -> SeriesValue:
     """Partial sum with a rigorous geometric tail bound <= tail_tol.
 
@@ -366,18 +364,25 @@ def abscissa_closed(ifs: WeightedIFS | PreparedIFS, k: Sequence[int]) -> Absciss
     return AbscissaResult(value=value, exact_description=desc, method="closed_form")
 
 
-def defining_residual(ifs: WeightedIFS, k: Sequence[int], sigma: float) -> float:
-    """(r1^k1...rN^kN)^sigma * K^K / prod k_i^k_i, whose unique root is the abscissa."""
-    k = reduce_vector(k)
-    K = sum(k)
-    log_res = sigma * math.fsum(
-        ki * math.log(r) for ki, r in zip(k, ifs.ratios) if ki
-    )
-    log_res += K * math.log(K) - math.fsum(ki * math.log(ki) for ki in k if ki)
+def defining_residual(ifs: WeightedIFS | PreparedIFS, k: Sequence[int], sigma: float) -> float:
+    """(prod r_q^k'_q)^sigma * K^K * prod c_q^k'_q / prod k'_q^k'_q over the
+    slots q of the class vector k' of k, with c the maps per slot; the
+    abscissa is its unique root."""
+    prepared = prepare(ifs)
+    kprime = prepared.class_vector(k)
+    K = sum(kprime)
+    slots = [
+        (kq, r, c)
+        for kq, r, c in zip(kprime, prepared.slot_ratios, prepared.multiplicities)
+        if kq
+    ]
+    log_res = sigma * math.fsum(kq * math.log(r) for kq, r, _ in slots)
+    log_res += K * math.log(K) + math.fsum(kq * math.log(c) for kq, _, c in slots)
+    log_res -= math.fsum(kq * math.log(kq) for kq, _, _ in slots)
     return math.exp(log_res)
 
 
-def abscissa_root_test(zeta: SeriesZeta, n: int) -> AbscissaResult:
+def abscissa_root_test(zeta: AlphaLengthSequence, n: int) -> AbscissaResult:
     """Root-test estimate log m_n / (n log(1/l)); error O(log n / n)."""
     if n < 10:
         raise ValueError("root test needs n >= 10")
@@ -455,6 +460,48 @@ def _monoid_zeta(prepared: PreparedIFS, key: VectorKey) -> RationalZeta:
     return RationalZeta(num=E, den=one - E, base=base, label=f"class {key}")
 
 
+def closed_form_sequence(
+    system: AtomicMeasureSpec | FractalStringSpec, key: RegularityKey | None = None
+) -> AlphaLengthSequence:
+    """The base length, multiplicity law and label of a string or atomic class.
+
+    The one table of these classes: ``closed_form_zeta`` is the generating
+    function of the law, and ``counting_explicit`` counts its lengths (all
+    below 1).
+    """
+    if isinstance(system, FractalStringSpec):
+        if system.family == "cantor":
+            b, e, law = Fraction(1, 3), 1, GeometricLaw(1, 2)
+        else:
+            b, e, law = Fraction(1, 2), 1, FloorSumLaw()
+        label = system.family
+    elif not isinstance(system, AtomicMeasureSpec):
+        raise TypeError(f"no closed-form ladder for {system!r}")
+    elif isinstance(key, OnePlusLogKey):
+        if system.family != "sigma1":
+            raise ValueError(f"one-plus-log classes only occur for sigma1, not {system.family}")
+        b, e, law, label = Fraction(1, 3), key.level, ExplicitLaw((1,)), f"entire {key}"
+    elif not isinstance(key, FractionKey):
+        raise ValueError(f"atomic closed forms need a k1/K or one-plus-log key, got {key}")
+    else:
+        q = key.value
+        if not (0 < q <= 1):
+            raise ValueError(f"key {q} is not attained (regularities lie in (0,1])")
+        k1, K = q.numerator, q.denominator
+        m = system.m
+        if system.family == "sigma1":
+            b, e, law, label = Fraction(1, 3), K, GeometricLaw(1, 1), f"sigma1 {q}"
+        elif q == 1:
+            # multiplicity (2m-1) m^(n-1) on lengths lam^n
+            b, e, law = system.lam, 1, GeometricLaw(2 * m - 1, m)
+            label = f"{system.family} alpha=1"
+        else:
+            # multiplicity (m-1) m^(k1 n - 1) on lengths lam^(K n)
+            b, e, law = system.lam, K, GeometricLaw((m - 1) * m ** (k1 - 1), m**k1)
+            label = f"{system.family} {q}"
+    return AlphaLengthSequence.from_law(_length_base([(b, e)], key), law, label)
+
+
 def closed_form_zeta(
     system: WeightedIFS | PreparedIFS | AtomicMeasureSpec | FractalStringSpec,
     key: RegularityKey | None = None,
@@ -463,64 +510,15 @@ def closed_form_zeta(
 
     Strings: the whole geometric zeta.  Atomic families: the class keyed
     by k1/K (or a one-plus-log level for the half-weight leftmost cells,
-    an entire monomial).  IFS systems: sub-monoid classes only.
+    an entire monomial).  Both are the generating function of the law in
+    ``closed_form_sequence``.  IFS systems: sub-monoid classes only.
     """
-    if isinstance(system, FractalStringSpec):
-        z = Poly((Fraction(0), Fraction(1)))
-        one = Poly((Fraction(1),))
-        if system.family == "cantor":
-            return RationalZeta(
-                num=z, den=one - z.scale(Fraction(2)), base=Fraction(1, 3), label="cantor"
-            )
-        return RationalZeta(
-            num=one, den=one - z - z * z, base=Fraction(1, 2), label="fibonacci"
-        )
-    if isinstance(system, AtomicMeasureSpec):
-        return _atomic_closed_form(system, key)
     if isinstance(system, (WeightedIFS, PreparedIFS)):
         if not isinstance(key, VectorKey):
             raise ValueError("IFS closed forms are keyed by exponent vectors")
         return _monoid_zeta(prepare(system), key)
-    raise TypeError(f"unsupported system {system!r}")
-
-
-def _atomic_closed_form(spec: AtomicMeasureSpec, key: RegularityKey | None) -> RationalZeta:
-    z = Poly((Fraction(0), Fraction(1)))
-    one = Poly((Fraction(1),))
-    if isinstance(key, OnePlusLogKey):
-        if spec.family != "sigma1":
-            raise ValueError(f"one-plus-log classes only occur for sigma1, not {spec.family}")
-        return RationalZeta(
-            num=z,
-            den=one,
-            base=_length_base([(Fraction(1, 3), key.level)], key),
-            label=f"entire {key}",
-        )
-    if not isinstance(key, FractionKey):
-        raise ValueError(f"atomic closed forms need a k1/K or one-plus-log key, got {key}")
-    q = key.value
-    if not (0 < q <= 1):
-        raise ValueError(f"key {q} is not attained (regularities lie in (0,1])")
-    k1, K = q.numerator, q.denominator
-    if spec.family == "sigma1":
-        return RationalZeta(
-            num=z, den=one - z, base=_length_base([(Fraction(1, 3), K)], key),
-            label=f"sigma1 {q}",
-        )
-    m = spec.m
-    lam = spec.lam
-    if q == 1:
-        # multiplicity (2m-1) m^(n-1) on lengths lam^n
-        return RationalZeta(
-            num=z.scale(Fraction(2 * m - 1)),
-            den=one - z.scale(Fraction(m)),
-            base=lam,
-            label=f"{spec.family} alpha=1",
-        )
-    # multiplicity (m-1) m^(k1 n - 1) on lengths lam^(K n)
-    return RationalZeta(
-        num=z.scale(Fraction((m - 1) * m ** (k1 - 1))),
-        den=one - z.scale(Fraction(m**k1)),
-        base=_length_base([(lam, K)], key),
-        label=f"{spec.family} {q}",
-    )
+    seq = closed_form_sequence(system, key)
+    num, den = (Poly(c) for c in seq.law.generating_function())
+    if isinstance(system, FractalStringSpec) and system.family == "fibonacci":
+        num = num + den  # the unit first length, the z^0 term
+    return RationalZeta(num=num, den=den, base=seq.base_length, label=seq.label)

@@ -58,10 +58,9 @@ def test_pev_log_matches_float_log(num, den):
 
 def test_pev_arithmetic():
     a = factorize(F(1, 3))
-    b = factorize(F(2, 3))
-    assert (a + b).as_fraction() == F(2, 9)
     assert a.scaled(3).as_fraction() == F(1, 27)
-    assert (a - a).is_zero()
+    assert a.scaled(-1).as_fraction() == 3
+    assert a.scaled(0).is_zero()
     assert a.scaled(2) == factorize(F(1, 9))
 
 

@@ -1,6 +1,8 @@
 """Zeta forms: series with certified tails, lattice closed forms, abscissas."""
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from mfzeta.ifs_core import AtomicMeasureSpec, FractalStringSpec, WeightedIFS
 from mfzeta.regularity import FractionKey, OnePlusLogKey, VectorKey, prepare
-from mfzeta.sequences import FloorSumLaw, GeometricLaw, fibonacci
+from mfzeta.sequences import AlphaLengthSequence, FloorSumLaw, GeometricLaw, fibonacci
 from mfzeta.spectra import spectrum_sweep
 from mfzeta.zeta import (
     AbscissaResult,
@@ -16,9 +18,9 @@ from mfzeta.zeta import (
     HypothesisViolationError,
     Poly,
     RationalZeta,
-    SeriesZeta,
     abscissa_closed,
     abscissa_root_test,
+    closed_form_sequence,
     closed_form_zeta,
     defining_residual,
     eval_series,
@@ -90,10 +92,10 @@ def test_fibonacci_string():
 
 def test_multinomial_zeta_shapes():
     mz = multinomial_zeta(BETA, (1, 1))
-    assert mz.base_length == F(1, 9) and mz.K == 2
+    assert mz.base_length == F(1, 9) and mz.law.K == 2
     assert mz.law.multiplicity(1) == 2 and mz.law.multiplicity(2) == 6
     tz = multinomial_zeta(TRIDENT, (2, 1))
-    assert tz.base_length == F(1, 125) and tz.K == 3
+    assert tz.base_length == F(1, 125) and tz.law.K == 3
     assert tz.law.multiplicity(1) == 12
     unit = multinomial_zeta(BETA, (1, 0))
     assert unit.law.multiplicity(5) == 1  # single-map chain: geometric series
@@ -117,7 +119,7 @@ def test_hypothesis_violation_refused():
 
 
 def test_eval_series_cantor_identity():
-    sz = SeriesZeta(base_length=F(1, 3), law=GeometricLaw(a=1, g=2), K=1)
+    sz = AlphaLengthSequence.from_law(F(1, 3), GeometricLaw(a=1, g=2))
     v = eval_series(sz, 1.0)
     assert abs(v.value - 1) <= v.tail_bound + 1e-15
     cs = closed_form_zeta(FractalStringSpec(family="cantor"))
@@ -127,7 +129,7 @@ def test_eval_series_cantor_identity():
 
 
 def test_eval_series_sigma1_geometric():
-    sz = SeriesZeta(base_length=F(1, 3), law=GeometricLaw(a=1, g=1), K=1)
+    sz = AlphaLengthSequence.from_law(F(1, 3), GeometricLaw(a=1, g=1))
     v = eval_series(sz, 1.0)
     assert abs(v.value - 0.5) <= v.tail_bound + 1e-15
 
@@ -206,11 +208,11 @@ def test_abscissa_closed_folds_per_map_vectors():
     assert abscissa_closed(TRIDENT, (1, 0, 0)) == abscissa_closed(TRIDENT, (1, 0))
 
 
-@given(
-    k=st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(lambda k: sum(k) >= 1),
-    system=st.sampled_from([BETA, BETA0]),
-)
-def test_abscissa_satisfies_defining_equation(k, system):
+@given(data=st.data(), system=st.sampled_from([BETA, BETA0, TRIDENT, THREE_MAP]))
+def test_abscissa_satisfies_defining_equation(data, system):
+    # class vectors (one entry per slot) and per-map vectors, which fold
+    length = data.draw(st.sampled_from(sorted({prepare(system).width, system.N})))
+    k = data.draw(st.lists(st.integers(0, 8), min_size=length, max_size=length).filter(any))
     res = abscissa_closed(system, k)
     assert abs(defining_residual(system, k, res.value) - 1) < 1e-12
 
@@ -227,13 +229,13 @@ def test_root_test_converges():
 def test_root_test_sigma2_style_law():
     # m_n = 2^(k1 n - 1) on lengths 3^(-K n): estimate -> (k1/K) log_3 2
     k1, K = 2, 3
-    sz = SeriesZeta(base_length=F(1, 27), law=GeometricLaw(a=2 ** (k1 - 1), g=2**k1), K=K)
+    sz = AlphaLengthSequence.from_law(F(1, 27), GeometricLaw(a=2 ** (k1 - 1), g=2**k1))
     rt = abscissa_root_test(sz, 200)
     assert abs(rt.value - (k1 / K) * math.log(2) / math.log(3)) < 1e-2
 
 
 def test_root_test_constant_multiplicity():
-    sz = SeriesZeta(base_length=F(1, 3), law=GeometricLaw(a=1, g=1), K=1)
+    sz = AlphaLengthSequence.from_law(F(1, 3), GeometricLaw(a=1, g=1))
     assert abs(abscissa_root_test(sz, 1000).value) < 1e-12
 
 
@@ -274,7 +276,7 @@ def test_generalized_closed_forms():
 def test_closed_form_matches_series():
     # sigma2 alpha=1: counts 3*2^(n-1) on lengths 3^-n
     z1 = closed_form_zeta(S2, FractionKey(F(1)))
-    sz = SeriesZeta(base_length=F(1, 3), law=GeometricLaw(a=3, g=2), K=1)
+    sz = AlphaLengthSequence.from_law(F(1, 3), GeometricLaw(a=3, g=2))
     absc = math.log(2) / math.log(3)
     for i in range(20):
         s = absc + 0.1 + 0.15 * i
@@ -297,7 +299,7 @@ def test_roby_recovery_counts_are_fibonacci():
     for n in range(1, 31):
         assert law.multiplicity(n) == fibonacci(n + 1)
     rz = closed_form_zeta(ROBY, VectorKey((1, 0, 0)))
-    sz = SeriesZeta(base_length=F(1, 2), law=law, K=1)
+    sz = AlphaLengthSequence.from_law(F(1, 2), law)
     for s in (1.0, 1.5, 2.5):
         got = eval_series(sz, s, tail_tol=1e-12)
         assert abs(got.value - rz.evaluate(s)) <= got.tail_bound + 1e-10
@@ -319,3 +321,78 @@ def test_no_lattice_form_for_multinomial_classes():
         closed_form_zeta(S2, OnePlusLogKey(1))
     with pytest.raises(ValueError):
         closed_form_zeta(S2, FractionKey(F(3, 2)))
+
+
+# ---- Stored closed forms ----
+
+CLOSED_FORMS = Path(__file__).parent / "data" / "closed_forms.json"
+
+
+def _closed_form_cases():
+    """(name, system, key) for every string and every atomic key K <= 8."""
+    yield "cantor", FractalStringSpec(family="cantor"), None
+    yield "fibonacci", FractalStringSpec(family="fibonacci"), None
+    atomic = [("sigma1", S1), ("sigma2", S2)]
+    atomic += [
+        (f"generalized{m}", AtomicMeasureSpec(family="generalized", m=m)) for m in (3, 5)
+    ]
+    for name, spec in atomic:
+        for K in range(1, 9):
+            for k1 in range(1, K + 1):
+                if math.gcd(k1, K) == 1:
+                    yield f"{name} {k1}/{K}", spec, FractionKey(F(k1, K))
+    for level in (1, 2, 3):
+        yield f"sigma1 1+log:{level}", S1, OnePlusLogKey(level)
+
+
+def _closed_form_record(rz: RationalZeta) -> dict:
+    return {
+        "label": rz.label,
+        "base": str(rz.base),
+        "num": [str(c) for c in rz.num.coeffs],
+        "den": [str(c) for c in rz.den.coeffs],
+    }
+
+
+def test_closed_forms_match_stored():
+    stored = json.loads(CLOSED_FORMS.read_text())
+    got = {
+        name: _closed_form_record(closed_form_zeta(system, key))
+        for name, system, key in _closed_form_cases()
+    }
+    assert got == stored
+
+
+def _power_series(num, den, terms: int) -> list[F]:
+    """The first coefficients of num(z)/den(z) at z = 0, by exact long division."""
+    num, den = [F(c) for c in num], [F(c) for c in den]
+    out = []
+    for n in range(terms):
+        c = (num[n] if n < len(num) else 0) - sum(
+            den[j] * out[n - j] for j in range(1, min(n, len(den) - 1) + 1)
+        )
+        out.append(c / den[0])
+    return out
+
+
+@pytest.mark.parametrize("name, system, key", list(_closed_form_cases()))
+def test_closed_form_zeta_is_the_table_generating_function(name, system, key):
+    seq = closed_form_sequence(system, key)
+    coeffs = _power_series(*seq.law.generating_function(), 31)
+    assert coeffs == [0] + [seq.law.multiplicity(n) for n in range(1, 31)]
+    rz = closed_form_zeta(system, key)
+    assert rz.base == seq.base_length and rz.label == seq.label
+    zcoeffs = _power_series(rz.num.coeffs, rz.den.coeffs, 31)
+    # only the fibonacci string has a length 1 = base^0: its first interval
+    assert zcoeffs[0] == (1 if name == "fibonacci" else 0)
+    assert zcoeffs[1:] == coeffs[1:]
+
+
+if __name__ == "__main__":
+    # regenerate the stored closed forms: PYTHONPATH=src python tests/test_zeta.py
+    records = {
+        name: _closed_form_record(closed_form_zeta(system, key))
+        for name, system, key in _closed_form_cases()
+    }
+    lines = ",\n".join(f" {json.dumps(n)}: {json.dumps(r)}" for n, r in records.items())
+    CLOSED_FORMS.write_text("{\n" + lines + "\n}\n")
