@@ -9,6 +9,7 @@ bodies are byte-deterministic, so only the manifest carries a timestamp.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -176,6 +177,12 @@ def parse_alpha_key(text: str) -> RegularityKey:
     return FractionKey(parse_rational(t, "--alpha"))
 
 
+def _require_finite(flag: str, value) -> None:
+    """Refuse an infinite or NaN float or complex option value."""
+    if not cmath.isfinite(value):
+        raise ConfigError(flag, f"need a finite value, got {value}")
+
+
 def _class_zeta(build, system, key):
     """build(system, key), naming --alpha when the key is too deep for doubles."""
     try:
@@ -247,6 +254,9 @@ def cmd_zeta(args) -> int:
         s = complex(args.s)
     except ValueError:
         raise ConfigError("--s", f"malformed complex number {args.s!r}")
+    _require_finite("--s", s)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError("--tol", f"need a finite tail bound above 0, got {args.tol}")
     key = parse_alpha_key(args.alpha) if args.alpha is not None else None
 
     if isinstance(system, WeightedIFS):
@@ -339,6 +349,9 @@ def cmd_count(args) -> int:
     key = parse_alpha_key(args.alpha) if args.alpha is not None else None
     if isinstance(system, AtomicMeasureSpec) and key is None:
         raise ConfigError("--alpha", "atomic families need a class key, e.g. --alpha 1/2")
+    floats = [("--xmin", args.xmin), ("--xmax", args.xmax), *(("--x", x) for x in args.x or ())]
+    for flag, value in floats:
+        _require_finite(flag, value)
     rz = _class_zeta(closed_form_zeta, system, key)
     if not args.x and args.samples < 1:
         raise ConfigError("--samples", f"need at least one sample, got {args.samples}")

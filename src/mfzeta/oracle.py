@@ -28,11 +28,10 @@ from .regularity import (
     RegularityKey,
     RegularityValue,
     VectorKey,
-    assert_separated,
     collapsed_regularity,
+    partition_values,
     prepare,
     regularity_of,
-    values_equal,
 )
 from .sequences import AlphaLengthSequence, multinomial
 
@@ -322,37 +321,33 @@ def _key_sort_token(key: RegularityKey):
     return (_KEY_ORDER[type(key)], payload)
 
 
+def _ladder(records: Iterable[IntervalRecord]) -> list[tuple[Fraction, int]]:
+    """(length, multiplicity) pairs of records, equal lengths merged, by
+    decreasing length."""
+    merged: dict[Fraction, int] = {}
+    for rec in records:
+        merged[rec.length] = merged.get(rec.length, 0) + rec.count
+    return sorted(merged.items(), key=lambda kv: kv[0], reverse=True)
+
+
 def group_by_regularity(
     records: Iterable[IntervalRecord],
 ) -> dict[RegularityKey, list[tuple[Fraction, int]]]:
-    """Group records by exact regularity; never merges undecided values.
+    """Group records by exact regularity (``partition_values``); never merges
+    undecided values.
 
-    Records share a group iff their regularity values are equal under the
-    structural/interval ladder; each group is keyed by its smallest key
-    hint and carries (length, multiplicity) pairs sorted by decreasing
-    length with equal lengths merged.
+    Each group is keyed by its smallest key hint and carries (length,
+    multiplicity) pairs sorted by decreasing length with equal lengths merged.
     """
-    by_canonical: dict[tuple, dict] = {}
-    infinite: dict[Fraction, int] = {}
+    finite, infinite = [], []
     for rec in records:
-        if rec.regularity is None:
-            infinite[rec.length] = infinite.get(rec.length, 0) + rec.count
-            continue
-        canon = rec.regularity.canonical()
-        slot = by_canonical.setdefault(
-            canon, {"value": rec.regularity, "keys": set(), "lengths": {}}
-        )
-        slot["keys"].add(rec.key_hint)
-        slot["lengths"][rec.length] = slot["lengths"].get(rec.length, 0) + rec.count
-    # certify that distinct canonical groups are genuinely distinct
-    assert_separated([slot["value"] for slot in by_canonical.values()])
+        (infinite if rec.regularity is None else finite).append(rec)
     out: dict[RegularityKey, list[tuple[Fraction, int]]] = {}
-    for slot in by_canonical.values():
-        key = min(slot["keys"], key=_key_sort_token)
-        pairs = sorted(slot["lengths"].items(), key=lambda kv: kv[0], reverse=True)
-        out[key] = pairs
+    for part in partition_values([rec.regularity for rec in finite]):
+        group = [finite[i] for i in part]
+        out[min((rec.key_hint for rec in group), key=_key_sort_token)] = _ladder(group)
     if infinite:
-        out[InfiniteKey()] = sorted(infinite.items(), key=lambda kv: kv[0], reverse=True)
+        out[InfiniteKey()] = _ladder(infinite)
     return out
 
 
@@ -379,19 +374,17 @@ def empirical_alpha_lengths(
             raise ValueError("vector keys require an IFS source")
         target = collapsed_regularity(source, source.class_vector(key.vector)).alpha_exact
 
-    merged: dict[Fraction, int] = {}
+    records: list[IntervalRecord] = []
     for stage in range(1, depth + 1):
         if isinstance(source, PreparedIFS):
             enum = enumerate_stage(source, stage, budget=budget)
         else:
             enum = atomic_stage(source, stage, budget=budget)
-        for rec in enum.all_records():
-            if target is not None:
-                if rec.regularity is None or not values_equal(rec.regularity, target):
-                    continue
-            else:
-                if rec.key_hint != key:
-                    continue
-            merged[rec.length] = merged.get(rec.length, 0) + rec.count
-    entries = sorted(merged.items(), key=lambda kv: kv[0], reverse=True)
-    return AlphaLengthSequence.from_entries(entries, label=str(key))
+        records.extend(enum.all_records())
+    if target is None:
+        records = [rec for rec in records if rec.key_hint == key]
+    else:
+        finite = [rec for rec in records if rec.regularity is not None]
+        shared = partition_values([target, *(rec.regularity for rec in finite)])[0]
+        records = [finite[i - 1] for i in shared[1:]]
+    return AlphaLengthSequence.from_entries(_ladder(records), label=str(key))

@@ -5,19 +5,20 @@ alpha = log(mu)/log(ell).  For rational parameters both logs are integer
 combinations of logs of primes, so alpha is represented exactly by the
 pair of prime exponent vectors (mass product, length product).
 
-Equality of two regularity values is decided by a ladder:
+Two values are equal exactly when their canonical forms agree: proportional
+(mass, length) exponent-vector pairs merge, and a parallel pair is the
+rational exponent ratio.  Other pairs are only certified distinct, by a ladder:
 
-1. structural — proportional (mass, length) exponent-vector pairs are
-   equal; a parallel pair means alpha is the rational exponent ratio, and
-   a rational value can never equal a non-parallel (irrational) one;
-2. float filter — each value's outward-rounded double enclosure (every
+1. float filter — each value's outward-rounded double enclosure (every
    product, sum and quotient widened by one ulp, from float bounds of
    log p cut outward from the 64-bit interval); disjoint enclosures prove
    the values distinct, which settles nearly every pair without mpmath;
-3. interval arithmetic at 64, then 256, then 1024 bits, only for pairs
+2. interval arithmetic at 64, then 256, then 1024 bits, only for pairs
    whose float enclosures overlap;
-4. if the intervals still overlap, ``AmbiguousRegularityError`` is
+3. if the intervals still overlap, ``AmbiguousRegularityError`` is
    raised — values are never silently merged.
+
+``partition_values`` groups values into these classes for every caller.
 
 Facts that every class of one system shares (its class space with the
 factorized parameters of each slot, the independence verdict of its distinct
@@ -274,14 +275,13 @@ def _divide_pev(pev: PrimeExponentVector, g: int) -> PrimeExponentVector:
 
 
 def values_equal(a: RegularityValue, b: RegularityValue) -> bool:
-    """Exact equality via the structural / float filter / interval ladder."""
+    """Exact equality, that is canonical-form equality; for other pairs the
+    float filter and interval ladder only certify distinctness, or raise
+    ``AmbiguousRegularityError``."""
     if a.canonical() == b.canonical():
         return True
-    qa, qb = a._rational, b._rational
-    if qa is not None and qb is not None:
-        return qa == qb
-    if (qa is None) != (qb is None):
-        # a rational never equals a non-parallel (irrational) quotient
+    if a._rational is not None or b._rational is not None:
+        # distinct rationals differ, and a rational never equals an irrational
         return False
     lo_a, hi_a = a.float_enclosure()
     lo_b, hi_b = b.float_enclosure()
@@ -310,6 +310,21 @@ def assert_separated(values: Sequence[RegularityValue]) -> None:
             raise AmbiguousRegularityError(
                 "distinct canonical forms compare equal through the ladder"
             )
+
+
+def partition_values(values: Sequence[RegularityValue]) -> list[list[int]]:
+    """The indices of ``values`` grouped into classes of equal values.
+
+    Values are bucketed by canonical form, buckets and their indices in
+    first-seen order; one representative per bucket then goes through
+    ``assert_separated``, so buckets are never merged or split silently.
+    """
+    buckets: dict[tuple, list[int]] = {}
+    for i, value in enumerate(values):
+        buckets.setdefault(value.canonical(), []).append(i)
+    parts = list(buckets.values())
+    assert_separated([values[part[0]] for part in parts])
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -491,21 +506,20 @@ def _class_regularity(prepared: PreparedIFS, kprime: tuple[int, ...]) -> Regular
 def is_monofractal(ifs: WeightedIFS | PreparedIFS) -> RegularityValue | None:
     """The common unit-vector regularity when all maps share it, else None.
 
-    Exactness matters: the common value may be irrational (e.g. the
-    Devil's-staircase system), so the comparison uses the full ladder.
+    The unit values must form one ``partition_values`` bucket; the common
+    value may be irrational (e.g. the Devil's-staircase system).
     """
-    prepared = prepare(ifs)
+    units = unit_values(prepare(ifs))
+    return units[0] if len(partition_values(units)) == 1 else None
+
+
+def unit_values(prepared: PreparedIFS) -> list[RegularityValue]:
+    """The regularity of each single map, in map order."""
     N = prepared.ifs.N
-    units = []
-    for i in range(N):
-        k = [0] * N
-        k[i] = 1
-        units.append(regularity_of(prepared, k).alpha_exact)
-    first = units[0]
-    for other in units[1:]:
-        if not values_equal(first, other):
-            return None
-    return first
+    return [
+        regularity_of(prepared, tuple(1 if j == i else 0 for j in range(N))).alpha_exact
+        for i in range(N)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +560,8 @@ class HypothesisReport:
     """Result of checking that primitive vectors have pairwise distinct regularity.
 
     When the hypothesis holds, ``classes`` are the classes of all primitive
-    vectors in enumeration order; otherwise it is empty.
+    vectors in enumeration order; otherwise it is empty.  A separation that
+    stays ambiguous certifies no grouping, so it leaves ``collisions`` empty.
     """
 
     holds: bool
@@ -565,28 +580,17 @@ def check_hypothesis_H(ifs: WeightedIFS | PreparedIFS, K_max: int) -> Hypothesis
     prepared = prepare(ifs)
     if prepared.dependence is not None:
         return HypothesisReport(holds=False, collisions=[], ambiguous=[prepared.dependence])
-    groups: dict[tuple, tuple[RegularityClass, list[tuple[int, ...]]]] = {}
-    for k in primitive_vectors(prepared.width, K_max):
-        cls = collapsed_regularity(prepared, k)
-        key = cls.alpha_exact.canonical()
-        if key in groups:
-            groups[key][1].append(k)
-        else:
-            groups[key] = (cls, [k])
+    classes = [collapsed_regularity(prepared, k) for k in primitive_vectors(prepared.width, K_max)]
+    try:
+        parts = partition_values([cls.alpha_exact for cls in classes])
+    except AmbiguousRegularityError as exc:
+        return HypothesisReport(holds=False, ambiguous=[str(exc)])
     collisions = [
-        (cls.alpha_float, vectors) for cls, vectors in groups.values() if len(vectors) > 1
+        (classes[part[0]].alpha_float, [classes[i].key.vector for i in part])
+        for part in parts
+        if len(part) > 1
     ]
     collisions.sort(key=lambda item: item[0])
-    ambiguous: list[str] = []
-    try:
-        assert_separated([cls.alpha_exact for cls, _ in groups.values()])
-    except AmbiguousRegularityError as exc:
-        ambiguous.append(str(exc))
-    holds = not collisions and not ambiguous
     return HypothesisReport(
-        holds=holds,
-        collisions=collisions,
-        ambiguous=ambiguous,
-        # without collisions every group holds one vector, in enumeration order
-        classes=[cls for cls, _ in groups.values()] if holds else [],
+        holds=not collisions, collisions=collisions, classes=[] if collisions else classes
     )

@@ -181,6 +181,8 @@ def _oracle_fallback_sweep(prepared: PreparedIFS, K_max: int) -> list[SpectrumPo
         records.extend(stage.all_records())
         depth = K
     groups = group_by_regularity(records)
+    # each group's alpha is that of the first record carrying its key hint
+    first = {rec.key_hint: rec for rec in reversed(records) if rec.regularity is not None}
     points = []
     for key, entries in groups.items():
         if isinstance(key, InfiniteKey):
@@ -193,16 +195,9 @@ def _oracle_fallback_sweep(prepared: PreparedIFS, K_max: int) -> list[SpectrumPo
                 est = math.log(mult) / -math.log(ell)
                 if est > sigma:
                     sigma, length = est, ell
-        alpha = None
-        for rec in records:
-            if rec.key_hint == key and rec.regularity is not None:
-                alpha = rec.regularity.to_float()
-                break
-        if alpha is None:
-            continue
         points.append(
             SpectrumPoint(
-                alpha=alpha,
+                alpha=first[key].regularity.to_float(),
                 f=max(0.0, sigma),
                 key=key,
                 alpha_desc=f"oracle class to stage {depth}",

@@ -29,10 +29,10 @@ from .regularity import (
     RegularityKey,
     VectorKey,
     collapsed_regularity,
+    partition_values,
     prepare,
     primitive_vectors,
-    regularity_of,
-    values_equal,
+    unit_values,
 )
 from .sequences import (
     AlphaLengthSequence,
@@ -248,18 +248,6 @@ class AbscissaResult:
 # ---------------------------------------------------------------------------
 
 
-def _assert_distinct_class(prepared: PreparedIFS, k: tuple[int, ...], K_max: int) -> None:
-    target = collapsed_regularity(prepared, k).alpha_exact
-    for v in primitive_vectors(prepared.width, K_max):
-        if v == k:
-            continue
-        if values_equal(target, collapsed_regularity(prepared, v).alpha_exact):
-            raise HypothesisViolationError(
-                f"regularity of {k} is also attained by {v}; "
-                "the multinomial series undercounts this class"
-            )
-
-
 def multinomial_zeta(ifs: WeightedIFS | PreparedIFS, k: Sequence[int]) -> AlphaLengthSequence:
     """Stage-subsequence zeta of the class of vector k (see ``PreparedIFS.class_vector``).
 
@@ -273,7 +261,16 @@ def multinomial_zeta(ifs: WeightedIFS | PreparedIFS, k: Sequence[int]) -> AlphaL
         raise HypothesisViolationError(prepared.dependence)
     base = _length_base(list(zip(prepared.slot_ratios, kprime)), kprime)
     if not prepared.ifs.equal_ratios():
-        _assert_distinct_class(prepared, kprime, HYPOTHESIS_K_MAX)
+        # the target leads the partition, whatever its K
+        vectors = primitive_vectors(prepared.width, HYPOTHESIS_K_MAX)
+        vectors = [kprime, *(v for v in vectors if v != kprime)]
+        values = [collapsed_regularity(prepared, v).alpha_exact for v in vectors]
+        shared = partition_values(values)[0]
+        if len(shared) > 1:
+            raise HypothesisViolationError(
+                f"regularity of {kprime} is also attained by {vectors[shared[1]]}; "
+                "the multinomial series undercounts this class"
+            )
     if prepared.folds:
         law: MultiplicityLaw = CollapsedLaw(kprime=kprime, c=prepared.multiplicities)
     else:
@@ -432,11 +429,7 @@ def _monoid_zeta(prepared: PreparedIFS, key: VectorKey) -> RationalZeta:
     """
     ifs = prepared.ifs
     target = collapsed_regularity(prepared, prepared.class_vector(key.vector)).alpha_exact
-    units = [
-        regularity_of(prepared, tuple(1 if j == i else 0 for j in range(ifs.N))).alpha_exact
-        for i in range(ifs.N)
-    ]
-    support = [i for i, u in enumerate(units) if values_equal(u, target)]
+    support = [i - 1 for i in partition_values([target, *unit_values(prepared)])[0][1:]]
     if not support:
         raise ValueError(
             f"class {key} is not generated by single maps; no lattice closed form"

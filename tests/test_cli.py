@@ -126,6 +126,44 @@ def test_zeta_error_paths(capsys, config):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "name, argv, flag",
+    [
+        ("cantor", ["count", "--x", "10", "--x", "inf"], "--x"),
+        ("cantor", ["count", "--xmin", "nan"], "--xmin"),
+        ("cantor", ["count", "--xmax", "inf"], "--xmax"),
+        ("cantor", ["zeta", "--s", "inf"], "--s"),
+        ("sigma1", ["zeta", "--alpha", "1/2", "--s", "nan"], "--s"),
+        ("beta", ["zeta", "--alpha", "2,1", "--s", "2+infj"], "--s"),
+    ],
+)
+def test_non_finite_numbers_are_refused(tmp_path, capsys, config, name, argv, flag):
+    out = tmp_path / "x.csv"
+    command, *flags = argv
+    full = [command, "--config", config(name), *flags]
+    if command == "count":
+        full += ["--out", str(out)]
+    assert main(full) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag}: need a finite value"), err
+    assert not out.exists()
+
+
+def test_zeta_refuses_unreachable_tolerance(capsys, config, monkeypatch):
+    def summed(*args, **kwargs):
+        raise AssertionError("a series term was summed")
+
+    monkeypatch.setattr("mfzeta.cli.eval_series", summed)
+    for tol in ("-1", "0", "nan", "inf"):
+        argv = ["zeta", "--config", config("beta"), "--alpha", "2,1", "--s", "2",
+                "--tol", tol, "--terms", str(10**9)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --tol: "), err
+
+
 def test_zeta_refuses_runaway_hypothesis_check(tmp_path, capsys):
     # 9 unequal ratios: the class check would cover C(12 + 9, 9) = 293,930 vectors
     cfg = tmp_path / "nine.json"

@@ -21,6 +21,7 @@ from mfzeta.regularity import (
     check_hypothesis_H,
     collapsed_regularity,
     is_monofractal,
+    partition_values,
     prepare,
     primitive_vectors,
     regularity_of,
@@ -269,6 +270,22 @@ def test_hypothesis_h_classes_are_the_enumeration(system, K_max):
         ]
     else:
         assert report.classes == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=small_systems(), K_max=st.integers(1, 5))
+def test_partition_buckets_are_the_equal_values(system, K_max):
+    prepared = prepare(system)
+    values = [
+        collapsed_regularity(prepared, k).alpha_exact
+        for k in primitive_vectors(prepared.width, K_max)
+    ]
+    parts = partition_values(values)
+    assert sorted(i for part in parts for i in part) == list(range(len(values)))
+    bucket = {i: b for b, part in enumerate(parts) for i in part}
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            assert (bucket[i] == bucket[j]) == values_equal(values[i], values[j])
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,9 +7,12 @@ import importlib
 import importlib.util
 import inspect
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
-from mfzeta.regularity import RegularityValue
+import mfzeta.regularity
+from mfzeta.ifs_core import WeightedIFS
+from mfzeta.regularity import RegularityValue, check_hypothesis_H
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -53,3 +56,21 @@ def test_interval_rung_counter_reads_prec_bits():
     arguments, positionally or by keyword, so its parameters must stay put."""
     params = list(inspect.signature(RegularityValue.interval).parameters)
     assert params == ["self", "prec_bits"]
+
+
+def test_hypothesis_separations_go_through_values_equal(monkeypatch):
+    """The tracer counts ambiguity (``regularity.ambiguous.count``) on
+    ``values_equal``, so the separations of a sweep must be made through it."""
+    calls = []
+    original = mfzeta.regularity.values_equal
+
+    def spy(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(mfzeta.regularity, "values_equal", spy)
+    system = WeightedIFS(ratios=(F(1, 2), F(1, 3)), probs=(F(1, 3), F(2, 3)))
+    report = check_hypothesis_H(system, 8)
+    assert report.holds
+    # one call per adjacent pair of the sorted class values
+    assert len(calls) == len(report.classes) - 1 > 0

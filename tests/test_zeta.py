@@ -13,6 +13,7 @@ from mfzeta.regularity import FractionKey, OnePlusLogKey, VectorKey, prepare
 from mfzeta.sequences import AlphaLengthSequence, FloorSumLaw, GeometricLaw, fibonacci
 from mfzeta.spectra import spectrum_sweep
 from mfzeta.zeta import (
+    HYPOTHESIS_K_MAX,
     AbscissaResult,
     DivergenceError,
     HypothesisViolationError,
@@ -116,6 +117,15 @@ def test_spectrum_keys_round_trip_through_multinomial_labels():
 def test_hypothesis_violation_refused():
     with pytest.raises(HypothesisViolationError):
         multinomial_zeta(ROBY, (1, 0, 0))
+
+
+def test_hypothesis_violation_refused_beyond_the_check_depth():
+    # K = 13 > HYPOTHESIS_K_MAX, yet alpha = 1 as for (0, 1, 0): the target
+    # class is partitioned with the checked vectors whatever its depth
+    assert sum((7, 6, 0)) > HYPOTHESIS_K_MAX
+    message = r"\(7, 6, 0\) is also attained by \(0, 1, 0\)"
+    with pytest.raises(HypothesisViolationError, match=message):
+        multinomial_zeta(ROBY, (7, 6, 0))
 
 
 def test_eval_series_cantor_identity():
