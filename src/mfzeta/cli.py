@@ -71,6 +71,12 @@ POLE_TERM_CAP = 200_000_000
 # would allow a larger cap, but the peak memory of a sweep grows with it.
 SWEEP_VECTOR_CAP = 175_000
 
+# Work cap of `zeta --terms`, in series terms.  Just right of the convergence
+# abscissa the tail bound is never reached, so every allowed term is summed.
+# On the same VM a term costs about 4 us for a class vector of 2 slots and up
+# to 10 us for 8 slots, so a run within the cap ends in under a minute.
+ZETA_TERM_CAP = 5_000_000
+
 # Work cap of one `tapestry` run, in candidate keys k1/K with K <= kmax, that
 # is kmax(kmax + 1)/2; about 0.61 of them are reduced, one pole lattice each.
 # A lattice costs about 0.54 ms on the same VM (sigma2, the slowest family),
@@ -257,6 +263,10 @@ def cmd_zeta(args) -> int:
     _require_finite("--s", s)
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ConfigError("--tol", f"need a finite tail bound above 0, got {args.tol}")
+    if args.terms > ZETA_TERM_CAP:
+        raise ConfigError(
+            "--terms", f"{args.terms:,} series terms exceed the cap of {ZETA_TERM_CAP:,} per run"
+        )
     key = parse_alpha_key(args.alpha) if args.alpha is not None else None
 
     if isinstance(system, WeightedIFS):
@@ -460,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=1e-12, help="series tail bound (default 1e-12)"
     )
     zeta.add_argument(
-        "--terms", type=int, default=100000, help="series term cap (default 100000)"
+        "--terms", type=int, default=100000,
+        help=f"series term cap (default 100000, at most {ZETA_TERM_CAP:,})",
     )
     zeta.add_argument("--out", help="write the JSON here instead of stdout")
     zeta.set_defaults(func=cmd_zeta)

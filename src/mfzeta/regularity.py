@@ -29,6 +29,7 @@ in a ``PreparedIFS``, built once by ``prepare``; every function taking a
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -191,13 +192,15 @@ class RegularityValue:
 
     ``logs`` holds the log enclosures of the system the value came from;
     values built without one use a fresh table.  The exact rational alpha
-    of a parallel pair is worked out once, at construction.
+    of a parallel pair is worked out once, at construction; the canonical
+    form and the float enclosure on first use.
     """
 
     mass_pev: PrimeExponentVector
     length_pev: PrimeExponentVector
     logs: PrimeLogs | None = field(default=None, compare=False, repr=False)
     _rational: Fraction | None = field(init=False, compare=False, repr=False)
+    _canonical: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _float_bounds: tuple[float, float] | None = field(
         default=None, init=False, compare=False, repr=False
     )
@@ -205,7 +208,9 @@ class RegularityValue:
     def __post_init__(self):
         if self.length_pev.is_zero():
             raise ValueError("length exponent vector must be nonzero")
-        object.__setattr__(self, "_rational", _parallel_ratio(self.mass_pev, self.length_pev))
+        _, mass, length = _aligned(self.mass_pev, self.length_pev)
+        ratio = _parallel(mass, length)
+        object.__setattr__(self, "_rational", None if ratio is None else Fraction(*ratio))
 
     def rational_value(self) -> Fraction | None:
         """The exact rational alpha when the two vectors are parallel, else None."""
@@ -213,6 +218,13 @@ class RegularityValue:
 
     def canonical(self) -> tuple:
         """Hashable canonical form: equal values share it, proportional pairs merge."""
+        form = self._canonical
+        if form is None:
+            form = self._canonical_form()
+            object.__setattr__(self, "_canonical", form)
+        return form
+
+    def _canonical_form(self) -> tuple:
         q = self._rational
         if q is not None:
             return ("rational", q)
@@ -221,15 +233,15 @@ class RegularityValue:
             g = math.gcd(g, e)
         for _, e in self.length_pev.items():
             g = math.gcd(g, e)
-        mass = self.mass_pev if g <= 1 else _divide_pev(self.mass_pev, g)
-        length = self.length_pev if g <= 1 else _divide_pev(self.length_pev, g)
-        return ("pair", mass.key(), length.key())
+        if g <= 1:
+            # the vectors themselves, compared and hashed by their exponents:
+            # a cached form costs one tuple
+            return ("pair", self.mass_pev, self.length_pev)
+        return ("pair", _divide_pev(self.mass_pev, g), _divide_pev(self.length_pev, g))
 
     def to_float(self) -> float:
-        q = self._rational
-        if q is not None:
-            return float(q)
-        return self.mass_pev.log() / self.length_pev.log()
+        primes, mass, length = _aligned(self.mass_pev, self.length_pev)
+        return alpha_from_exponents(mass, length, [math.log(p) for p in primes])
 
     def float_enclosure(self) -> tuple[float, float]:
         """Float bounds on alpha, every product, sum and quotient widened by
@@ -258,16 +270,40 @@ class RegularityValue:
         return mpmath.mp.make_mpf(lo), mpmath.mp.make_mpf(hi)
 
 
-def _parallel_ratio(mass: PrimeExponentVector, length: PrimeExponentVector) -> Fraction | None:
-    """a/b when b * mass == a * length (alpha is then rational), else None."""
-    num, den = mass.exponents(), length.exponents()
-    if num.keys() - den.keys():
-        return None
-    p0, b = next(iter(den.items()))
-    a = num.get(p0, 0)
-    if all(num.get(p, 0) * b == e * a for p, e in den.items()):
-        return Fraction(a, b)
+def _aligned(
+    mass: PrimeExponentVector, length: PrimeExponentVector
+) -> tuple[list[int], list[int], list[int]]:
+    """The primes of a pair of vectors and the exponents of each over them."""
+    m, l = mass.exponents(), length.exponents()
+    primes = [*l, *(p for p in m if p not in l)]
+    return primes, [m.get(p, 0) for p in primes], [l.get(p, 0) for p in primes]
+
+
+def _parallel(mass: Sequence[int], length: Sequence[int]) -> tuple[int, int] | None:
+    """(a, b) with b > 0 and b * mass == a * length, when the pair is parallel
+    (alpha is then the rational a/b); else None.  length must be nonzero."""
+    j0 = next(j for j, e in enumerate(length) if e)
+    a, b = mass[j0], length[j0]
+    if all(m * b == e * a for m, e in zip(mass, length)):
+        return (-a, -b) if b < 0 else (a, b)
     return None
+
+
+def alpha_from_exponents(
+    mass: Sequence[int], length: Sequence[int], logs: Sequence[float]
+) -> float:
+    """alpha = log(mass)/log(length) as a double, from the exponents of the
+    two products over primes whose ``math.log`` values are ``logs``.
+
+    A parallel pair is the rational a/b, which int true division rounds
+    correctly, as ``float(Fraction(a, b))`` does; any other pair is the
+    quotient of ``fsum``s over the nonzero exponents.
+    """
+    ratio = _parallel(mass, length)
+    if ratio is not None:
+        return ratio[0] / ratio[1]
+    num = math.fsum(e * lp for e, lp in zip(mass, logs) if e)
+    return num / math.fsum(e * lp for e, lp in zip(length, logs) if e)
 
 
 def _divide_pev(pev: PrimeExponentVector, g: int) -> PrimeExponentVector:
@@ -351,18 +387,6 @@ def reduce_vector(k: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in k)
 
 
-def _power_product(
-    pevs: Sequence[PrimeExponentVector], k: Sequence[int]
-) -> PrimeExponentVector:
-    """prod pevs[i]**k[i] as one exponent vector."""
-    out: dict[int, int] = {}
-    for ki, pev in zip(k, pevs):
-        if ki:
-            for p, e in pev.items():
-                out[p] = out.get(p, 0) + ki * e
-    return PrimeExponentVector(out)
-
-
 # ---------------------------------------------------------------------------
 # Prepared systems
 # ---------------------------------------------------------------------------
@@ -381,6 +405,12 @@ class PreparedIFS:
     ratio and factorized probability and ratio.  The independence verdict
     and its witness refer to the distinct probabilities of an equal-ratio
     system and are trivially true otherwise.
+
+    For the sweeps, the same factorizations are also integer tables over the
+    system's ``primes``: ``p_table[j][q]`` and ``r_table[j][q]`` are the
+    exponents of ``primes[j]`` in slot q's probability and ratio.
+    ``log_primes``, ``log_ratios`` and ``log_multiplicities`` hold the
+    ``math.log`` of each prime, slot ratio and slot multiplicity.
     """
 
     ifs: WeightedIFS
@@ -392,6 +422,12 @@ class PreparedIFS:
     independent: bool
     witness: tuple[int, ...] | None
     logs: PrimeLogs
+    primes: tuple[int, ...]
+    p_table: tuple[tuple[int, ...], ...]
+    r_table: tuple[tuple[int, ...], ...]
+    log_primes: tuple[float, ...]
+    log_ratios: tuple[float, ...]
+    log_multiplicities: tuple[float, ...]
 
     @property
     def width(self) -> int:
@@ -416,6 +452,14 @@ class PreparedIFS:
         for slot, ki in zip(self.slot_of, k):
             out[slot] += ki
         return tuple(out)
+
+    def exponents(self, kprime: Sequence[int]) -> tuple[list[int], list[int]]:
+        """The exponents over ``primes`` of the mass and length products of
+        the class vector k', unchecked."""
+        return (
+            [sum(map(operator.mul, kprime, row)) for row in self.p_table],
+            [sum(map(operator.mul, kprime, row)) for row in self.r_table],
+        )
 
     def class_vector(self, k: Sequence[int]) -> tuple[int, ...]:
         """The primitive class vector that a given vector names.
@@ -447,16 +491,30 @@ def prepare(system: WeightedIFS | PreparedIFS) -> PreparedIFS:
     else:
         probs, ratios = system.probs, system.ratios
         slot_of, mult = tuple(range(system.N)), (1,) * system.N
+    p_pev = tuple(factorize(p) for p in probs)
+    r_pev = tuple(factorize(r) for r in ratios)
+    primes = tuple(sorted({p for pev in p_pev + r_pev for p, _ in pev.items()}))
+
+    def table(pevs: tuple[PrimeExponentVector, ...]) -> tuple[tuple[int, ...], ...]:
+        exps = [pev.exponents() for pev in pevs]
+        return tuple(tuple(e.get(p, 0) for e in exps) for p in primes)
+
     return PreparedIFS(
         ifs=system,
         slot_of=slot_of,
         multiplicities=mult,
         slot_ratios=ratios,
-        slot_p_pev=tuple(factorize(p) for p in probs),
-        slot_r_pev=tuple(factorize(r) for r in ratios),
+        slot_p_pev=p_pev,
+        slot_r_pev=r_pev,
         independent=independent,
         witness=witness,
         logs=PrimeLogs(),
+        primes=primes,
+        p_table=table(p_pev),
+        r_table=table(r_pev),
+        log_primes=tuple(math.log(p) for p in primes),
+        log_ratios=tuple(math.log(r) for r in ratios),
+        log_multiplicities=tuple(math.log(c) for c in mult),
     )
 
 
@@ -490,15 +548,18 @@ def collapsed_regularity(
 
 
 def _class_regularity(prepared: PreparedIFS, kprime: tuple[int, ...]) -> RegularityClass:
-    value = RegularityValue(
-        _power_product(prepared.slot_p_pev, kprime),
-        _power_product(prepared.slot_r_pev, kprime),
-        prepared.logs,
-    )
+    """The class of a nonzero class vector k' with non-negative parts."""
+    mass, length = prepared.exponents(kprime)
+    g = math.gcd(*kprime)
+    primes = prepared.primes
     return RegularityClass(
-        key=VectorKey(reduce_vector(kprime)),
-        alpha_exact=value,
-        alpha_float=value.to_float(),
+        key=VectorKey(kprime if g == 1 else tuple(x // g for x in kprime)),
+        alpha_exact=RegularityValue(
+            PrimeExponentVector(dict(zip(primes, mass))),
+            PrimeExponentVector(dict(zip(primes, length))),
+            prepared.logs,
+        ),
+        alpha_float=alpha_from_exponents(mass, length, prepared.log_primes),
         K=sum(kprime),
     )
 
@@ -580,7 +641,7 @@ def check_hypothesis_H(ifs: WeightedIFS | PreparedIFS, K_max: int) -> Hypothesis
     prepared = prepare(ifs)
     if prepared.dependence is not None:
         return HypothesisReport(holds=False, collisions=[], ambiguous=[prepared.dependence])
-    classes = [collapsed_regularity(prepared, k) for k in primitive_vectors(prepared.width, K_max)]
+    classes = [_class_regularity(prepared, k) for k in primitive_vectors(prepared.width, K_max)]
     try:
         parts = partition_values([cls.alpha_exact for cls in classes])
     except AmbiguousRegularityError as exc:

@@ -23,13 +23,13 @@ from .regularity import (
     PreparedIFS,
     RegularityKey,
     VectorKey,
+    alpha_from_exponents,
     check_hypothesis_H,
-    collapsed_regularity,
     is_monofractal,
     prepare,
     primitive_vectors,
 )
-from .zeta import abscissa_closed, entropy_dimension
+from .zeta import _closed_abscissa, entropy_dimension
 
 
 @dataclass(frozen=True)
@@ -133,32 +133,36 @@ def _ifs_sweep(ifs: WeightedIFS | PreparedIFS, K_max: int) -> list[SpectrumPoint
         # independent distinct probabilities make every class distinct
         if prepared.dependence is not None:
             raise ValueError(prepared.dependence)
-        # one class at a time, and the vector list goes with the spent
-        # generator: holding either through the sort raises peak memory
-        classes = (
-            collapsed_regularity(prepared, k) for k in primitive_vectors(prepared.width, K_max)
+        # no exact value per class: the vector list goes with the spent
+        # generator, since holding it through the sort raises peak memory
+        rows = (
+            (VectorKey(k), alpha_from_exponents(*prepared.exponents(k), prepared.log_primes))
+            for k in primitive_vectors(prepared.width, K_max)
         )
         label = "collapsed class"
     else:
         report = check_hypothesis_H(prepared, K_max)
         if not report.holds:
             return _oracle_fallback_sweep(prepared, K_max)
-        classes, label = report.classes, "class"
+        # each class goes as its point is made: with their exact values and
+        # canonical forms, classes and points held together raise peak memory
+        rows = ((cls.key, cls.alpha_float) for cls in _drain(report.classes))
+        label = "class"
     points = []
-    for cls in classes:
-        k = cls.key.vector  # a primitive vector is its own key
-        res = abscissa_closed(prepared, k)
+    for key, alpha in rows:
+        k = key.vector  # a primitive vector is its own key
+        f, f_desc = _closed_abscissa(prepared, k)
         points.append(
-            SpectrumPoint(
-                alpha=cls.alpha_float,
-                f=res.value,
-                key=cls.key,
-                alpha_desc=f"{label} {k}",
-                f_desc=res.exact_description,
-            )
+            SpectrumPoint(alpha=alpha, f=f, key=key, alpha_desc=f"{label} {k}", f_desc=f_desc)
         )
     points.sort(key=lambda p: (p.alpha, str(p.key)))
     return points
+
+
+def _drain(items: list):
+    """Pop the items of a list from its end until none is left."""
+    while items:
+        yield items.pop()
 
 
 def _oracle_fallback_sweep(prepared: PreparedIFS, K_max: int) -> list[SpectrumPoint]:

@@ -323,41 +323,55 @@ def eval_series(
 
 def entropy_dimension(ratios: Sequence[Fraction], weights: Sequence[Fraction]) -> float:
     """sum w_i log w_i / sum w_i log r_i for a probability vector w (0 log 0 = 0)."""
-    num = math.fsum(float(w) * math.log(w) for w in weights if w)
-    den = math.fsum(float(w) * math.log(r) for w, r in zip(weights, ratios) if w)
+    return _entropy_ratio([float(w) for w in weights], [math.log(r) for r in ratios])
+
+
+def _entropy_ratio(ws: Sequence[float], log_ratios: Sequence[float]) -> float:
+    """sum w_i log w_i / sum w_i log r_i over the nonzero w_i, 0.0 when the
+    numerator is 0.0."""
+    num = math.fsum(w * math.log(w) for w in ws if w)
     if num == 0.0:
         return 0.0
-    return num / den
+    return num / math.fsum(w * lr for w, lr in zip(ws, log_ratios) if w)
 
 
-def abscissa_closed(ifs: WeightedIFS | PreparedIFS, k: Sequence[int]) -> AbscissaResult:
-    """Closed-form abscissa of the class zeta: the entropy formula.
+def _closed_abscissa(prepared: PreparedIFS, kprime: Sequence[int]) -> tuple[float, str]:
+    """The entropy-formula abscissa of the class vector k' and its exact form.
 
     One map per slot: f = sum (k_i/K) log(k_i/K) / sum (k_i/K) log r_i.
     Slots of several maps (multiplicities c): f = log_{r^K}(prod k'^k' / (prod c^k' K^K)).
+    No ``Fraction`` is built: ``k_i / K`` is correctly rounded, the double
+    that ``float(Fraction(k_i, K))`` and ``math.log(Fraction(k_i, K))`` use.
     """
-    prepared = prepare(ifs)
-    kprime = prepared.class_vector(k)
     K = sum(kprime)
     if prepared.folds:
         c = prepared.multiplicities
         num = math.fsum(kq * math.log(kq) for kq in kprime if kq)
-        num -= math.fsum(kq * math.log(cq) for kq, cq in zip(kprime, c))
+        num -= math.fsum(kq * lc for kq, lc in zip(kprime, prepared.log_multiplicities))
         num -= K * math.log(K)
-        den = K * math.log(prepared.slot_ratios[0])
-        value = max(0.0, num / den)
         desc = (
             f"log_(r^{K})({'*'.join(f'{kq}^{kq}' for kq in kprime if kq)}"
             f" / ({'*'.join(f'{cq}^{kq}' for cq, kq in zip(c, kprime))}"
             f" * {K}^{K}))"
         )
-        return AbscissaResult(value=value, exact_description=desc, method="closed_form")
-    weights = [Fraction(kq, K) for kq in kprime]
-    value = max(0.0, entropy_dimension(prepared.slot_ratios, weights))
+        return max(0.0, num / (K * prepared.log_ratios[0])), desc
+    value = max(0.0, _entropy_ratio([kq / K for kq in kprime], prepared.log_ratios))
+    weights = []
+    for kq in kprime:
+        g = math.gcd(kq, K)
+        weights.append(f"{kq // g}/{K // g}" if g != K else str(kq // g))
     desc = (
-        f"sum (k_i/K) log(k_i/K) / sum (k_i/K) log r_i with k/K = "
-        f"({', '.join(str(w) for w in weights)})"
+        "sum (k_i/K) log(k_i/K) / sum (k_i/K) log r_i with k/K = "
+        f"({', '.join(weights)})"
     )
+    return value, desc
+
+
+def abscissa_closed(ifs: WeightedIFS | PreparedIFS, k: Sequence[int]) -> AbscissaResult:
+    """Closed-form abscissa of the class zeta: the entropy formula
+    (see ``_closed_abscissa``)."""
+    prepared = prepare(ifs)
+    value, desc = _closed_abscissa(prepared, prepared.class_vector(k))
     return AbscissaResult(value=value, exact_description=desc, method="closed_form")
 
 

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import mfzeta
-from mfzeta.cli import main, parse_alpha_key
+from mfzeta.cli import ZETA_TERM_CAP, main, parse_alpha_key
 from mfzeta.ifs_core import ConfigError
 from mfzeta.regularity import FractionKey, OnePlusLogKey, VectorKey, primitive_vectors
+from mfzeta.zeta import SeriesValue
 
 CONFIGS = {
     "cantor": {"type": "string", "family": "cantor"},
@@ -162,6 +163,30 @@ def test_zeta_refuses_unreachable_tolerance(capsys, config, monkeypatch):
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --tol: "), err
+
+
+def test_zeta_refuses_terms_above_the_cap(capsys, config, monkeypatch):
+    calls = []
+
+    def summed(zeta, s, tail_tol, max_terms):
+        calls.append(max_terms)
+        return SeriesValue(value=0j, tail_bound=0.0, terms=1)
+
+    monkeypatch.setattr("mfzeta.cli.eval_series", summed)
+    argv = ["zeta", "--config", config("certified"), "--alpha", "1,1",
+            "--s", "0.7737066144696414", "--terms"]
+    assert main([*argv, str(ZETA_TERM_CAP + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not calls
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --terms: "), err
+    assert f"{ZETA_TERM_CAP:,}" in err[0]
+    assert main([*argv, str(ZETA_TERM_CAP)]) == 0
+    assert calls == [ZETA_TERM_CAP]
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["zeta", "--help"])
+    assert f"{ZETA_TERM_CAP:,}" in capsys.readouterr().out
 
 
 def test_zeta_refuses_runaway_hypothesis_check(tmp_path, capsys):

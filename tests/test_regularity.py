@@ -333,6 +333,32 @@ def test_prepare_is_idempotent_and_holds_system_facts():
         assert collapsed_regularity(prepared, k) == collapsed_regularity(TRIDENT, k)
 
 
+def test_prepare_holds_integer_rows_and_log_tables():
+    prepared = prepare(TRIDENT)  # slots 1/5 (two maps) and 3/5, ratio 1/5
+    assert prepared.primes == (3, 5)
+    assert prepared.p_table == ((0, 1), (-1, -1))
+    assert prepared.r_table == ((0, 0), (-1, -1))
+    assert prepared.log_primes == (math.log(3), math.log(5))
+    assert prepared.log_ratios == (math.log(0.2),) * 2
+    assert prepared.log_multiplicities == (math.log(2), 0.0)
+    # mass (1/5)^2 (3/5) = 3 * 5^-3, length (1/5)^3
+    assert prepared.exponents((2, 1)) == ([1, -3], [0, -3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=small_systems(), data=st.data())
+def test_alpha_float_is_the_float_of_the_exact_value(system, data):
+    prepared = prepare(system)
+    width = prepared.width
+    k = data.draw(st.lists(st.integers(0, 40), min_size=width, max_size=width).filter(any))
+    cls = collapsed_regularity(prepared, k)
+    value = cls.alpha_exact
+    assert cls.alpha_float.hex() == value.to_float().hex()
+    q = value.rational_value()
+    direct = float(q) if q is not None else value.mass_pev.log() / value.length_pev.log()
+    assert cls.alpha_float.hex() == direct.hex()
+
+
 def test_hypothesis_h_checks_independence_once(independence_calls):
     calls = independence_calls
     assert check_hypothesis_H(TRIDENT, 8).holds

@@ -12,6 +12,7 @@ from mfzeta.regularity import (
     OnePlusLogKey,
     VectorKey,
     check_hypothesis_H,
+    collapsed_regularity,
     prepare,
 )
 from mfzeta.spectra import (
@@ -24,6 +25,7 @@ from mfzeta.spectra import (
     solve_b,
     spectrum_sweep,
 )
+from mfzeta.zeta import abscissa_closed
 
 F = Fraction
 
@@ -274,6 +276,49 @@ def test_sweep_rows_match_stored(name, system, K_max):
         for p in spectrum_sweep(system, K_max=K_max)
     ]
     assert got == ROWS[name]
+
+
+# class (1,0) of ALPHA_TWO has alpha = log(1/4)/log(1/2) = 2 exactly; every
+# alpha of QUARTER_RATIOS is the rational (k1 + k2)/(k1 + 2 k2)
+ALPHA_TWO = WeightedIFS(ratios=(F(1, 2), F(1, 2)), probs=(F(1, 4), F(3, 4)))
+QUARTER_RATIOS = WeightedIFS(ratios=(F(1, 2), F(1, 4)), probs=(F(1, 2), F(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "system, K_max",
+    [
+        (BETA0, 64),
+        (TRIDENT, 32),  # slots of several maps: the folding formula
+        (THREE_MAP, 16),
+        (CERTIFIED, 24),  # unequal ratios: the hypothesis-H path
+        (ALPHA_TWO, 24),
+        (QUARTER_RATIOS, 24),
+    ],
+)
+def test_sweep_rows_are_the_public_entry_points_bit_for_bit(system, K_max):
+    prepared = prepare(system)
+    points = spectrum_sweep(prepared, K_max=K_max)
+    assert len(points) > 1
+    for p in points:
+        k = p.key.vector
+        closed = abscissa_closed(prepared, k)
+        assert (p.alpha.hex(), p.f.hex(), p.f_desc) == (
+            collapsed_regularity(prepared, k).alpha_float.hex(),
+            closed.value.hex(),
+            closed.exact_description,
+        )
+
+
+def test_sweeps_with_rational_alphas():
+    alpha = {p.key.vector: p.alpha for p in spectrum_sweep(ALPHA_TWO, K_max=8)}
+    assert alpha[(1, 0)] == 2.0
+    assert collapsed_regularity(ALPHA_TWO, (1, 0)).alpha_exact.rational_value() == 2
+    report = check_hypothesis_H(QUARTER_RATIOS, 24)
+    assert report.holds
+    for cls in report.classes:
+        k1, k2 = cls.key.vector
+        assert cls.alpha_exact.rational_value() == F(k1 + k2, k1 + 2 * k2)
+        assert cls.alpha_float == (k1 + k2) / (k1 + 2 * k2)
 
 
 def test_sweep_checks_independence_once(independence_calls):
