@@ -65,10 +65,11 @@ POLE_TERM_CAP = 200_000_000
 # Work cap of one `spectrum` run, in candidate class vectors C(kmax + w, w),
 # w the sweep width; `zeta` applies it to the hypothesis check of an
 # unequal-ratio class.  On the same VM the hypothesis-H path costs about
-# 0.13 ms per class and the collapsed path about 0.09 ms, so a sweep within
-# the cap ends in well under a minute: measured 18-20 s (354 MB peak) for 3
-# unequal ratios at kmax 99 and 9-10 s for 2 equal ratios at kmax 590.  Time
-# would allow a larger cap, but the peak memory of a sweep grows with it.
+# 0.11 ms per class and the collapsed path about 0.05 ms, so a sweep within
+# the cap ends in well under a minute: measured 14-17 s (253 MB peak) for 3
+# unequal ratios at kmax 99 and 5.0-6.0 s (128 MB) for 2 equal ratios at
+# kmax 590.  Time would allow a larger cap, but the peak memory of a
+# hypothesis-H sweep grows with it.
 SWEEP_VECTOR_CAP = 175_000
 
 # Work cap of `zeta --terms`, in series terms.  Just right of the convergence

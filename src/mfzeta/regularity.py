@@ -274,19 +274,21 @@ def _aligned(
     mass: PrimeExponentVector, length: PrimeExponentVector
 ) -> tuple[list[int], list[int], list[int]]:
     """The primes of a pair of vectors and the exponents of each over them."""
-    m, l = mass.exponents(), length.exponents()
-    primes = [*l, *(p for p in m if p not in l)]
-    return primes, [m.get(p, 0) for p in primes], [l.get(p, 0) for p in primes]
+    mass_e, length_e = mass.exponents(), length.exponents()
+    primes = [*length_e, *(p for p in mass_e if p not in length_e)]
+    return primes, [mass_e.get(p, 0) for p in primes], [length_e.get(p, 0) for p in primes]
 
 
 def _parallel(mass: Sequence[int], length: Sequence[int]) -> tuple[int, int] | None:
     """(a, b) with b > 0 and b * mass == a * length, when the pair is parallel
     (alpha is then the rational a/b); else None.  length must be nonzero."""
-    j0 = next(j for j, e in enumerate(length) if e)
-    a, b = mass[j0], length[j0]
-    if all(m * b == e * a for m, e in zip(mass, length)):
-        return (-a, -b) if b < 0 else (a, b)
-    return None
+    for a, b in zip(mass, length):
+        if b:
+            break
+    for m, e in zip(mass, length):
+        if m * b != e * a:
+            return None
+    return (-a, -b) if b < 0 else (a, b)
 
 
 def alpha_from_exponents(
@@ -297,13 +299,14 @@ def alpha_from_exponents(
 
     A parallel pair is the rational a/b, which int true division rounds
     correctly, as ``float(Fraction(a, b))`` does; any other pair is the
-    quotient of ``fsum``s over the nonzero exponents.
+    quotient of the ``fsum``s of the products e * log p (a zero exponent adds
+    an exact 0.0, which leaves a correctly rounded sum unchanged).
     """
     ratio = _parallel(mass, length)
     if ratio is not None:
         return ratio[0] / ratio[1]
-    num = math.fsum(e * lp for e, lp in zip(mass, logs) if e)
-    return num / math.fsum(e * lp for e, lp in zip(length, logs) if e)
+    num = math.fsum(map(operator.mul, mass, logs))
+    return num / math.fsum(map(operator.mul, length, logs))
 
 
 def _divide_pev(pev: PrimeExponentVector, g: int) -> PrimeExponentVector:
@@ -406,11 +409,11 @@ class PreparedIFS:
     and its witness refer to the distinct probabilities of an equal-ratio
     system and are trivially true otherwise.
 
-    For the sweeps, the same factorizations are also integer tables over the
-    system's ``primes``: ``p_table[j][q]`` and ``r_table[j][q]`` are the
-    exponents of ``primes[j]`` in slot q's probability and ratio.
-    ``log_primes``, ``log_ratios`` and ``log_multiplicities`` hold the
-    ``math.log`` of each prime, slot ratio and slot multiplicity.
+    For the sweeps, the same factorizations are also integer rows over the
+    system's ``primes``: ``p_rows[q]`` and ``r_rows[q]`` hold the pairs
+    (j, e) with e != 0 the exponent of ``primes[j]`` in slot q's probability
+    and ratio.  ``log_primes``, ``log_ratios`` and ``log_multiplicities``
+    hold the ``math.log`` of each prime, slot ratio and slot multiplicity.
     """
 
     ifs: WeightedIFS
@@ -423,8 +426,8 @@ class PreparedIFS:
     witness: tuple[int, ...] | None
     logs: PrimeLogs
     primes: tuple[int, ...]
-    p_table: tuple[tuple[int, ...], ...]
-    r_table: tuple[tuple[int, ...], ...]
+    p_rows: tuple[tuple[tuple[int, int], ...], ...]
+    r_rows: tuple[tuple[tuple[int, int], ...], ...]
     log_primes: tuple[float, ...]
     log_ratios: tuple[float, ...]
     log_multiplicities: tuple[float, ...]
@@ -456,10 +459,14 @@ class PreparedIFS:
     def exponents(self, kprime: Sequence[int]) -> tuple[list[int], list[int]]:
         """The exponents over ``primes`` of the mass and length products of
         the class vector k', unchecked."""
-        return (
-            [sum(map(operator.mul, kprime, row)) for row in self.p_table],
-            [sum(map(operator.mul, kprime, row)) for row in self.r_table],
-        )
+        mass, length = [0] * len(self.primes), [0] * len(self.primes)
+        for kq, p_row, r_row in zip(kprime, self.p_rows, self.r_rows):
+            if kq:
+                for j, e in p_row:
+                    mass[j] += kq * e
+                for j, e in r_row:
+                    length[j] += kq * e
+        return mass, length
 
     def class_vector(self, k: Sequence[int]) -> tuple[int, ...]:
         """The primitive class vector that a given vector names.
@@ -495,9 +502,8 @@ def prepare(system: WeightedIFS | PreparedIFS) -> PreparedIFS:
     r_pev = tuple(factorize(r) for r in ratios)
     primes = tuple(sorted({p for pev in p_pev + r_pev for p, _ in pev.items()}))
 
-    def table(pevs: tuple[PrimeExponentVector, ...]) -> tuple[tuple[int, ...], ...]:
-        exps = [pev.exponents() for pev in pevs]
-        return tuple(tuple(e.get(p, 0) for e in exps) for p in primes)
+    def rows(pevs: tuple[PrimeExponentVector, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(tuple((primes.index(p), e) for p, e in pev.items()) for pev in pevs)
 
     return PreparedIFS(
         ifs=system,
@@ -510,8 +516,8 @@ def prepare(system: WeightedIFS | PreparedIFS) -> PreparedIFS:
         witness=witness,
         logs=PrimeLogs(),
         primes=primes,
-        p_table=table(p_pev),
-        r_table=table(r_pev),
+        p_rows=rows(p_pev),
+        r_rows=rows(r_pev),
         log_primes=tuple(math.log(p) for p in primes),
         log_ratios=tuple(math.log(r) for r in ratios),
         log_multiplicities=tuple(math.log(c) for c in mult),

@@ -144,8 +144,8 @@ def _ifs_sweep(ifs: WeightedIFS | PreparedIFS, K_max: int) -> list[SpectrumPoint
         report = check_hypothesis_H(prepared, K_max)
         if not report.holds:
             return _oracle_fallback_sweep(prepared, K_max)
-        # each class goes as its point is made: with their exact values and
-        # canonical forms, classes and points held together raise peak memory
+        # each class goes as its point is made (last first; the sort below
+        # fixes the order): classes and points held together raise peak memory
         rows = ((cls.key, cls.alpha_float) for cls in _drain(report.classes))
         label = "class"
     points = []

@@ -336,8 +336,8 @@ def test_prepare_is_idempotent_and_holds_system_facts():
 def test_prepare_holds_integer_rows_and_log_tables():
     prepared = prepare(TRIDENT)  # slots 1/5 (two maps) and 3/5, ratio 1/5
     assert prepared.primes == (3, 5)
-    assert prepared.p_table == ((0, 1), (-1, -1))
-    assert prepared.r_table == ((0, 0), (-1, -1))
+    assert prepared.p_rows == (((1, -1),), ((0, 1), (1, -1)))
+    assert prepared.r_rows == (((1, -1),),) * 2
     assert prepared.log_primes == (math.log(3), math.log(5))
     assert prepared.log_ratios == (math.log(0.2),) * 2
     assert prepared.log_multiplicities == (math.log(2), 0.0)
