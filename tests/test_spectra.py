@@ -284,6 +284,25 @@ ALPHA_TWO = WeightedIFS(ratios=(F(1, 2), F(1, 2)), probs=(F(1, 4), F(3, 4)))
 QUARTER_RATIOS = WeightedIFS(ratios=(F(1, 2), F(1, 4)), probs=(F(1, 2), F(1, 2)))
 
 
+def _reference_row(prepared, k) -> tuple[float, float, str]:
+    """alpha from the exact value's exponent vectors and f from Fractions:
+    the arithmetic the sweep must reproduce without building either."""
+    value = collapsed_regularity(prepared, k).alpha_exact
+    q = value.rational_value()
+    alpha = float(q) if q is not None else value.mass_pev.log() / value.length_pev.log()
+    K = sum(k)
+    if prepared.folds:
+        num = math.fsum(kq * math.log(kq) for kq in k if kq)
+        num -= math.fsum(kq * math.log(cq) for kq, cq in zip(k, prepared.multiplicities))
+        num -= K * math.log(K)
+        return alpha, max(0.0, num / (K * math.log(prepared.slot_ratios[0]))), ""
+    ws = [F(kq, K) for kq in k]
+    num = math.fsum(float(w) * math.log(w) for w in ws if w)
+    den = math.fsum(float(w) * math.log(r) for w, r in zip(ws, prepared.slot_ratios) if w)
+    desc = f"({', '.join(str(w) for w in ws)})"
+    return alpha, max(0.0, 0.0 if num == 0.0 else num / den), desc
+
+
 @pytest.mark.parametrize(
     "system, K_max",
     [
@@ -307,6 +326,9 @@ def test_sweep_rows_are_the_public_entry_points_bit_for_bit(system, K_max):
             closed.value.hex(),
             closed.exact_description,
         )
+        alpha, f, weights = _reference_row(prepared, k)
+        assert (p.alpha.hex(), p.f.hex()) == (alpha.hex(), f.hex())
+        assert p.f_desc.endswith(weights)
 
 
 def test_sweeps_with_rational_alphas():
