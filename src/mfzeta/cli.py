@@ -57,8 +57,11 @@ from .zeta import (
 
 # Work cap of one `count` run, in pole terms: (2*trunc+1 + POLE_TERMS_PER_X)
 # per x value.  On a 2-vCPU Xeon VM the slowest system, the two-lattice
-# fibonacci string, takes 2.7e-7 s per pole term and 1 ms of fixed cost per
-# x (about 4,000 terms), so a run within the cap ends in about 55 s or less.
+# fibonacci string, takes about 1.1e-7 s per pole term at the default trunc
+# and 0.2-0.35 ms of fixed cost per x (under 4,000 terms).  Within the cap,
+# 47,596 x values at trunc 100 take 12-16 s, but one x at trunc 99,997,999
+# takes 68 s: libm's cos and sin get about six times slower for arguments
+# (|Im w| ln x) beyond about 1e9, which only such a trunc reaches.
 POLE_TERMS_PER_X = 4_000
 POLE_TERM_CAP = 200_000_000
 
@@ -80,8 +83,8 @@ ZETA_TERM_CAP = 5_000_000
 
 # Work cap of one `tapestry` run, in candidate keys k1/K with K <= kmax, that
 # is kmax(kmax + 1)/2; about 0.61 of them are reduced, one pole lattice each.
-# A lattice costs about 0.54 ms on the same VM (sigma2, the slowest family),
-# so a run within the cap ends in about a minute.
+# A lattice costs about 0.38 ms on the same VM (sigma2, the slowest family),
+# so a run within the cap ends in about 41 s (275 MB peak at kmax 599).
 TAPESTRY_KEY_CAP = 180_000
 
 

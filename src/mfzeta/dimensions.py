@@ -4,17 +4,17 @@ Rational lattice zetas in z = base^s have poles along vertical arithmetic
 progressions: one lattice per denominator root.  The counting function of
 the associated alpha-lengths is recovered two ways: exact direct counting
 and a symmetric truncated sum over lattice poles (plus the constant or
-double-pole term at s = 0).
+double-pole term at s = 0), summed exactly and rounded once.
 """
 from __future__ import annotations
 
 import cmath
-import itertools
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -196,12 +196,66 @@ def jump_distance(rz: RationalZeta, x: float) -> float:
 # mmaps, so peak RSS stays below that of a whole-lattice pass
 _BLOCK = 4096
 
+# np.frexp exponents of finite doubles: 2**-1074 = 0.5 * 2**-1073 up to
+# DBL_MAX < 2**1024.  A double t is m * 2**(e - 53), m an integer below 2**53.
+_EXP_MIN, _EXP_MAX = -1073, 1024
+_BINS = _EXP_MAX - _EXP_MIN + 1
+_SCALE = 1 << (53 - _EXP_MIN)
+# blocks between two flushes of the float bins: 2**26 halves below 2**27 sum
+# exactly in doubles
+_FLUSH = 2**26 // _BLOCK
+
+
+def _exact_sum(blocks: Iterable[np.ndarray]) -> float:
+    """The correctly rounded sum of every term of blocks of at most ``_BLOCK``
+    terms: the float ``math.fsum`` returns, from numpy passes alone.
+
+    Each term is split into its frexp exponent e and 53-bit integer
+    mantissa m = hi * 2**26 + lo, with |hi| < 2**27 and |lo| < 2**26.  Both
+    halves are summed per exponent with ``np.bincount`` into float bins,
+    whose sums stay exact integers for ``_FLUSH`` blocks.  The bins then make
+    one integer N with sum = N / 2**1126, and int/int true division rounds
+    it correctly, half to even.  This is the small superaccumulator of Neal,
+    "Fast exact summation using small and large superaccumulators"
+    (arXiv:1505.05571, 2015).  A non-finite term raises ``ValueError``: the
+    sum then has no finite value.
+    """
+    total = 0
+    bins = np.zeros((2, _BINS))
+    # an infinite term makes its lo half inf - inf; _flush reports it
+    with np.errstate(invalid="ignore"):
+        for count, terms in enumerate(blocks, 1):
+            m, e = np.frexp(terms)
+            m *= 2.0**53
+            hi = np.trunc(m * 2.0**-26)
+            m -= hi * 2.0**26
+            e -= _EXP_MIN
+            bins[0] += np.bincount(e, weights=hi, minlength=_BINS)
+            bins[1] += np.bincount(e, weights=m, minlength=_BINS)
+            if count % _FLUSH == 0:
+                total += _flush(bins)
+    return (total + _flush(bins)) / _SCALE
+
+
+def _flush(bins: np.ndarray) -> int:
+    """The integer the bins hold, in units of 2**-1126; empties them.
+
+    An infinite or nan term leaves a nan bin.
+    """
+    if not np.isfinite(bins).all():
+        raise ValueError("non-finite term in an exact sum")
+    total = 0
+    for b in np.flatnonzero(bins.any(axis=0)).tolist():
+        total += ((int(bins[0, b]) << 26) + int(bins[1, b])) << b
+    bins[:] = 0.0
+    return total
+
 
 def _lattice_terms(
     lat: DimensionLattice, Z: int, lnx: float, zero_is_pole: bool
-) -> Iterator[list[float]]:
+) -> Iterator[np.ndarray]:
     """Re(res * x^w / w) for w = real_part + i*period*(j + phase_shift), |j| <= Z,
-    in blocks of consecutive j.
+    as arrays over blocks of consecutive j.
 
     Each term is the float that CPython's ``res * cmath.exp(w * lnx) / w``
     gives: the same libm exp/cos/sin calls, the same products, and the real
@@ -209,8 +263,10 @@ def _lattice_terms(
     |Re w| >= |Im w|).  That holds while real_part * lnx <= ln(DBL_MAX / 4)
     ~ 708.4, where cmath.exp is plain exp times (cos, sin); the lattices
     here have real_part < 1, so only x beyond about 1e307 could leave it.
-    The pole at s = 0 on the zero lattice is dropped; it is folded into the
-    double-pole term.
+    Im w increases with j, so only the block around j = 0 can hold poles
+    with |Im w| <= |Re w|; every other block takes the |Re w| < |Im w|
+    branch whole.  The pole at s = 0 on the zero lattice is dropped; it is
+    folded into the double-pole term.
     """
     wr = lat.real_part
     res = lat.residue
@@ -219,13 +275,18 @@ def _lattice_terms(
     for lo in range(-Z, Z + 1, _BLOCK):
         j = np.arange(lo, min(lo + _BLOCK, Z + 1), dtype=np.float64)
         im = lat.period * (j + lat.phase_shift)
-        if drop_zero:
+        mixed = im[0] <= abs(wr) and im[-1] >= -abs(wr)
+        if mixed and drop_zero:
             im = im[im != 0.0]
         arg = im * lnx
         er = l * np.cos(arg)
         ei = l * np.sin(arg)
         mr = res.real * er - res.imag * ei
         mi = res.real * ei + res.imag * er
+        if not mixed:
+            ratio = wr / im
+            yield (mr * ratio + mi) / (wr * ratio + im)
+            continue
         out = np.empty_like(im)
         near = np.abs(im) <= abs(wr)
         far = ~near
@@ -233,7 +294,42 @@ def _lattice_terms(
         out[far] = (mr[far] * ratio + mi[far]) / (wr * ratio + im[far])
         ratio = im[near] / wr
         out[near] = (mr[near] + mi[near] * ratio) / (wr + im[near] * ratio)
-        yield out.tolist()
+        yield out
+
+
+@dataclass(frozen=True)
+class _ExplicitSetup:
+    """What ``counting_explicit`` needs of one class, whatever x is."""
+
+    rz: RationalZeta
+    sequence: AlphaLengthSequence
+    head: int  # lengths equal to 1: the zeta's z^0 term
+    const: float | None  # zeta(0), or None when s = 0 is a pole
+    zero_pole: tuple[float, float] | None  # (res0, c0) when it is
+    lattices: tuple[DimensionLattice, ...]
+
+
+# every field is immutable, so one setup is safely shared by every caller and
+# thread; 64 classes are far more than one run or the verify suite counts
+@functools.lru_cache(maxsize=64)
+def _explicit_setup(
+    system: AtomicMeasureSpec | FractalStringSpec, key: RegularityKey | None
+) -> _ExplicitSetup:
+    rz = closed_form_zeta(system, key)
+    if rz.entire:
+        raise ValueError("entire zeta: no pole expansion (counting is 0 or 1)")
+    lattices = tuple(pole_lattices(rz))
+    if not all(lat.simple for lat in lattices):
+        raise ValueError("non-simple pole lattice; explicit sum unsupported")
+    v0 = rz.value_at_zero()
+    return _ExplicitSetup(
+        rz=rz,
+        sequence=closed_form_sequence(system, key),
+        head=int(rz.num(Fraction(0)) / rz.den(Fraction(0))),
+        const=None if v0 is None else float(v0),
+        zero_pole=_zero_pole_expansion(rz) if v0 is None else None,
+        lattices=lattices,
+    )
 
 
 def counting_explicit(
@@ -247,40 +343,32 @@ def counting_explicit(
 
     The truncation error is O(x^Re(omega) / (Z * delta)) at log-distance
     delta from the nearest jump; at a jump the series converges to the
-    midpoint instead, so such x are rejected by the guard.
+    midpoint instead, so such x are rejected by the guard.  The zeta, its
+    sequence, its lattices and its s = 0 data are derived once per
+    (system, key) and kept for later x.  The pole sum is ``_exact_sum``'s
+    correctly rounded one, so it needs no ordering of the terms by |Im|.
     """
     if x <= 1:
         raise ValueError("x must exceed 1")
     if Z < 100:
         raise ValueError("Z must be >= 100")
-    rz = closed_form_zeta(system, key)
-    if rz.entire:
-        raise ValueError("entire zeta: no pole expansion (counting is 0 or 1)")
-    delta = jump_distance(rz, x)
+    setup = _explicit_setup(system, key)
+    delta = jump_distance(setup.rz, x)
     if delta < jump_guard:
         raise ValueError(
             f"x = {x} is within {jump_guard} log-units of a jump "
             "(the truncated series converges to the midpoint there)"
         )
-    # the zeta's z^0 term counts lengths equal to 1, which every x > 1 passes
-    head = rz.num(Fraction(0)) / rz.den(Fraction(0))
-    direct = counting_direct(closed_form_sequence(system, key), Fraction(x)) + int(head)
-    v0 = rz.value_at_zero()
-    if v0 is not None:
-        const = float(v0)
-        zero_is_pole = False
-    else:
-        res0, c0 = _zero_pole_expansion(rz)
-        const = res0 * math.log(x) + c0
-        zero_is_pole = True
+    direct = counting_direct(setup.sequence, Fraction(x)) + setup.head
     lnx = math.log(x)
-    lattices = pole_lattices(rz)
-    if not all(lat.simple for lat in lattices):
-        raise ValueError("non-simple pole lattice; explicit sum unsupported")
-    blocks = (b for lat in lattices for b in _lattice_terms(lat, Z, lnx, zero_is_pole))
-    # fsum is correctly rounded in any order, so the symmetric truncation
-    # needs no sorting by |Im|
-    value = math.fsum(itertools.chain.from_iterable(blocks)) + const
+    if setup.zero_pole is None:
+        const, zero_is_pole = setup.const, False
+    else:
+        res0, c0 = setup.zero_pole
+        const, zero_is_pole = res0 * lnx + c0, True
+    value = _exact_sum(
+        b for lat in setup.lattices for b in _lattice_terms(lat, Z, lnx, zero_is_pole)
+    ) + const
     return CountingResult(
         x=float(x), direct=direct, explicit_value=value, truncation_Z=Z
     )

@@ -186,14 +186,16 @@ class PrimeLogs:
         return _down(to_float(lo)), _up(to_float(hi))
 
 
-@dataclass(frozen=True)
+# slots: a hypothesis-H check holds one value per class (122,465 for 8 maps
+# at K = 12), and per-instance dicts would add about 30 MB there
+@dataclass(frozen=True, slots=True)
 class RegularityValue:
     """alpha = log(mass)/log(length) as an exact pair of exponent vectors.
 
     ``logs`` holds the log enclosures of the system the value came from;
     values built without one use a fresh table.  The exact rational alpha
     of a parallel pair is worked out once, at construction; the canonical
-    form and the float enclosure on first use.
+    form, the float and the float enclosure on first use.
     """
 
     mass_pev: PrimeExponentVector
@@ -201,6 +203,7 @@ class RegularityValue:
     logs: PrimeLogs | None = field(default=None, compare=False, repr=False)
     _rational: Fraction | None = field(init=False, compare=False, repr=False)
     _canonical: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _float: float | None = field(default=None, init=False, compare=False, repr=False)
     _float_bounds: tuple[float, float] | None = field(
         default=None, init=False, compare=False, repr=False
     )
@@ -240,8 +243,12 @@ class RegularityValue:
         return ("pair", _divide_pev(self.mass_pev, g), _divide_pev(self.length_pev, g))
 
     def to_float(self) -> float:
-        primes, mass, length = _aligned(self.mass_pev, self.length_pev)
-        return alpha_from_exponents(mass, length, [math.log(p) for p in primes])
+        value = self._float
+        if value is None:
+            primes, mass, length = _aligned(self.mass_pev, self.length_pev)
+            value = alpha_from_exponents(mass, length, [math.log(p) for p in primes])
+            object.__setattr__(self, "_float", value)
+        return value
 
     def float_enclosure(self) -> tuple[float, float]:
         """Float bounds on alpha, every product, sum and quotient widened by
@@ -558,14 +565,19 @@ def _class_regularity(prepared: PreparedIFS, kprime: tuple[int, ...]) -> Regular
     mass, length = prepared.exponents(kprime)
     g = math.gcd(*kprime)
     primes = prepared.primes
+    alpha_float = alpha_from_exponents(mass, length, prepared.log_primes)
+    alpha_exact = RegularityValue(
+        PrimeExponentVector(dict(zip(primes, mass))),
+        PrimeExponentVector(dict(zip(primes, length))),
+        prepared.logs,
+    )
+    # the same double to_float would give (zero exponents add exact 0.0s),
+    # so sorting by it in assert_separated derives no alpha a second time
+    object.__setattr__(alpha_exact, "_float", alpha_float)
     return RegularityClass(
         key=VectorKey(kprime if g == 1 else tuple(x // g for x in kprime)),
-        alpha_exact=RegularityValue(
-            PrimeExponentVector(dict(zip(primes, mass))),
-            PrimeExponentVector(dict(zip(primes, length))),
-            prepared.logs,
-        ),
-        alpha_float=alpha_from_exponents(mass, length, prepared.log_primes),
+        alpha_exact=alpha_exact,
+        alpha_float=alpha_float,
         K=sum(kprime),
     )
 

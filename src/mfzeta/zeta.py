@@ -91,7 +91,7 @@ class Poly:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coeffs)
+        cs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs)
         while len(cs) > 1 and cs[-1] == 0:
             cs = cs[:-1]
         if not cs:

@@ -1,5 +1,6 @@
 """CLI subcommands: emission formats, determinism, examples, exit codes."""
 import json
+import lzma
 import math
 import os
 import subprocess
@@ -359,6 +360,39 @@ def test_count_sampled_rows_round_to_direct(tmp_path, capsys, config):
     for line in out.read_text().splitlines()[1:-1]:
         x, direct, explicit, error = line.split(",")
         assert round(float(explicit)) == int(direct)
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "count-explicit.json.xz"
+BENCH_COUNT_SYSTEMS = [
+    ("cantor", {"type": "string", "family": "cantor"}, None),
+    ("fibonacci", {"type": "string", "family": "fibonacci"}, None),
+    ("sigma1", {"type": "atomic", "family": "sigma1"}, "1/2"),
+    ("sigma2", {"type": "atomic", "family": "sigma2"}, "1/2"),
+    ("sigma-m3", {"type": "atomic", "family": "generalized", "m": 3}, "1/2"),
+]
+
+
+def test_count_and_tapestry_bodies_equal_the_benchmark_reference(tmp_path, capsys):
+    """The count CSVs and the tapestry JSON are byte-identical to the stored
+    benchmark outputs, which the benchmark's own check holds only to 1e-9."""
+    with lzma.open(REFERENCE, "rt") as fh:
+        reference = json.load(fh)
+    for name, system, alpha in BENCH_COUNT_SYSTEMS:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(system))
+        for seed in (2, 7, 21):
+            out = tmp_path / "count.csv"
+            argv = ["count", "--config", str(path), "--seed", str(seed), "--out", str(out)]
+            if alpha is not None:
+                argv[3:3] = ["--alpha", alpha]
+            assert main(argv) == 0
+            assert out.read_text() == reference[f"{name}@seed{seed}"]["count.csv"], (name, seed)
+    path = tmp_path / "sigma2.json"
+    path.write_text(json.dumps({"type": "atomic", "family": "sigma2"}))
+    out = tmp_path / "tapestry.json"
+    assert main(["tapestry", "--config", str(path), "--kmax", "64", "--out", str(out)]) == 0
+    assert out.read_text() == reference["sigma2-tapestry-k64"]["tapestry.json"]
+    capsys.readouterr()
 
 
 def test_count_error_paths(tmp_path, capsys, config):

@@ -2,13 +2,22 @@
 import cmath
 import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mfzeta import dimensions
 
 from mfzeta.ifs_core import AtomicMeasureSpec, FractalStringSpec, WeightedIFS
 from mfzeta.regularity import FractionKey, OnePlusLogKey
 from mfzeta.zeta import Poly, RationalZeta, closed_form_zeta
 from mfzeta.dimensions import (
+    _BLOCK,
+    _exact_sum,
+    _explicit_setup,
     _lattice_terms,
     _zero_pole_expansion,
     build_tapestry,
@@ -288,6 +297,86 @@ def test_explicit_is_bit_identical_to_term_by_term_sum(system, key):
             blocks = _lattice_terms(lat, Z, math.log(x), zero_is_pole)
             assert [t for block in blocks for t in block] == terms
         assert counting_explicit(system, key, x, Z).explicit_value == value, x
+
+
+def test_explicit_derives_lattices_once_per_class(monkeypatch):
+    calls = []
+
+    def counted(rz):
+        calls.append(rz)
+        return pole_lattices(rz)
+
+    monkeypatch.setattr(dimensions, "pole_lattices", counted)
+    _explicit_setup.cache_clear()
+    rz = closed_form_zeta(FIB)
+    xs = sample_off_jump_xs(rz, count=4, seed=5)
+    values = [counting_explicit(FIB, None, x, Z=1000).explicit_value for x in xs]
+    assert len(calls) == 1
+    _explicit_setup.cache_clear()
+    assert [counting_explicit(FIB, None, x, Z=1000).explicit_value for x in xs] == values
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# the exact pole sum
+# ---------------------------------------------------------------------------
+
+
+def _blocks(terms):
+    return [terms[i:i + _BLOCK] for i in range(0, len(terms), _BLOCK)]
+
+
+@st.composite
+def term_arrays(draw):
+    """Random terms over 2**-span .. 2**span (span up to 1000), with zeros,
+    subnormals and extreme floats mixed in, some negated copies for exact
+    cancellation, and lengths up to three blocks and a bit."""
+    n = draw(st.integers(0, 3 * _BLOCK + 7))
+    span = draw(st.sampled_from([0, 30, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = np.ldexp(rng.uniform(-1, 1, n), rng.integers(-span, span + 1, n))
+    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               2.225073858507201e-308, 2.0**1000, -(2.0**1000)])
+    bounded = st.floats(min_value=-(2.0**1000), max_value=2.0**1000)
+    extra = draw(st.lists(special | bounded, max_size=40))
+    terms = np.concatenate([terms, extra])
+    cancel = draw(st.integers(0, len(terms)))
+    terms = np.concatenate([terms, -terms[:cancel]])
+    return terms[rng.permutation(len(terms))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_arrays())
+def test_exact_sum_is_fsum_bit_for_bit(terms):
+    want = math.fsum(terms.tolist()).hex()
+    assert _exact_sum(_blocks(terms)).hex() == want
+    # flushing the float bins after every block gives the same integer
+    with mock.patch.object(dimensions, "_FLUSH", 1):
+        assert _exact_sum(_blocks(terms)).hex() == want
+
+
+def test_exact_sum_of_nothing_and_of_cancelling_terms():
+    assert _exact_sum([]).hex() == (0.0).hex()
+    terms = np.array([1e300, 1.0, -1e300, 5e-324, -5e-324, -0.0])
+    assert _exact_sum([terms]) == 1.0
+    # the halfway case 1 + 2**-53 rounds to even, as fsum does
+    assert _exact_sum([np.array([1.0, 2.0**-53])]) == math.fsum([1.0, 2.0**-53]) == 1.0
+    assert _exact_sum([np.array([1.0, 2.0**-53, 2.0**-106])]) == 1.0 + 2.0**-52
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[math.inf], [-math.inf], [math.nan], [math.inf, -math.inf], [1e308, math.inf, 1.0]],
+)
+def test_exact_sum_refuses_non_finite_terms(bad):
+    terms = np.array([1.0, 2.5, *bad, -3.0])
+    try:
+        want = math.fsum(terms.tolist())
+    except ValueError:
+        want = None
+    assert want is None or not math.isfinite(want)
+    with pytest.raises(ValueError, match="non-finite"):
+        _exact_sum(_blocks(np.concatenate([np.ones(_BLOCK), terms])))
 
 
 def test_explicit_rejects_jump_proximity():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfzeta import regularity
 from mfzeta.ifs_core import PrimeExponentVector, WeightedIFS, factorize
 from mfzeta.oracle import enumerate_stage
 from mfzeta.regularity import (
@@ -367,6 +368,33 @@ def test_hypothesis_h_checks_independence_once(independence_calls):
     assert len(calls) == 2
     assert check_hypothesis_H(prepared, 8).holds
     assert len(calls) == 2
+
+
+def test_hypothesis_h_sweep_derives_each_alpha_once(monkeypatch):
+    from mfzeta.spectra import spectrum_sweep
+
+    calls = []
+    original = regularity.alpha_from_exponents
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(regularity, "alpha_from_exponents", counted)
+    certified = WeightedIFS(ratios=(F(1, 2), F(1, 3)), probs=(F(1, 3), F(2, 3)))
+    prepared = prepare(certified)
+    report = check_hypothesis_H(prepared, 24)
+    assert report.holds
+    assert len(calls) == len(report.classes)
+    # the seeded float is the one a value built from the vectors alone derives
+    for cls in report.classes:
+        value = cls.alpha_exact
+        fresh = RegularityValue(value.mass_pev, value.length_pev)
+        assert value.to_float().hex() == fresh.to_float().hex() == cls.alpha_float.hex()
+    # a sweep adds one alpha per map, for the monofractal test of its units
+    del calls[:]
+    points = spectrum_sweep(prepared, 24)
+    assert len(calls) == len(points) + certified.N
 
 
 def test_interval_never_sets_global_precision(monkeypatch):
