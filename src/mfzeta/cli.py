@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
 import io
 import json
@@ -56,13 +57,19 @@ from .zeta import (
 )
 
 # Work cap of one `count` run, in pole terms: (2*trunc+1 + POLE_TERMS_PER_X)
-# per x value.  On a 2-vCPU Xeon VM the slowest system, the two-lattice
-# fibonacci string, takes about 1.1e-7 s per pole term at the default trunc
-# and 0.2-0.35 ms of fixed cost per x (under 4,000 terms).  Within the cap,
-# 47,596 x values at trunc 100 take 12-16 s, but one x at trunc 99,997,999
-# takes 68 s: libm's cos and sin get about six times slower for arguments
-# (|Im w| ln x) beyond about 1e9, which only such a trunc reaches.
+# per x value, where a term whose cos/sin argument |Im w| ln x passes
+# FAST_TRIG_ARG counts SLOW_TERM_WEIGHT times.  libm reduces such arguments
+# the slow way (glibc from about 1.05e8): on a 2-vCPU Xeon VM numpy's cos and
+# sin of 4,096 of them take 640-870 us against 155 us, and one fibonacci x at
+# trunc 4,000,000 takes 4.6 s at x = 1e300 (nearly every argument past 1e8)
+# against 0.75 s at x = 5 (none), 5.8e-7 s against 9.4e-8 s a term.  That
+# fast cost, with 0.2-0.35 ms of fixed cost per x (under 4,000 terms), bounds
+# a run within the cap to about 20 s; the slowest system is the two-lattice
+# fibonacci string.  The largest argument is period * (trunc + 1) * ln x, x
+# the largest --x or --xmax, and each x is priced as if it were that x.
 POLE_TERMS_PER_X = 4_000
+FAST_TRIG_ARG = 1e8
+SLOW_TERM_WEIGHT = 6
 POLE_TERM_CAP = 200_000_000
 
 # Work cap of one `spectrum` run, in candidate class vectors C(kmax + w, w),
@@ -83,8 +90,9 @@ ZETA_TERM_CAP = 5_000_000
 
 # Work cap of one `tapestry` run, in candidate keys k1/K with K <= kmax, that
 # is kmax(kmax + 1)/2; about 0.61 of them are reduced, one pole lattice each.
-# A lattice costs about 0.38 ms on the same VM (sigma2, the slowest family),
-# so a run within the cap ends in about 41 s (275 MB peak at kmax 599).
+# Roots are solved once per law polynomial (one per numerator k1), so on the
+# same VM a sigma2 lattice (the slowest family) costs about 0.1 ms and a run
+# within the cap ends in 9-15 s, with a 97 MB peak at kmax 599.
 TAPESTRY_KEY_CAP = 180_000
 
 
@@ -143,11 +151,11 @@ def _write_csv(path: Path, header: list[str], rows, manifest_path: Path) -> None
 
 
 def _print_json(payload, out: Path | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text)
+    """Indented, key-sorted JSON and a newline, streamed to stdout or out
+    without building the whole text."""
+    with contextlib.nullcontext(sys.stdout) if out is None else out.open("w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +347,12 @@ def cmd_tapestry(args) -> int:
             "--kmax",
             f"{keys:,} candidate keys k1/K exceed the cap of {TAPESTRY_KEY_CAP:,} per run",
         )
-    tapestry = build_tapestry(system, K_max=args.kmax)
+    # each pair is dropped as its row is made, so the pairs and the rows are
+    # never all held at once
+    pairs = list(build_tapestry(system, K_max=args.kmax).pairs)[::-1]
     rows = []
-    for alpha, lat in tapestry.pairs:
+    while pairs:
+        alpha, lat = pairs.pop()
         rows.append(
             {
                 "alpha": float(alpha),
@@ -370,12 +381,19 @@ def cmd_count(args) -> int:
     if not args.x and args.samples < 1:
         raise ConfigError("--samples", f"need at least one sample, got {args.samples}")
     points = len(args.x) if args.x else args.samples
-    terms = (2 * args.trunc + 1 + POLE_TERMS_PER_X) * points
+    # every pole lattice of a class zeta has the period 2 pi / -ln(base)
+    period = 2 * math.pi / -math.log(float(rz.base))
+    lnx = max((math.log(x) for x in args.x or [args.xmax] if x > 1), default=0.0)
+    fast = args.trunc if lnx == 0 else min(args.trunc, int(FAST_TRIG_ARG / (period * lnx)))
+    slow = 2 * (args.trunc - fast)  # terms per x past FAST_TRIG_ARG
+    terms = (2 * args.trunc + 1 + POLE_TERMS_PER_X + (SLOW_TERM_WEIGHT - 1) * slow) * points
     if terms > POLE_TERM_CAP:
         raise ConfigError(
             "--trunc/--samples",
-            f"(2*trunc+1 + {POLE_TERMS_PER_X}) * {points} x values = {terms:,} pole "
-            f"terms exceeds the cap of {POLE_TERM_CAP:.3g} per run",
+            f"(2*trunc+1 + {POLE_TERMS_PER_X} + {SLOW_TERM_WEIGHT - 1}*{slow:,} slow) * "
+            f"{points} x values = {terms:,} pole terms exceeds the cap of "
+            f"{POLE_TERM_CAP:.3g} per run (a slow term has a cos/sin argument "
+            f"|Im w| ln x above {FAST_TRIG_ARG:.0e})",
         )
     if args.x:
         xs = list(args.x)
@@ -511,7 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument(
         "--trunc", type=int, default=20000,
         help="pole-sum truncation Z (default 20000); a run is capped at "
-        f"(2Z+1 + {POLE_TERMS_PER_X}) * (number of x) <= {POLE_TERM_CAP:.3g} pole terms",
+        f"(2Z+1 + {POLE_TERMS_PER_X}) * (number of x) <= {POLE_TERM_CAP:.3g} pole terms, "
+        f"each term with |Im w| ln x above {FAST_TRIG_ARG:.0e} counted "
+        f"{SLOW_TERM_WEIGHT} times",
     )
     count.add_argument(
         "--jump-guard", type=float, default=0.02,

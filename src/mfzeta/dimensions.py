@@ -14,14 +14,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .ifs_core import AtomicMeasureSpec, FractalStringSpec
 from .regularity import FractionKey, RegularityKey
 from .sequences import AlphaLengthSequence
-from .zeta import RationalZeta, closed_form_sequence, closed_form_zeta
+from .zeta import Poly, RationalZeta, closed_form_sequence, closed_form_zeta
 
 
 @dataclass(frozen=True)
@@ -55,32 +55,35 @@ class CountingResult:
 # ---------------------------------------------------------------------------
 
 
-def _analytic_residue(rz: RationalZeta, root: complex) -> complex:
-    """Residue in s at a simple denominator root: num(z)/(den'(z) * dz/ds)."""
-    dp = rz.den.derivative()(root)
-    dz_ds = root * math.log(float(rz.base))
-    return rz.num(root) / (dp * dz_ds)
+class _Root(NamedTuple):
+    """One merged denominator root, with what its lattice needs of num/den
+    that does not depend on the base."""
+
+    root: complex
+    multiplicity: int
+    log_abs: float  # log |root|
+    shift: float  # phase shift of the lattice, in [0, 1)
+    num_at: complex | None  # num(root), None when repeated
+    dden_at: complex | None  # den'(root), None when repeated
 
 
-def pole_lattices(rz: RationalZeta) -> list[DimensionLattice]:
-    """One lattice per denominator root of the rational zeta.
-
-    Roots come from companion-matrix eigenvalues with one Newton polish
-    step; repeated roots are merged and flagged non-simple (residue omitted).
-    """
-    if rz.den.degree < 1:
-        raise ValueError("denominator is constant: the zeta is entire")
-    coeffs = [float(c) for c in rz.den.coeffs]
+# keyed by the canonical (num, den) pair, so every class zeta with the same
+# polynomials shares one root solve; 1024 pairs exceed the 599 of the largest
+# tapestry the CLI allows, so each is solved once whatever the key order
+@functools.lru_cache(maxsize=1024)
+def _pole_roots(num: Poly, den: Poly) -> tuple[_Root, ...]:
+    """Denominator roots from companion-matrix eigenvalues with one Newton
+    polish step; numerically repeated roots are merged."""
+    coeffs = [float(c) for c in den.coeffs]
     roots = list(np.roots(coeffs[::-1]))
-    dprime = rz.den.derivative()
+    dprime = den.derivative()
     polished = []
     for r in roots:
         r = complex(r)
         dp = dprime(r)
         if abs(dp) > 1e-12:
-            r = r - rz.den(r) / dp
+            r = r - den(r) / dp
         polished.append(r)
-    # merge numerically repeated roots
     groups: list[list[complex]] = []
     for r in sorted(polished, key=lambda c: (c.real, c.imag)):
         for g in groups:
@@ -89,26 +92,46 @@ def pole_lattices(rz: RationalZeta) -> list[DimensionLattice]:
                 break
         else:
             groups.append([r])
-    b = float(rz.base)
-    log_b = math.log(b)  # negative
-    period = 2 * math.pi / -log_b
-    lattices = []
+    out = []
     for g in groups:
         root = sum(g) / len(g)
-        mult = len(g)
-        real = math.log(abs(root)) / log_b + 0.0  # normalize -0.0
-        shift = (-cmath.phase(root) / (2 * math.pi)) % 1.0
-        simple = mult == 1
-        residue = _analytic_residue(rz, root) if simple else None
+        simple = len(g) == 1
+        out.append(
+            _Root(
+                root=root,
+                multiplicity=len(g),
+                log_abs=math.log(abs(root)),
+                shift=(-cmath.phase(root) / (2 * math.pi)) % 1.0,
+                num_at=num(root) if simple else None,
+                dden_at=dprime(root) if simple else None,
+            )
+        )
+    return tuple(out)
+
+
+def pole_lattices(rz: RationalZeta) -> list[DimensionLattice]:
+    """One lattice per denominator root of the rational zeta.
+
+    The roots (``_pole_roots``) depend on the polynomials alone and are
+    solved once per pair; the base sets the real parts, the period and the
+    residues num(z)/(den'(z) * dz/ds), omitted at repeated roots.
+    """
+    if rz.den.degree < 1:
+        raise ValueError("denominator is constant: the zeta is entire")
+    log_b = math.log(float(rz.base))  # negative
+    period = 2 * math.pi / -log_b
+    lattices = []
+    for r in _pole_roots(rz.num, rz.den):
+        simple = r.multiplicity == 1
         lattices.append(
             DimensionLattice(
-                real_part=real,
+                real_part=r.log_abs / log_b + 0.0,  # normalize -0.0
                 period=period,
-                phase_shift=shift,
-                root_z=root,
-                residue=residue,
+                phase_shift=r.shift,
+                root_z=r.root,
+                residue=r.num_at / (r.dden_at * (r.root * log_b)) if simple else None,
                 simple=simple,
-                multiplicity=mult,
+                multiplicity=r.multiplicity,
             )
         )
     lattices.sort(key=lambda l: (-l.real_part, l.phase_shift))
@@ -145,18 +168,19 @@ def build_tapestry(spec: AtomicMeasureSpec, K_max: int) -> Tapestry:
     if K_max < 1:
         raise ValueError("K_max must be >= 1")
     pairs = []
-    # deepest keys first, so a key too deep for doubles fails before any work
-    for K in range(K_max, 0, -1):
-        for k1 in range(1, K + 1):
-            if math.gcd(k1, K) != 1:
-                continue
-            alpha = Fraction(k1, K)
-            rz = closed_form_zeta(spec, FractionKey(alpha))
-            lattices = pole_lattices(rz)
-            if len(lattices) != 1:
-                raise ValueError(f"expected one lattice for alpha={alpha}")
-            pairs.append((alpha, lattices[0]))
-    pairs.sort(key=lambda p: p[0])
+    # the Farey sequence of order K_max, ascending from its first key 1/K_max:
+    # the deepest key comes first, so a key too deep for doubles fails
+    # before any work
+    a, b, k1, K = 0, 1, 1, K_max
+    while k1 <= K:
+        alpha = Fraction(k1, K)
+        rz = closed_form_zeta(spec, FractionKey(alpha))
+        lattices = pole_lattices(rz)
+        if len(lattices) != 1:
+            raise ValueError(f"expected one lattice for alpha={alpha}")
+        pairs.append((alpha, lattices[0]))
+        step = (K_max + b) // K
+        a, b, k1, K = k1, K, step * k1 - a, step * K - b
     return Tapestry(pairs=tuple(pairs))
 
 

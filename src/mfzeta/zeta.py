@@ -11,6 +11,7 @@ zeta from their sub-monoid.  Abscissas of convergence come in a closed
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,6 +168,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.scale(1 / a.coeffs[-1])
 
 
+# every class zeta of one law polynomial pair shares one reduction; 1024
+# pairs exceed the 599 of the largest tapestry the CLI allows
+@functools.lru_cache(maxsize=1024)
 def _canonical_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """gcd-reduced, integer content-free, den constant term positive."""
     g = poly_gcd(num, den)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import mfzeta
+from mfzeta import cli
 from mfzeta.cli import ZETA_TERM_CAP, main, parse_alpha_key
 from mfzeta.ifs_core import ConfigError
 from mfzeta.regularity import FractionKey, OnePlusLogKey, VectorKey, primitive_vectors
@@ -423,6 +424,40 @@ def test_count_error_paths(tmp_path, capsys, config):
         assert "pole terms exceeds the cap" in err[0]
     assert not (tmp_path / "x.csv").exists()
     assert not (tmp_path / "x.manifest.json").exists()
+
+
+def test_count_prices_slow_trig_terms_before_summing(tmp_path, capsys, config, monkeypatch):
+    """A pole term whose cos/sin argument |Im w| ln x passes FAST_TRIG_ARG
+    counts SLOW_TERM_WEIGHT times against the cap, decided before any sum."""
+
+    class Summed(Exception):
+        pass
+
+    def summing(*args, **kwargs):
+        raise Summed
+
+    monkeypatch.setattr(cli, "counting_explicit", summing)
+    out = str(tmp_path / "x.csv")
+    fib = ["count", "--config", config("fibonacci"), "--out", out]
+    refused = (
+        # within 2e8 plain terms, but about 1.9e8 of them are slow at x = 5
+        ["--trunc", "99997999", "--x", "5"],
+        # sampled x are priced at --xmax
+        ["--trunc", "20000000", "--samples", "1", "--xmax", "1e300"],
+    )
+    for flags in refused:
+        assert main([*fib, *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --trunc/--samples")
+        assert "pole terms exceeds the cap" in err[0]
+    # the same runs nearer x = 1 have no slow term and fit the cap
+    for flags in (
+        ["--trunc", "99997999", "--x", "1.1"],
+        ["--trunc", "20000000", "--samples", "1", "--xmin", "1.5", "--xmax", "1.6"],
+    ):
+        with pytest.raises(Summed):
+            main([*fib, *flags])
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_verify_cli_budget_and_exit_codes(tmp_path, capsys, config):

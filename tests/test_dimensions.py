@@ -1,5 +1,6 @@
 """Pole lattices, residues, tapestries, and counting functions."""
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 from unittest import mock
@@ -13,9 +14,11 @@ from mfzeta import dimensions
 
 from mfzeta.ifs_core import AtomicMeasureSpec, FractalStringSpec, WeightedIFS
 from mfzeta.regularity import FractionKey, OnePlusLogKey
-from mfzeta.zeta import Poly, RationalZeta, closed_form_zeta
+from mfzeta import zeta
+from mfzeta.zeta import KeyRangeError, Poly, RationalZeta, _canonical_pair, closed_form_zeta
 from mfzeta.dimensions import (
     _BLOCK,
+    DimensionLattice,
     _exact_sum,
     _explicit_setup,
     _lattice_terms,
@@ -125,6 +128,104 @@ def test_entire_zeta_has_no_lattices():
         pole_lattices(rz)
 
 
+def _reference_lattices(rz):
+    """The per-key lattice algorithm, run whole for every zeta: roots, one
+    Newton polish step, the merge of repeated roots and the analytic residue
+    num(z) / (den'(z) * z ln base), with nothing shared between zetas."""
+    coeffs = [float(c) for c in rz.den.coeffs]
+    roots = list(np.roots(coeffs[::-1]))
+    dprime = rz.den.derivative()
+    polished = []
+    for r in roots:
+        r = complex(r)
+        dp = dprime(r)
+        if abs(dp) > 1e-12:
+            r = r - rz.den(r) / dp
+        polished.append(r)
+    groups = []
+    for r in sorted(polished, key=lambda c: (c.real, c.imag)):
+        for g in groups:
+            if abs(r - g[0]) < 1e-8 * max(1.0, abs(r)):
+                g.append(r)
+                break
+        else:
+            groups.append([r])
+    log_b = math.log(float(rz.base))
+    lattices = []
+    for g in groups:
+        root = sum(g) / len(g)
+        residue = None
+        if len(g) == 1:
+            dz_ds = root * math.log(float(rz.base))
+            residue = rz.num(root) / (rz.den.derivative()(root) * dz_ds)
+        lattices.append(
+            DimensionLattice(
+                real_part=math.log(abs(root)) / log_b + 0.0,
+                period=2 * math.pi / -log_b,
+                phase_shift=(-cmath.phase(root) / (2 * math.pi)) % 1.0,
+                root_z=root,
+                residue=residue,
+                simple=len(g) == 1,
+                multiplicity=len(g),
+            )
+        )
+    lattices.sort(key=lambda l: (-l.real_part, l.phase_shift))
+    return lattices
+
+
+def _bits(lat):
+    """Every field of a lattice, floats and complex parts as exact hex."""
+    out = []
+    for f in dataclasses.fields(lat):
+        v = getattr(lat, f.name)
+        if isinstance(v, complex):
+            v = (v.real.hex(), v.imag.hex())
+        elif isinstance(v, float):
+            v = v.hex()
+        out.append((f.name, v))
+    return out
+
+
+def _lattice_zetas(K_max):
+    """The string zetas, a repeated-root zeta, and every atomic key k1/K with
+    K <= K_max of sigma1, sigma2 and sigma(3); for one law polynomial, keys of
+    many bases follow one another."""
+    yield closed_form_zeta(CANTOR)
+    yield closed_form_zeta(FIB)
+    yield RationalZeta(num=Poly((F(1),)), den=Poly((F(1), F(-4), F(4))), base=F(1, 3))
+    for spec in (SIGMA1, SIGMA2, M3):
+        for K in range(1, K_max + 1):
+            for k1 in range(1, K + 1):
+                if math.gcd(k1, K) == 1:
+                    yield closed_form_zeta(spec, FractionKey(F(k1, K)))
+
+
+def test_lattices_are_bit_identical_to_the_per_key_algorithm():
+    for rz in _lattice_zetas(24):
+        assert [_bits(l) for l in pole_lattices(rz)] == [
+            _bits(l) for l in _reference_lattices(rz)
+        ], rz.label
+
+
+def test_canonical_pair_cache_returns_the_uncached_pair():
+    z = Poly((F(0), F(1)))
+    pairs = [
+        (Poly((F(0), F(2))), Poly((F(4), F(-8)))),  # content 2
+        (Poly((F(0), F(1, 2))), Poly((F(-1), F(3, 2)))),  # den(0) < 0
+        # common factor 1 - 2z
+        (z * Poly((F(1), F(-2))), Poly((F(1), F(-1))) * Poly((F(1), F(-2)))),
+        (Poly((F(1),)), Poly((F(1), F(-4), F(4)))),
+    ]
+    for spec, key in ((CANTOR, None), (FIB, None), (SIGMA2, FractionKey(F(3, 7)))):
+        law = closed_form_sequence(spec, key).law
+        pairs.append(tuple(Poly(c) for c in law.generating_function()))
+    for num, den in pairs:
+        want = _canonical_pair.__wrapped__(num, den)
+        assert _canonical_pair(num, den) == want
+        assert _canonical_pair(num, den) == want  # a cache hit
+        assert all(isinstance(c, Fraction) for p in want for c in p.coeffs)
+
+
 # ---------------------------------------------------------------------------
 # tapestry
 # ---------------------------------------------------------------------------
@@ -152,6 +253,38 @@ def test_tapestry_generalized_m2_identical_to_sigma2():
         assert l2.real_part == lg.real_part
         assert l2.period == lg.period
         assert l2.residue == lg.residue
+
+
+def test_tapestry_solves_each_law_polynomial_once(monkeypatch):
+    roots, gcd = np.roots, zeta.poly_gcd
+    root_calls, gcd_calls = [], []
+    monkeypatch.setattr(np, "roots", lambda p: root_calls.append(p) or roots(p))
+    monkeypatch.setattr(zeta, "poly_gcd", lambda a, b: gcd_calls.append(a) or gcd(a, b))
+    dimensions._pole_roots.cache_clear()
+    _canonical_pair.cache_clear()
+    tap = build_tapestry(SIGMA2, 20)
+    assert len(tap.pairs) == 128  # sum of phi(K), K <= 20
+    # one law polynomial per numerator k1 = 1..19, and alpha = 1's own
+    assert len(root_calls) == len(gcd_calls) == 20
+    # a fresh build shares every root solve and reduction
+    assert build_tapestry(SIGMA2, 20) == tap
+    assert len(root_calls) == len(gcd_calls) == 20
+
+
+def test_tapestry_keys_ascend_from_the_deepest(monkeypatch):
+    for K_max in (1, 2, 7, 24):
+        alphas = [a for a, _ in build_tapestry(M3, K_max).pairs]
+        want = sorted(
+            {F(k1, K) for K in range(1, K_max + 1) for k1 in range(1, K + 1)}
+        )
+        assert alphas == want
+    # sigma(3) keys at K = 463 have a length base 5**-463 that rounds to 0.0:
+    # the first key built is 1/463, so no root is solved first
+    calls = []
+    monkeypatch.setattr(dimensions, "pole_lattices", calls.append)
+    with pytest.raises(KeyRangeError):
+        build_tapestry(M3, 463)
+    assert calls == []
 
 
 def test_tapestry_validates_kmax():
