@@ -216,6 +216,12 @@ def jump_distance(rz: RationalZeta, x: float) -> float:
     return min(y - math.floor(y), math.ceil(y) - y)
 
 
+def _check_jump_guard(guard: float) -> None:
+    """Jumps are one log-unit apart, so no x is 0.5 or more away from one."""
+    if not 0 <= guard < 0.5:
+        raise ValueError(f"jump guard {guard} outside [0, 0.5): jumps are one log-unit apart")
+
+
 # poles per numpy block: 32 KiB arrays come from the heap, not from fresh
 # mmaps, so peak RSS stays below that of a whole-lattice pass
 _BLOCK = 4096
@@ -376,6 +382,7 @@ def counting_explicit(
         raise ValueError("x must exceed 1")
     if Z < 100:
         raise ValueError("Z must be >= 100")
+    _check_jump_guard(jump_guard)
     setup = _explicit_setup(system, key)
     delta = jump_distance(setup.rz, x)
     if delta < jump_guard:
@@ -408,12 +415,23 @@ def sample_off_jump_xs(
 ) -> list[float]:
     """Deterministic log-uniform samples at least guard away from jumps.
 
-    Jumps are one log-unit apart, so no x is 0.5 or more away from one.
+    A range whose every x lies within guard of a jump is refused up front,
+    since no draw could ever be accepted.
     """
-    if not 0 <= guard < 0.5:
-        raise ValueError(f"jump guard {guard} outside [0, 0.5): jumps are one log-unit apart")
+    _check_jump_guard(guard)
     if not 0 < lo < hi:
         raise ValueError(f"sample range [{lo}, {hi}] needs 0 < lo < hi")
+    scale = -math.log(float(rz.base))
+    y_lo, y_hi = math.log(lo) / scale, math.log(hi) / scale
+    n = math.floor(y_lo)
+    # accepted x have log-units in [m + guard, m + 1 - guard] for an integer
+    # m; a range shorter than one unit meets only those of m = n and n + 1
+    if not any(
+        max(y_lo, m + guard) <= min(y_hi, m + 1 - guard) for m in (n, n + 1)
+    ):
+        raise ValueError(
+            f"no x in [{lo}, {hi}] is {guard} log-units or more from a jump"
+        )
     rng = random.Random(seed)
     out = []
     while len(out) < count:

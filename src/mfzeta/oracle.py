@@ -2,13 +2,12 @@
 
 Ground truth for every closed form in the package: stage-K intervals of a
 weighted IFS are aggregated by exponent vector (multinomial counts, exact
-rational masses and lengths); atomic-family partitions are measured
-through an exact cumulative-mass function (never truncated atom lists),
+rational masses and lengths); atomic-family stage cells are built directly
+from whole atom groups with a telescoped tail (never truncated atom lists),
 so masses are exact rationals at every stage within budget.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -28,12 +27,11 @@ from .regularity import (
     RegularityKey,
     RegularityValue,
     VectorKey,
-    collapsed_regularity,
     partition_values,
     prepare,
     regularity_of,
 )
-from .sequences import AlphaLengthSequence, multinomial
+from .sequences import multinomial
 
 DEFAULT_BUDGET = 10**7
 
@@ -158,47 +156,6 @@ def enumerate_stage(
 
 
 # ---------------------------------------------------------------------------
-# Atomic cumulative-mass functions (exact)
-# ---------------------------------------------------------------------------
-
-
-def atomic_cdf(spec: AtomicMeasureSpec, y: Fraction) -> Fraction:
-    """F(y) = measure of [0, y), exact.
-
-    sigma1 sums the geometric tail of atoms 3^-i < y in closed form.  The
-    string families walk atom groups: group j holds (m-1)m^(j-1) atoms of
-    weight lambda^j at positions (m*lambda)^j + t*lambda^j; groups fully
-    below y telescope to (m*lambda)^(j-1).
-    """
-    y = Fraction(y)
-    if y <= 0:
-        return Fraction(0)
-    if spec.family == "sigma1":
-        # smallest index with 3^-i < y, then the full tail below it
-        i0 = 1
-        power = Fraction(1, 3)
-        while power >= y:
-            i0 += 1
-            power /= 3
-        return Fraction(3, 2) * Fraction(1, 3**i0)
-    m = spec.m
-    b = spec.base  # 2m - 1, lambda = 1/b
-    total = Fraction(0)
-    j = 1
-    while True:
-        group_start = Fraction(m ** (j - 1), b ** (j - 1))  # (m*lambda)^(j-1)
-        if y > group_start:
-            return total + group_start
-        n_j = (m - 1) * m ** (j - 1)
-        # atoms below y in group j: positions (m^j + t) * lambda^j, t < n_j
-        q = y * b**j - m**j
-        count = min(n_j, max(0, math.ceil(q)))
-        if count > 0:
-            total += Fraction(count, b**j)
-        j += 1
-
-
-# ---------------------------------------------------------------------------
 # Atomic stages
 # ---------------------------------------------------------------------------
 
@@ -224,7 +181,7 @@ def atomic_stage(
     spec: AtomicMeasureSpec, n: int, budget: int = DEFAULT_BUDGET
 ) -> StageEnumeration:
     """Partition stage n into base^n left-closed intervals (last closed),
-    with exact masses from the cumulative-mass function, aggregated by mass.
+    with exact cell masses, aggregated by mass.
     """
     if n < 1:
         raise ValueError("stage n must be >= 1")
@@ -350,41 +307,3 @@ def group_by_regularity(
         out[InfiniteKey()] = _ladder(infinite)
     return out
 
-
-# ---------------------------------------------------------------------------
-# Empirical alpha-lengths
-# ---------------------------------------------------------------------------
-
-
-def empirical_alpha_lengths(
-    source: WeightedIFS | AtomicMeasureSpec,
-    key: RegularityKey,
-    depth: int,
-    budget: int = DEFAULT_BUDGET,
-) -> AlphaLengthSequence:
-    """Collect the (length, multiplicity) ladder attaining `key` up to `depth`.
-
-    An unattained key yields an empty sequence (a trivial regularity).
-    """
-    if isinstance(source, WeightedIFS):
-        source = prepare(source)
-    target: RegularityValue | None = None
-    if isinstance(key, VectorKey):
-        if not isinstance(source, PreparedIFS):
-            raise ValueError("vector keys require an IFS source")
-        target = collapsed_regularity(source, source.class_vector(key.vector)).alpha_exact
-
-    records: list[IntervalRecord] = []
-    for stage in range(1, depth + 1):
-        if isinstance(source, PreparedIFS):
-            enum = enumerate_stage(source, stage, budget=budget)
-        else:
-            enum = atomic_stage(source, stage, budget=budget)
-        records.extend(enum.all_records())
-    if target is None:
-        records = [rec for rec in records if rec.key_hint == key]
-    else:
-        finite = [rec for rec in records if rec.regularity is not None]
-        shared = partition_values([target, *(rec.regularity for rec in finite)])[0]
-        records = [finite[i - 1] for i in shared[1:]]
-    return AlphaLengthSequence.from_entries(_ladder(records), label=str(key))

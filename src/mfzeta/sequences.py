@@ -2,9 +2,9 @@
 
 A sequence assigns to term n >= 1 the length base_length**n with an
 integer multiplicity m_n.  The laws cover every family handled in closed
-form; enumerated data uses explicit (length, multiplicity) entries.  The
-laws of lattice classes also give their generating function sum m_n z^n as
-a ratio of integer polynomials, from which the rational zetas are built.
+form.  The laws of lattice classes also give their generating function
+sum m_n z^n as a ratio of integer polynomials, from which the rational zetas
+are built.
 """
 from __future__ import annotations
 
@@ -174,43 +174,23 @@ MultiplicityLaw = MultinomialLaw | CollapsedLaw | GeometricLaw | FloorSumLaw | E
 
 @dataclass(frozen=True)
 class AlphaLengthSequence:
-    """Lengths with multiplicities attaining one regularity value.
+    """Lengths with multiplicities attaining one regularity value: term n has
+    length base_length**n and multiplicity law.multiplicity(n)."""
 
-    Either law-based (term n has length base_length**n, multiplicity
-    law.multiplicity(n)) or explicit entries sorted by decreasing length.
-    """
-
-    base_length: Fraction | None = None
-    law: MultiplicityLaw | None = None
-    entries: tuple[tuple[Fraction, int], ...] | None = None
+    base_length: Fraction
+    law: MultiplicityLaw
     label: str = ""
 
     def __post_init__(self):
-        law_based = self.base_length is not None and self.law is not None
-        if law_based == (self.entries is not None):
-            raise ValueError("provide either (base_length, law) or entries")
-        if law_based and not (0 < self.base_length < 1):
+        if not (0 < self.base_length < 1):
             raise ValueError("base_length must lie in (0,1)")
-        if self.entries is not None:
-            lengths = [length for length, _ in self.entries]
-            if lengths != sorted(lengths, reverse=True):
-                raise ValueError("entries must be sorted by decreasing length")
 
     @classmethod
     def from_law(cls, base_length: Fraction, law: MultiplicityLaw, label: str = ""):
         return cls(base_length=Fraction(base_length), law=law, label=label)
 
-    @classmethod
-    def from_entries(cls, entries, label: str = ""):
-        return cls(entries=tuple((Fraction(l), int(m)) for l, m in entries), label=label)
-
-    def is_empty(self) -> bool:
-        return self.entries is not None and not self.entries
-
     def max_index(self, x) -> int:
         """Largest n with base_length**-n <= x (0 when none); exact."""
-        if self.law is None:
-            raise ValueError("max_index applies to law-based sequences")
         x = Fraction(x)
         inv = 1 / self.base_length
         n = 0
@@ -222,7 +202,4 @@ class AlphaLengthSequence:
 
     def counting(self, x) -> int:
         """Exact number of reciprocal lengths <= x, with multiplicity."""
-        x = Fraction(x)
-        if self.entries is not None:
-            return sum(m for length, m in self.entries if 1 / length <= x)
         return sum(self.law.multiplicity(n) for n in range(1, self.max_index(x) + 1))

@@ -3,8 +3,8 @@
 The spectrum sweep walks primitive exponent classes and reports the
 abscissa of convergence per class; envelopes are exact upper concave
 hulls of the sweep; the Legendre side solves sum p_i^q r_i^b = 1 and
-transforms.  Moran and Besicovitch-Eggleston dimensions round out the
-comparison toolkit.
+transforms.  The Moran dimension of the ratios rounds out the comparison
+toolkit.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from .regularity import (
     prepare,
     primitive_vectors,
 )
-from .zeta import _closed_abscissa, entropy_dimension
+from .zeta import _closed_abscissa
 
 
 @dataclass(frozen=True)
@@ -302,33 +302,6 @@ def concave_envelope(points: Sequence[SpectrumPoint | tuple]) -> EnvelopeFunctio
     return EnvelopeFunction(breakpoints=tuple(hull))
 
 
-def information_dimension(envelope: EnvelopeFunction) -> float:
-    """Fixed point t1 = f(t1) on the hull.
-
-    The line y = t supports the hull from above, so hull(t) - t is
-    maximized (at ~0) exactly at the fixed point; the hull vertex
-    achieving the max is refined by a three-point parabolic step.
-    """
-    bps = envelope.breakpoints
-    diffs = [y - x for x, y in bps]
-    i = max(range(len(diffs)), key=lambda j: diffs[j])
-    if i == 0 or i == len(bps) - 1:
-        return bps[i][0]
-    xm, x0, xp = bps[i - 1][0], bps[i][0], bps[i + 1][0]
-    ym, y0, yp = diffs[i - 1], diffs[i], diffs[i + 1]
-    denom = ym - 2 * y0 + yp
-    if denom >= -1e-18:
-        return x0
-    # parabola through three points around the max (uneven spacing):
-    # vertex from the two chord slopes
-    sm = (y0 - ym) / (x0 - xm)
-    sp = (yp - y0) / (xp - x0)
-    if sm == sp:
-        return x0
-    t = 0.5 * (xm + x0) - sm * (xm - xp) / (2 * (sm - sp))
-    return min(max(t, xm), xp)
-
-
 # ---------------------------------------------------------------------------
 # Legendre pipeline
 # ---------------------------------------------------------------------------
@@ -426,12 +399,3 @@ def moran_dimension(ratios: Sequence[Fraction]) -> float:
             hi = mid
     return 0.5 * (lo + hi)
 
-
-def besicovitch_dimension(
-    ratios: Sequence[Fraction], weights: Sequence[Fraction]
-) -> float:
-    """sum q_i log q_i / sum q_i log r_i for a probability vector (0 log 0 = 0)."""
-    total = sum(Fraction(w) for w in weights)
-    if total != 1:
-        raise ValueError(f"weights sum to {total}, expected 1")
-    return entropy_dimension(ratios, weights)

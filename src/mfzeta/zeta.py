@@ -325,11 +325,6 @@ def eval_series(
 # ---------------------------------------------------------------------------
 
 
-def entropy_dimension(ratios: Sequence[Fraction], weights: Sequence[Fraction]) -> float:
-    """sum w_i log w_i / sum w_i log r_i for a probability vector w (0 log 0 = 0)."""
-    return _entropy_ratio([float(w) for w in weights], [math.log(r) for r in ratios])
-
-
 def _entropy_ratio(ws: Sequence[float], log_ratios: Sequence[float]) -> float:
     """sum w_i log w_i / sum w_i log r_i over the nonzero w_i, 0.0 when the
     numerator is 0.0."""

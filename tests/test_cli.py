@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mfzeta
-from mfzeta import cli
+from mfzeta import cli, dimensions
 from mfzeta.cli import ZETA_TERM_CAP, main, parse_alpha_key
 from mfzeta.ifs_core import ConfigError
 from mfzeta.regularity import FractionKey, OnePlusLogKey, VectorKey, primitive_vectors
@@ -457,6 +457,33 @@ def test_count_prices_slow_trig_terms_before_summing(tmp_path, capsys, config, m
     ):
         with pytest.raises(Summed):
             main([*fib, *flags])
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_count_refuses_unguardable_ranges_and_guards(tmp_path, capsys, config, monkeypatch):
+    """A sampled range with every x within the guard of a jump is refused
+    before any draw, and --x values get the sampler's guard rule."""
+    original = dimensions.jump_distance
+    draws = []
+
+    def bounded(rz, x):
+        draws.append(x)
+        if len(draws) > 1000:
+            raise AssertionError("1000 rejected draws: the sampler is looping")
+        return original(rz, x)
+
+    monkeypatch.setattr(dimensions, "jump_distance", bounded)
+    out = str(tmp_path / "x.csv")
+    cantor = ["count", "--config", config("cantor"), "--out", out]
+    # log-units 0.996..1.004 all lie within 0.02 of the jump at x = 3
+    assert main([*cantor, "--xmin", "2.99", "--xmax", "3.01", "--samples", "3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "from a jump" in err[0]
+    # 3 and 9 sit on jumps; no guard outside [0, 0.5) lets them through
+    for guard in ("nan", "-1", "inf", "0.5"):
+        assert main([*cantor, "--x", "3", "--x", "9", "--jump-guard", guard]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: jump guard"), guard
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -517,6 +517,10 @@ def test_explicit_rejects_jump_proximity():
         counting_explicit(SIGMA2, FractionKey(F(1)), 9.0, Z=1000)
     with pytest.raises(ValueError, match="jump"):
         counting_explicit(CANTOR, None, 27.2, Z=1000)
+    # the sampler's guard rule holds for given x too
+    for guard in (math.nan, -1.0, math.inf, 0.5):
+        with pytest.raises(ValueError, match="jump guard"):
+            counting_explicit(CANTOR, None, 3.5, Z=1000, jump_guard=guard)
 
 
 def test_explicit_validates_arguments():
@@ -562,3 +566,14 @@ def test_sample_off_jump_xs_deterministic():
         sample_off_jump_xs(rz, guard=0.5)
     with pytest.raises(ValueError, match="0 < lo < hi"):
         sample_off_jump_xs(rz, lo=0.0)
+    cantor = closed_form_zeta(CANTOR)  # jumps at the powers of 3
+    # log-units 0.996..1.004 all lie within 0.02 of the jump at 1: refused
+    # before any draw (a looping sampler fails on its 1001st)
+    draws = mock.Mock(side_effect=[0.0] * 1000 + [AssertionError("sampler loops")])
+    with mock.patch.object(dimensions, "jump_distance", draws):
+        with pytest.raises(ValueError, match="from a jump"):
+            sample_off_jump_xs(cantor, count=3, lo=2.99, hi=3.01)
+    assert draws.call_count == 0
+    # 0.97..1.03 keeps a guarded sliver on each side of the jump
+    xs = sample_off_jump_xs(cantor, count=5, lo=2.9, hi=3.1)
+    assert all(2.9 <= x <= 3.1 and jump_distance(cantor, x) >= 0.02 for x in xs)

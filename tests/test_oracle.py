@@ -1,4 +1,5 @@
 """Brute-force enumeration against hand-computed stage tables."""
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -6,13 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mfzeta.ifs_core import AtomicMeasureSpec, BudgetExceededError, WeightedIFS
-from mfzeta.oracle import (
-    atomic_cdf,
-    atomic_stage,
-    empirical_alpha_lengths,
-    enumerate_stage,
-    group_by_regularity,
-)
+from mfzeta.oracle import atomic_stage, enumerate_stage, group_by_regularity
 from mfzeta.regularity import FractionKey, InfiniteKey, OnePlusLogKey, VectorKey
 from mfzeta.sequences import fibonacci
 
@@ -22,6 +17,51 @@ ROBY = WeightedIFS(ratios=(F(1, 2), F(1, 4), F(1, 10)), probs=(F(1, 2), F(1, 4),
 S1 = AtomicMeasureSpec(family="sigma1")
 S2 = AtomicMeasureSpec(family="sigma2")
 S3 = AtomicMeasureSpec(family="generalized", m=3)
+
+
+def atomic_cdf(spec: AtomicMeasureSpec, y: F) -> F:
+    """F(y) = measure of [0, y), exact: the oracle that ``atomic_stage`` is
+    checked against.
+
+    sigma1 sums the geometric tail of atoms 3^-i < y in closed form.  The
+    string families walk atom groups: group j holds (m-1)m^(j-1) atoms of
+    weight lambda^j at positions (m*lambda)^j + t*lambda^j; groups fully
+    below y telescope to (m*lambda)^(j-1).
+    """
+    y = F(y)
+    if y <= 0:
+        return F(0)
+    if spec.family == "sigma1":
+        # smallest index with 3^-i < y, then the full tail below it
+        i0 = 1
+        power = F(1, 3)
+        while power >= y:
+            i0 += 1
+            power /= 3
+        return F(3, 2) * F(1, 3**i0)
+    m = spec.m
+    b = spec.base  # 2m - 1, lambda = 1/b
+    total = F(0)
+    j = 1
+    while True:
+        group_start = F(m ** (j - 1), b ** (j - 1))  # (m*lambda)^(j-1)
+        if y > group_start:
+            return total + group_start
+        n_j = (m - 1) * m ** (j - 1)
+        # atoms below y in group j: positions (m^j + t) * lambda^j, t < n_j
+        q = y * b**j - m**j
+        count = min(n_j, max(0, math.ceil(q)))
+        if count > 0:
+            total += F(count, b**j)
+        j += 1
+
+
+def stage_ladders(source, depth):
+    """group_by_regularity over the records of stages 1..depth."""
+    stage = enumerate_stage if isinstance(source, WeightedIFS) else atomic_stage
+    return group_by_regularity(
+        rec for n in range(1, depth + 1) for rec in stage(source, n).all_records()
+    )
 
 
 def test_beta_stage5_record():
@@ -158,35 +198,32 @@ def test_cdf_closed_forms():
 
 
 def test_sigma2_alpha_one_ladder():
-    seq = empirical_alpha_lengths(S2, FractionKey(F(1)), depth=4)
-    assert seq.entries == ((F(1, 3), 3), (F(1, 9), 6), (F(1, 27), 12), (F(1, 81), 24))
+    ladder = stage_ladders(S2, 4)[FractionKey(F(1))]
+    assert ladder == [(F(1, 3), 3), (F(1, 9), 6), (F(1, 27), 12), (F(1, 81), 24)]
 
 
 def test_sigma2_half_ladder():
-    seq = empirical_alpha_lengths(S2, FractionKey(F(1, 2)), depth=4)
-    assert seq.entries == ((F(1, 9), 1), (F(1, 81), 2))
+    assert stage_ladders(S2, 4)[FractionKey(F(1, 2))] == [(F(1, 9), 1), (F(1, 81), 2)]
 
 
 def test_sigma1_half_ladder():
-    seq = empirical_alpha_lengths(S1, FractionKey(F(1, 2)), depth=4)
-    assert seq.entries == ((F(1, 9), 1), (F(1, 81), 1))
+    assert stage_ladders(S1, 4)[FractionKey(F(1, 2))] == [(F(1, 9), 1), (F(1, 81), 1)]
 
 
 def test_beta_alpha_ladder():
-    seq = empirical_alpha_lengths(BETA, VectorKey((1, 1)), depth=4)
     # lengths 3^-K with central multinomial multiplicities
-    assert seq.entries == ((F(1, 9), 2), (F(1, 81), 6))
+    assert stage_ladders(BETA, 4)[VectorKey((1, 1))] == [(F(1, 9), 2), (F(1, 81), 6)]
 
 
 def test_roby_alpha_one_ladder_is_fibonacci():
-    seq = empirical_alpha_lengths(ROBY, VectorKey((1, 0, 0)), depth=6)
-    first = seq.entries[:6]
-    assert first == tuple((F(1, 2**L), fibonacci(L + 1)) for L in range(1, 7))
+    # alpha = 1 holds every class (a, b, 0); the group takes its smallest
+    # key hint, (0, 1, 0)
+    first = stage_ladders(ROBY, 6)[VectorKey((0, 1, 0))][:6]
+    assert first == [(F(1, 2**L), fibonacci(L + 1)) for L in range(1, 7)]
 
 
 def test_unattained_key_gives_empty_sequence():
-    seq = empirical_alpha_lengths(S2, FractionKey(F(7, 8)), depth=3)
-    assert seq.is_empty()
+    assert FractionKey(F(7, 8)) not in stage_ladders(S2, 3)
 
 
 def test_gap_records_have_zero_mass_and_fill_string():

@@ -93,14 +93,10 @@ def test_sequence_exact_counting():
     assert seq.counting(3) == 1
 
 
-def test_sequence_from_entries():
-    seq = AlphaLengthSequence.from_entries([(F(1, 3), 2), (F(1, 9), 5)])
-    assert seq.counting(3) == 2
-    assert seq.counting(9) == 7
-    assert not seq.is_empty()
-    assert AlphaLengthSequence.from_entries([]).is_empty()
-    with pytest.raises(ValueError):
-        AlphaLengthSequence.from_entries([(F(1, 9), 1), (F(1, 3), 1)])
+def test_sequence_base_length_lies_in_the_unit_interval():
+    for base in (F(0), F(1), F(3, 2)):
+        with pytest.raises(ValueError, match="base_length"):
+            AlphaLengthSequence.from_law(base, GeometricLaw(a=1, g=2))
 
 
 @given(x=st.fractions(min_value=F(1), max_value=F(100000)))

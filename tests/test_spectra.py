@@ -17,9 +17,7 @@ from mfzeta.regularity import (
 )
 from mfzeta.spectra import (
     EnvelopeFunction,
-    besicovitch_dimension,
     concave_envelope,
-    information_dimension,
     legendre_transform,
     moran_dimension,
     solve_b,
@@ -71,29 +69,30 @@ def test_moran_dimension_residual_roby():
     assert 0 < s < 1
 
 
+# A class abscissa is the Besicovitch-Eggleston dimension
+# sum w_i log w_i / sum w_i log r_i of its frequencies w = k / K.
+
+
+def _besicovitch(ratios, weights) -> float:
+    num = math.fsum(float(w) * math.log(w) for w in weights if w)
+    return num / math.fsum(float(w) * math.log(r) for w, r in zip(weights, ratios) if w)
+
+
 def test_besicovitch_matches_moran_for_uniform_weights():
-    assert besicovitch_dimension(
-        (F(1, 3), F(1, 3)), (F(1, 2), F(1, 2))
-    ) == pytest.approx(LOG3_2, abs=1e-13)
+    assert abscissa_closed(BETA, (1, 1)).value == pytest.approx(LOG3_2, abs=1e-13)
 
 
 def test_besicovitch_binary_quarter():
     # binary entropy of 1/4 in bits
     expected = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
-    got = besicovitch_dimension((F(1, 2), F(1, 2)), (F(1, 4), F(3, 4)))
+    got = abscissa_closed(BETA0, (1, 3)).value
     assert got == pytest.approx(expected, abs=1e-13)
     assert got == pytest.approx(0.8112781244591328, abs=1e-12)
 
 
 def test_besicovitch_uniform_quarters_is_one():
-    assert besicovitch_dimension(
-        (F(1, 4),) * 4, (F(1, 4),) * 4
-    ) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_besicovitch_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        besicovitch_dimension((F(1, 2), F(1, 2)), (F(1, 4), F(1, 4)))
+    four = WeightedIFS(ratios=(F(1, 4),) * 4, probs=(F(1, 10), F(2, 10), F(3, 10), F(4, 10)))
+    assert abscissa_closed(four, (1, 1, 1, 1)).value == pytest.approx(1.0, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +186,7 @@ def test_sweep_beta_matches_besicovitch_everywhere():
         k = p.key.vector
         K = sum(k)
         weights = tuple(F(ki, K) for ki in k)
-        assert p.f == pytest.approx(
-            besicovitch_dimension(BETA.ratios, weights), abs=1e-12
-        )
+        assert p.f == pytest.approx(_besicovitch(BETA.ratios, weights), abs=1e-12)
         assert p.alpha == pytest.approx(1 - (k[1] / K) * LOG3_2, abs=1e-12)
         assert 0 <= p.f <= 1 + 1e-12
 
@@ -454,28 +451,23 @@ def test_beta0_envelope_matches_legendre_transform():
 # ---------------------------------------------------------------------------
 # information dimension
 # ---------------------------------------------------------------------------
+# The diagonal supports the spectrum from above (f(alpha) <= alpha) and
+# touches it at the information dimension t1 = -sum p log p / log(1/r): the
+# point alpha = f of the class k = (1, 2), which every sweep to K >= 3 holds.
 
 
 def test_information_dimension_beta0():
-    points = spectrum_sweep(BETA0, K_max=64)
-    env = concave_envelope(points)
-    t1 = information_dimension(env)
-    expected = -(
-        (1 / 3) * math.log(1 / 3) + (2 / 3) * math.log(2 / 3)
-    ) / math.log(2)
-    assert t1 == pytest.approx(expected, abs=2e-3)
-    # the hull touches the diagonal there
-    assert env(t1) == pytest.approx(t1, abs=2e-3)
+    env = concave_envelope(spectrum_sweep(BETA0, K_max=64))
+    t1 = -((1 / 3) * math.log(1 / 3) + (2 / 3) * math.log(2 / 3)) / math.log(2)
+    assert env(t1) == pytest.approx(t1, abs=1e-12)
+    assert all(y <= x + 1e-12 for x, y in env.breakpoints)
 
 
 def test_information_dimension_beta():
-    points = spectrum_sweep(BETA, K_max=64)
-    env = concave_envelope(points)
-    t1 = information_dimension(env)
-    expected = -(
-        (1 / 3) * math.log(1 / 3) + (2 / 3) * math.log(2 / 3)
-    ) / math.log(3)
-    assert t1 == pytest.approx(expected, abs=2e-3)
+    env = concave_envelope(spectrum_sweep(BETA, K_max=64))
+    t1 = -((1 / 3) * math.log(1 / 3) + (2 / 3) * math.log(2 / 3)) / math.log(3)
+    assert env(t1) == pytest.approx(t1, abs=1e-12)
+    assert all(y <= x + 1e-12 for x, y in env.breakpoints)
 
 
 def test_envelope_direct_construction_validates():
