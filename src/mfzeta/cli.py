@@ -12,7 +12,6 @@ import argparse
 import cmath
 import contextlib
 import csv
-import io
 import json
 import math
 import sys
@@ -75,10 +74,11 @@ POLE_TERM_CAP = 200_000_000
 # Work cap of one `spectrum` run, in candidate class vectors C(kmax + w, w),
 # w the sweep width; `zeta` applies it to the hypothesis check of an
 # unequal-ratio class.  On the same VM the hypothesis-H path costs about
-# 0.11 ms per class and the collapsed path about 0.05 ms, so a sweep within
-# the cap ends in well under a minute: measured 14-17 s (253 MB peak) for 3
-# unequal ratios at kmax 99 and 5.0-6.0 s (128 MB) for 2 equal ratios at
-# kmax 590.  Time would allow a larger cap, but the peak memory of a
+# 0.11 ms per class and the collapsed path, one numpy pass plus each row's
+# strings and CSV line, about 0.03 ms, so a sweep within the cap ends in well
+# under a minute: measured 14-17 s (253 MB peak) for 3 unequal ratios at
+# kmax 99 and 2.9-3.1 s (126 MB) for 2 equal ratios at kmax 590 (105,951
+# classes).  Time would allow a larger cap, but the peak memory of a
 # hypothesis-H sweep grows with it.
 SWEEP_VECTOR_CAP = 175_000
 
@@ -131,23 +131,16 @@ def _write_manifest(out: Path, command: str, config: str, params: dict,
     return manifest_path
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats; plain str otherwise."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows, manifest_path: Path) -> None:
     """Header + rows + trailing manifest reference; body is byte-deterministic
-    (the comment names the manifest file, never its timestamped content)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    buf.write(f"# manifest: {manifest_path.name}\n")
-    path.write_text(buf.getvalue())
+    (the comment names the manifest file, never its timestamped content).
+    ``csv`` writes a float by ``repr``, the shortest round-trip decimal, and
+    the rows go straight to the file, so the body is never held whole."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        fh.write(f"# manifest: {manifest_path.name}\n")
 
 
 def _print_json(payload, out: Path | None) -> None:

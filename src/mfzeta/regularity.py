@@ -20,6 +20,10 @@ rational exponent ratio.  Other pairs are only certified distinct, by a ladder:
 
 ``partition_values`` groups values into these classes for every caller.
 
+The float alpha of a class is ``alpha_from_exponents``; for a whole matrix
+of classes at once, ``alphas_from_exponents`` gives the same doubles, with
+``row_fsums`` in place of ``math.fsum``.
+
 Facts that every class of one system shares (its class space with the
 factorized parameters of each slot, the independence verdict of its distinct
 probabilities, float and interval enclosures of the logs of the primes) live
@@ -35,6 +39,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath
+import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import to_float
 
@@ -63,7 +68,7 @@ class VectorKey:
     vector: tuple[int, ...]
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(v) for v in self.vector) + ")"
+        return "(" + ",".join(map(str, self.vector)) + ")"
 
 
 @dataclass(frozen=True)
@@ -314,6 +319,70 @@ def alpha_from_exponents(
         return ratio[0] / ratio[1]
     num = math.fsum(map(operator.mul, mass, logs))
     return num / math.fsum(map(operator.mul, length, logs))
+
+
+def alphas_from_exponents(
+    mass: np.ndarray, length: np.ndarray, logs: Sequence[float]
+) -> np.ndarray:
+    """``alpha_from_exponents`` of each row pair of two int64 matrices, bit
+    for bit; every row of ``length`` must be nonzero.
+
+    A parallel row is a/b, which float64 division of the exactly converted
+    ints rounds correctly; any other row is the quotient of the
+    ``row_fsums`` of the same products e * log p.
+    """
+    rows = np.arange(len(length))
+    first = (length != 0).argmax(axis=1)
+    a, b = mass[rows, first], length[rows, first]
+    parallel = (mass * b[:, None] == length * a[:, None]).all(axis=1)
+    # b > 0, as _parallel makes it: a zero a then gives +0.0
+    sign = np.where(b < 0, -1, 1)
+    alpha = (a * sign) / (b * sign)
+    free = ~parallel
+    logs = np.asarray(logs)
+    alpha[free] = row_fsums(mass[free] * logs) / row_fsums(length[free] * logs)
+    return alpha
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = fl(a + b) and its error a + b - s, exact for finite a, b."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def row_fsums(terms: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a 2-D float array, bit for bit.
+
+    A TwoSum cascade (Shewchuk, DCG 18, 1997; Ogita, Rump and Oishi, SISC 26,
+    2005) runs along each row, keeping the sum s and the exact error of each
+    step; a second cascade sums those errors into c, leaving exact errors d.
+    The row sum is exactly r + rho + sum d, where r = fl(s + c) and rho is
+    its error.  So r is the correctly rounded sum that ``fsum`` returns when
+    every d is 0 (r then rounds the exact sum s + c once), or when
+    |rho| + sum |d| is at most a quarter of the gap from |r| to the next
+    double toward 0 (the sum then lies within half that gap of r; the spare
+    half covers the rounding of the bound).  Every other row, and every row
+    whose r is 0 or not finite (where ``fsum`` decides the sign or raises),
+    is summed by ``math.fsum``.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = terms[:, 0]
+        c = np.zeros(len(terms))
+        left = np.zeros(len(terms))
+        for t in terms.T[1:]:
+            s, e = _two_sum(s, t)
+            c, d = _two_sum(c, e)
+            left += np.abs(d)
+        r, rho = _two_sum(s, c)
+        mag = np.abs(r)
+        gap = mag - np.nextafter(mag, 0.0)
+        certified = (
+            np.isfinite(r) & (r != 0.0) & ((left == 0.0) | (np.abs(rho) + left <= gap / 4))
+        )
+    for i in np.flatnonzero(~certified).tolist():
+        r[i] = math.fsum(terms[i].tolist())
+    return r
 
 
 def _divide_pev(pev: PrimeExponentVector, g: int) -> PrimeExponentVector:
@@ -606,8 +675,9 @@ def unit_values(prepared: PreparedIFS) -> list[RegularityValue]:
 # ---------------------------------------------------------------------------
 
 
-def primitive_vectors(N: int, K_max: int) -> list[tuple[int, ...]]:
-    """All k with gcd 1 and 1 <= sum(k) <= K_max, in lexicographic order.
+def primitive_matrix(N: int, K_max: int) -> np.ndarray:
+    """All k with gcd 1 and 1 <= sum(k) <= K_max, in lexicographic order, as
+    the rows of an int64 matrix.
 
     For N = 1 that is (1,) alone: the one class of a system whose
     probabilities collapse to a single value.
@@ -616,22 +686,21 @@ def primitive_vectors(N: int, K_max: int) -> list[tuple[int, ...]]:
         raise ValueError("N must be at least 1")
     if K_max < 1:
         raise ValueError("K_max must be at least 1")
-    out: list[tuple[int, ...]] = []
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([K_max])
+    for _ in range(N):
+        # each prefix goes on with every part 0..left, in increasing order
+        counts = left + 1
+        rows = np.repeat(rows, counts, axis=0)
+        parts = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack((rows, parts))
+        left = np.repeat(left, counts) - parts
+    return rows[np.gcd.reduce(rows, axis=1) == 1]
 
-    def rec(prefix: list[int], remaining: int):
-        if len(prefix) == N - 1:
-            for last in range(remaining + 1):
-                k = (*prefix, last)
-                if math.gcd(*k) == 1:
-                    out.append(k)
-            return
-        for v in range(remaining + 1):
-            prefix.append(v)
-            rec(prefix, remaining - v)
-            prefix.pop()
 
-    rec([], K_max)
-    return out
+def primitive_vectors(N: int, K_max: int) -> list[tuple[int, ...]]:
+    """The rows of ``primitive_matrix`` as tuples of ints."""
+    return list(map(tuple, primitive_matrix(N, K_max).tolist()))
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Multifractal spectra, concave envelopes, and the Legendre pipeline.
 
-The spectrum sweep walks primitive exponent classes and reports the
-abscissa of convergence per class; envelopes are exact upper concave
-hulls of the sweep; the Legendre side solves sum p_i^q r_i^b = 1 and
-transforms.  The Moran dimension of the ratios rounds out the comparison
-toolkit.
+The spectrum sweep reports the abscissa of convergence of every primitive
+exponent class, working out the alphas and abscissas of all the classes in
+one numpy pass that matches the single-class entry points bit for bit;
+envelopes are exact upper concave hulls of the sweep; the Legendre side
+solves sum p_i^q r_i^b = 1 and transforms.  The Moran dimension of the
+ratios rounds out the comparison toolkit.
 """
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from .ifs_core import AtomicMeasureSpec, WeightedIFS
 from .regularity import (
     FractionKey,
@@ -23,13 +26,13 @@ from .regularity import (
     PreparedIFS,
     RegularityKey,
     VectorKey,
-    alpha_from_exponents,
+    alphas_from_exponents,
     check_hypothesis_H,
     is_monofractal,
     prepare,
-    primitive_vectors,
+    primitive_matrix,
 )
-from .zeta import _closed_abscissa
+from .zeta import _abscissa_description, closed_abscissas
 
 
 @dataclass(frozen=True)
@@ -133,36 +136,66 @@ def _ifs_sweep(ifs: WeightedIFS | PreparedIFS, K_max: int) -> list[SpectrumPoint
         # independent distinct probabilities make every class distinct
         if prepared.dependence is not None:
             raise ValueError(prepared.dependence)
-        # no exact value per class: the vector list goes with the spent
-        # generator, since holding it through the sort raises peak memory
-        rows = (
-            (VectorKey(k), alpha_from_exponents(*prepared.exponents(k), prepared.log_primes))
-            for k in primitive_vectors(prepared.width, K_max)
+        k = primitive_matrix(prepared.width, K_max)
+        n = len(prepared.primes)
+        alpha = alphas_from_exponents(
+            k @ _exponent_matrix(prepared.p_rows, n),
+            k @ _exponent_matrix(prepared.r_rows, n),
+            prepared.log_primes,
         )
         label = "collapsed class"
     else:
         report = check_hypothesis_H(prepared, K_max)
         if not report.holds:
             return _oracle_fallback_sweep(prepared, K_max)
-        # each class goes as its point is made (last first; the sort below
-        # fixes the order): classes and points held together raise peak memory
-        rows = ((cls.key, cls.alpha_float) for cls in _drain(report.classes))
+        # the classes go before the points are made: holding both raises
+        # peak memory.  They are in enumeration order, the rows of k
+        alpha = np.array([cls.alpha_float for cls in report.classes])
+        del report
+        k = primitive_matrix(prepared.width, K_max)
         label = "class"
+    f = closed_abscissas(prepared, k).tolist()
+    K = k.sum(axis=1).tolist()
+    c = prepared.multiplicities if prepared.folds else None
+    vectors = list(map(tuple, k.tolist()))
+    alpha_list = alpha.tolist()
     points = []
-    for key, alpha in rows:
-        k = key.vector  # a primitive vector is its own key
-        f, f_desc = _closed_abscissa(prepared, k)
+    # a primitive vector is its own key
+    for i in _alpha_order(alpha, lambda i: str(VectorKey(vectors[i]))):
+        v = vectors[i]
         points.append(
-            SpectrumPoint(alpha=alpha, f=f, key=key, alpha_desc=f"{label} {k}", f_desc=f_desc)
+            SpectrumPoint(
+                alpha=alpha_list[i],
+                f=f[i],
+                key=VectorKey(v),
+                alpha_desc=f"{label} {v}",
+                f_desc=_abscissa_description(v, K[i], c),
+            )
         )
-    points.sort(key=lambda p: (p.alpha, str(p.key)))
     return points
 
 
-def _drain(items: list):
-    """Pop the items of a list from its end until none is left."""
-    while items:
-        yield items.pop()
+def _exponent_matrix(rows: tuple[tuple[tuple[int, int], ...], ...], n: int) -> np.ndarray:
+    """The (j, e) rows of a ``PreparedIFS`` as a dense int64 matrix over n primes."""
+    out = np.zeros((len(rows), n), dtype=np.int64)
+    for q, row in enumerate(rows):
+        for j, e in row:
+            out[q, j] = e
+    return out
+
+
+def _alpha_order(alpha: np.ndarray, key_str) -> list[int]:
+    """The row order of a sort by (alpha, key_str(row)): a stable argsort on
+    alpha, with key strings compared only within runs of equal alpha."""
+    order = np.argsort(alpha, kind="stable")
+    a = alpha[order]
+    starts = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+    ends = np.append(starts[1:], len(a))
+    tied = ends - starts > 1
+    order = order.tolist()
+    for s, e in zip(starts[tied].tolist(), ends[tied].tolist()):
+        order[s:e] = sorted(order[s:e], key=key_str)
+    return order
 
 
 def _oracle_fallback_sweep(prepared: PreparedIFS, K_max: int) -> list[SpectrumPoint]:

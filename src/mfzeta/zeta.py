@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .ifs_core import (
     AtomicMeasureSpec,
     FractalStringSpec,
@@ -33,6 +35,7 @@ from .regularity import (
     partition_values,
     prepare,
     primitive_vectors,
+    row_fsums,
     unit_values,
 )
 from .sequences import (
@@ -343,27 +346,62 @@ def _closed_abscissa(prepared: PreparedIFS, kprime: Sequence[int]) -> tuple[floa
     that ``float(Fraction(k_i, K))`` and ``math.log(Fraction(k_i, K))`` use.
     """
     K = sum(kprime)
+    desc = _abscissa_description(kprime, K, prepared.multiplicities if prepared.folds else None)
     if prepared.folds:
-        c = prepared.multiplicities
         num = math.fsum(kq * math.log(kq) for kq in kprime if kq)
         num -= math.fsum(kq * lc for kq, lc in zip(kprime, prepared.log_multiplicities))
         num -= K * math.log(K)
-        desc = (
+        return max(0.0, num / (K * prepared.log_ratios[0])), desc
+    return max(0.0, _entropy_ratio([kq / K for kq in kprime], prepared.log_ratios)), desc
+
+
+def _abscissa_description(
+    kprime: Sequence[int], K: int, multiplicities: Sequence[int] | None
+) -> str:
+    """The exact form of the abscissa of the class vector k' with sum K (see
+    ``_closed_abscissa``); ``multiplicities`` are the maps per slot of a
+    folding system, None for one map per slot."""
+    if multiplicities is not None:
+        return (
             f"log_(r^{K})({'*'.join(f'{kq}^{kq}' for kq in kprime if kq)}"
-            f" / ({'*'.join(f'{cq}^{kq}' for cq, kq in zip(c, kprime))}"
+            f" / ({'*'.join(f'{cq}^{kq}' for cq, kq in zip(multiplicities, kprime))}"
             f" * {K}^{K}))"
         )
-        return max(0.0, num / (K * prepared.log_ratios[0])), desc
-    value = max(0.0, _entropy_ratio([kq / K for kq in kprime], prepared.log_ratios))
     weights = []
     for kq in kprime:
         g = math.gcd(kq, K)
         weights.append(f"{kq // g}/{K // g}" if g != K else str(kq // g))
-    desc = (
-        "sum (k_i/K) log(k_i/K) / sum (k_i/K) log r_i with k/K = "
-        f"({', '.join(weights)})"
-    )
-    return value, desc
+    return f"sum (k_i/K) log(k_i/K) / sum (k_i/K) log r_i with k/K = ({', '.join(weights)})"
+
+
+def closed_abscissas(prepared: PreparedIFS, k: np.ndarray) -> np.ndarray:
+    """The ``_closed_abscissa`` value of each row of an int64 matrix of
+    nonzero class vectors, bit for bit.
+
+    The terms are the same products, summed by ``row_fsums``; every log is
+    read from a table of ``math.log`` values (``np.log`` may differ from it
+    in the last bit), and the clamp at 0 gives +0.0 as ``max(0.0, x)`` does.
+    """
+    K = k.sum(axis=1)
+    if prepared.folds:
+        int_logs = np.array([0.0, *map(math.log, range(1, int(K.max()) + 1))])
+        num = row_fsums(np.where(k > 0, k * int_logs[k], 0.0))
+        num = num - row_fsums(k * np.array(prepared.log_multiplicities))
+        num = num - K * int_logs[K]
+        value = num / (K * prepared.log_ratios[0])
+    else:
+        w = np.where(k > 0, k / K[:, None], 1.0)
+        num = row_fsums(np.where(k > 0, w * _math_logs(w), 0.0))
+        den = row_fsums(np.where(k > 0, w * np.array(prepared.log_ratios), 0.0))
+        # den < 0 on every row: some w > 0, and every log r < 0
+        value = np.where(num == 0.0, 0.0, num / den)
+    return np.where(value > 0, value, 0.0)
+
+
+def _math_logs(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of each entry of a positive array, once per distinct value."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([math.log(v) for v in values.tolist()])[inverse].reshape(x.shape)
 
 
 def abscissa_closed(ifs: WeightedIFS | PreparedIFS, k: Sequence[int]) -> AbscissaResult:

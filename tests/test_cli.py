@@ -396,6 +396,36 @@ def test_count_and_tapestry_bodies_equal_the_benchmark_reference(tmp_path, capsy
     capsys.readouterr()
 
 
+SPECTRUM_REFERENCE = REFERENCE.with_name("spectrum.json.xz")
+BENCH_SPECTRUM_COMMANDS = [
+    ("beta0-k64", ("1/2,1/2", "1/3,2/3"), 64),
+    ("beta0-k256", ("1/2,1/2", "1/3,2/3"), 256),
+    ("trident-k64", ("1/5,1/5,1/5", "1/5,3/5,1/5"), 64),
+    ("three-map-k32", ("1/5,1/5,1/5", "1/5,1/7,23/35"), 32),
+    ("ratios-1-2-1-3-k128", ("1/2,1/3", "1/3,2/3"), 128),
+]
+
+
+def test_spectrum_bodies_equal_the_benchmark_reference(tmp_path, capsys):
+    """The spectrum and envelope CSVs of the benchmark's collapsed and
+    hypothesis-H sweeps are byte-identical to the stored outputs, which the
+    benchmark's own check holds only to 1e-9."""
+    with lzma.open(SPECTRUM_REFERENCE, "rt") as fh:
+        reference = json.load(fh)
+    path = tmp_path / "system.json"
+    out = tmp_path / "spectrum.csv"
+    for name, (ratios, probs), kmax in BENCH_SPECTRUM_COMMANDS:
+        path.write_text(
+            json.dumps({"type": "ifs", "ratios": ratios.split(","), "probs": probs.split(",")})
+        )
+        argv = ["spectrum", "--config", str(path), "--kmax", str(kmax), "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_text() == reference[name]["spectrum.csv"], name
+        envelope = out.with_suffix(".envelope.csv").read_text()
+        assert envelope == reference[name]["spectrum.envelope.csv"], name
+    capsys.readouterr()
+
+
 def test_count_error_paths(tmp_path, capsys, config):
     out = str(tmp_path / "x.csv")
     assert main(["count", "--config", config("beta"), "--out", out]) == 2
@@ -485,6 +515,35 @@ def test_count_refuses_unguardable_ranges_and_guards(tmp_path, capsys, config, m
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: jump guard"), guard
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_count_refuses_ranges_over_the_draw_budget(tmp_path, capsys, config, monkeypatch):
+    """A sampled range whose guarded share is tiny but not empty is refused
+    before any draw, when its samples would take more than
+    SAMPLE_DRAW_BUDGET draws; a range within the budget samples as before."""
+    original = dimensions.jump_distance
+    draws = []
+
+    def bounded(rz, x):
+        draws.append(x)
+        if len(draws) > 1000:
+            raise AssertionError("1000 rejected draws: the sampler is looping")
+        return original(rz, x)
+
+    monkeypatch.setattr(dimensions, "jump_distance", bounded)
+    out = str(tmp_path / "x.csv")
+    cantor = ["count", "--config", config("cantor"), "--out", out]
+    # log-units 0.98 - 1e-12 .. 0.98 are accepted, of a range 0.016 wide:
+    # about 5e10 draws for 3 samples
+    argv = [*cantor, "--xmin", "2.9348021571842895", "--xmax", "2.99", "--samples", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "draws, above the budget" in err[0]
+    assert draws == [] and not (tmp_path / "x.csv").exists()
+    # 0.97..1.03 keeps a third of the range on each side of the jump at x = 3
+    assert main([*cantor, "--xmin", "2.9", "--xmax", "3.1", "--samples", "3"]) == 0
+    assert 3 <= len(draws) <= 1000
+    capsys.readouterr()
 
 
 def test_verify_cli_budget_and_exit_codes(tmp_path, capsys, config):

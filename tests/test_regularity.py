@@ -5,8 +5,9 @@ import threading
 from fractions import Fraction as F
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfzeta import regularity
@@ -24,8 +25,10 @@ from mfzeta.regularity import (
     is_monofractal,
     partition_values,
     prepare,
+    primitive_matrix,
     primitive_vectors,
     regularity_of,
+    row_fsums,
     values_equal,
 )
 from mfzeta.sequences import multinomial
@@ -204,6 +207,82 @@ def test_primitive_vectors():
     small = primitive_vectors(2, 3)
     assert set(small) == {(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)}
     assert primitive_vectors(1, 5) == [(1,)]
+
+
+def test_primitive_matrix_rows_are_the_primitive_vectors():
+    k = primitive_matrix(3, 6)
+    assert k.dtype == np.int64 and k.shape == (len(primitive_vectors(3, 6)), 3)
+    assert primitive_vectors(3, 6) == [tuple(row) for row in k.tolist()]
+    # every primitive vector with 1 <= sum <= 6, each once, in lexicographic order
+    expected = [
+        (a, b, c)
+        for a in range(7)
+        for b in range(7 - a)
+        for c in range(7 - a - b)
+        if math.gcd(a, b, c) == 1
+    ]
+    assert primitive_vectors(3, 6) == expected
+    for N, K_max in ((0, 4), (2, 0)):
+        with pytest.raises(ValueError):
+            primitive_matrix(N, K_max)
+
+
+# 1 + 2**-53 is a tie that rounds to 1.0; the 2**-110 behind it makes the
+# exact sum round up, which the certified path cannot tell, so fsum decides
+FALLBACK_ROW = [1.0, 2.0**-53, 2.0**-110]
+
+
+@st.composite
+def fsum_rows(draw) -> list[list[float]]:
+    """Rows of one width (1 to 8 terms): magnitudes 2**-60 to 2**60,
+    subnormals and signed zeros, and terms that make half-ulp ties with, or
+    cancel, a term before them."""
+    width = draw(st.integers(1, 8))
+    magnitude = st.builds(
+        lambda m, e, sign: sign * m * 2.0**e,
+        st.floats(1.0, 2.0, exclude_max=True),
+        st.integers(-60, 60),
+        st.sampled_from([1.0, -1.0]),
+    )
+    term = st.one_of(
+        magnitude,
+        st.floats(-(2.0**-1022), 2.0**-1022, allow_subnormal=True),
+        st.sampled_from([0.0, -0.0]),
+    )
+
+    def row() -> list[float]:
+        out = []
+        for _ in range(width):
+            how = draw(st.sampled_from(["new", "new", "tie", "cancel"])) if out else "new"
+            if how == "new":
+                out.append(draw(term))
+                continue
+            t = out[draw(st.integers(0, len(out) - 1))]
+            if how == "cancel":
+                out.append(-t)
+            else:
+                out.append(draw(st.sampled_from([1.0, -1.0])) * math.ulp(t) / 2)
+        return out
+
+    return [row() for _ in range(draw(st.integers(1, 6)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(fsum_rows())
+@example([FALLBACK_ROW, [1.0, 2.0**-53, 0.0]])
+@example([[1.0, -1.0], [-0.0, -0.0], [-0.0, 0.0], [5e-324, -5e-324]])
+def test_row_fsums_is_fsum_bit_for_bit(rows):
+    got = row_fsums(np.array(rows))
+    assert [x.hex() for x in got.tolist()] == [math.fsum(row).hex() for row in rows]
+
+
+def test_row_fsums_sums_uncertified_rows_by_fsum(monkeypatch):
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda terms: calls.append(terms) or fsum(terms))
+    got = row_fsums(np.array([FALLBACK_ROW, [1.0, 2.0**-53, 0.0], [0.5, 0.25, 0.125]]))
+    assert got.tolist() == [1.0 + 2.0**-52, 1.0, 0.875]
+    assert calls == [FALLBACK_ROW]
 
 
 def test_hypothesis_h():

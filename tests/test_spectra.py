@@ -4,7 +4,10 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mfzeta.ifs_core import AtomicMeasureSpec, WeightedIFS
 from mfzeta.regularity import (
@@ -17,6 +20,7 @@ from mfzeta.regularity import (
 )
 from mfzeta.spectra import (
     EnvelopeFunction,
+    _alpha_order,
     concave_envelope,
     legendre_transform,
     moran_dimension,
@@ -279,6 +283,9 @@ def test_sweep_rows_match_stored(name, system, K_max):
 # alpha of QUARTER_RATIOS is the rational (k1 + k2)/(k1 + 2 k2)
 ALPHA_TWO = WeightedIFS(ratios=(F(1, 2), F(1, 2)), probs=(F(1, 4), F(3, 4)))
 QUARTER_RATIOS = WeightedIFS(ratios=(F(1, 2), F(1, 4)), probs=(F(1, 2), F(1, 2)))
+# equal-ratio systems whose row sums have 3 or more terms
+FOLD_FOUR = WeightedIFS(ratios=(F(1, 5),) * 4, probs=(F(1, 10), F(1, 10), F(3, 10), F(1, 2)))
+FOUR_SLOTS = WeightedIFS(ratios=(F(1, 4),) * 4, probs=(F(1, 7), F(1, 5), F(1, 4), F(57, 140)))
 
 
 def _reference_row(prepared, k) -> tuple[float, float, str]:
@@ -309,6 +316,8 @@ def _reference_row(prepared, k) -> tuple[float, float, str]:
         (CERTIFIED, 24),  # unequal ratios: the hypothesis-H path
         (ALPHA_TWO, 24),
         (QUARTER_RATIOS, 24),
+        (FOLD_FOUR, 24),  # 3 slots, one of 2 maps, over the primes 2, 3, 5
+        (FOUR_SLOTS, 16),  # 4 slots of one map each, over 5 primes
     ],
 )
 def test_sweep_rows_are_the_public_entry_points_bit_for_bit(system, K_max):
@@ -326,6 +335,21 @@ def test_sweep_rows_are_the_public_entry_points_bit_for_bit(system, K_max):
         alpha, f, weights = _reference_row(prepared, k)
         assert (p.alpha.hex(), p.f.hex()) == (alpha.hex(), f.hex())
         assert p.f_desc.endswith(weights)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([0.5, -0.0, 0.0, 1.0, 2.0**-1074]), st.text("ab(,)", max_size=3)),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_alpha_order_is_the_sort_by_alpha_then_key_string(rows):
+    """Ties of alpha, -0.0 against 0.0 among them, are ordered by the key
+    string alone, as a sort on (alpha, key string) orders them."""
+    alpha = np.array([a for a, _ in rows])
+    order = _alpha_order(alpha, lambda i: rows[i][1])
+    assert order == sorted(range(len(rows)), key=lambda i: rows[i])
 
 
 def test_sweeps_with_rational_alphas():
