@@ -88,6 +88,12 @@ SWEEP_VECTOR_CAP = 175_000
 # to 10 us for 8 slots, so a run within the cap ends in under a minute.
 ZETA_TERM_CAP = 5_000_000
 
+# Cap on the bits of `zeta`'s exact value at an integer s = n, estimated as |n|
+# times the larger degree of the closed form times the bits of the base's larger
+# part: 3,600 digits, under Python's 4,300-digit str limit, with room for the
+# coefficients.  Past it `exact` is null.
+ZETA_EXACT_BITS = 12_000
+
 # Work cap of one `tapestry` run, in candidate keys k1/K with K <= kmax, that
 # is kmax(kmax + 1)/2; about 0.61 of them are reduced, one pole lattice each.
 # Roots are solved once per law polynomial (one per numerator k1), so on the
@@ -306,14 +312,19 @@ def cmd_zeta(args) -> int:
         if isinstance(system, FractalStringSpec) and key is not None:
             raise ConfigError("--alpha", "string zetas take no class key")
         rz = _class_zeta(closed_form_zeta, system, key)
-        z = rz.z_of(s)
+        try:
+            z = rz.z_of(s)
+        except OverflowError:
+            raise ConfigError("--s", f"z = ({rz.base})^s overflows a double at s = {args.s}")
         den = rz.den(z)
         if abs(den) < 1e-15:
             raise ConfigError("--s", f"s = {args.s} is a pole of the closed form")
         value = rz.num(z) / den
         exact = None
-        if s.imag == 0 and s.real == int(s.real):
-            zq = rz.base ** int(s.real)
+        n, degree = int(s.real), max(rz.num.degree, rz.den.degree, 1)
+        bits = abs(n) * degree * max(rz.base.numerator, rz.base.denominator).bit_length()
+        if s.imag == 0 and s.real == n and bits <= ZETA_EXACT_BITS:
+            zq = rz.base ** n
             exact_den = rz.den(zq)
             if exact_den != 0:
                 exact_value = rz.num(zq) / exact_den

@@ -169,19 +169,11 @@ class PrimeExponentVector:
             return PrimeExponentVector()
         return PrimeExponentVector({p: c * e for p, e in self._e.items()})
 
-    def key(self) -> tuple:
-        """Canonical hashable form (sorted (prime, exponent) pairs)."""
-        return tuple(sorted(self._e.items()))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeExponentVector) and self._e == other._e
 
     def __hash__(self) -> int:
-        return hash(self.key())
-
-    def log(self) -> float:
-        """Natural logarithm of the represented rational, as a double."""
-        return math.fsum(e * math.log(p) for p, e in self._e.items())
+        return hash(tuple(sorted(self._e.items())))
 
     def __repr__(self) -> str:
         return f"PrimeExponentVector({self._e!r})"

@@ -11,10 +11,10 @@ rational exponent ratio.  Other pairs are only certified distinct, by a ladder:
 
 1. float filter — each value's outward-rounded double enclosure (every
    product, sum and quotient widened by one ulp, from float bounds of
-   log p cut outward from the 64-bit interval); disjoint enclosures prove
-   the values distinct, which settles nearly every pair without mpmath;
-2. interval arithmetic at 64, then 256, then 1024 bits, only for pairs
-   whose float enclosures overlap;
+   log p cut outward from its 64-bit integer bounds); disjoint enclosures
+   prove the values distinct, which settles nearly every pair;
+2. intervals at 64, then 256, then 1024 bits, from the integer bounds of
+   ``log_bounds``, only for pairs whose float enclosures overlap;
 3. if the intervals still overlap, ``AmbiguousRegularityError`` is
    raised — values are never silently merged.
 
@@ -25,23 +25,21 @@ of classes at once, ``alphas_from_exponents`` gives the same doubles, with
 ``row_fsums`` in place of ``math.fsum``.
 
 Facts that every class of one system shares (its class space with the
-factorized parameters of each slot, the independence verdict of its distinct
-probabilities, float and interval enclosures of the logs of the primes) live
-in a ``PreparedIFS``, built once by ``prepare``; every function taking a
-``WeightedIFS`` here also takes its prepared form.
+factorized parameters of each slot and the independence verdict of its
+distinct probabilities) live in a ``PreparedIFS``, built once by
+``prepare``; every function taking a ``WeightedIFS`` here also takes its
+prepared form.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
 import numpy as np
-from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import to_float
 
 from .ifs_core import (
     PrimeExponentVector,
@@ -111,22 +109,38 @@ RegularityKey = VectorKey | FractionKey | OnePlusLogKey | InfiniteKey
 _PREC_LADDER = (64, 256, 1024)
 
 
-# One private interval context per rung, made on first use.  None is ever
-# re-precisioned, so comparisons leave mpmath's global iv.prec/mp.prec alone
-# and concurrent comparisons share no mutable precision state.
-_RUNG_CONTEXTS: dict[int, MPIntervalContext] = {}
+# Extra bits the atanh series are summed at, far more than their counted error.
+_GUARD_BITS = 32
 
 
-def _rung_context(bits: int) -> MPIntervalContext:
-    ctx = _RUNG_CONTEXTS.get(bits)
-    if ctx is None:
-        if bits not in _PREC_LADDER:
-            raise ValueError(f"precision must be one of {_PREC_LADDER}, got {bits}")
-        ctx = MPIntervalContext()
-        ctx.prec = bits
-        # two threads may both get here; either context serves
-        ctx = _RUNG_CONTEXTS.setdefault(bits, ctx)
-    return ctx
+def _atanh_floor(a: int, b: int, bits: int) -> tuple[int, int]:
+    """(s, err) with s <= 2^bits atanh(a/b) <= s + err, for 0 <= a/b <= 1/3.
+
+    Each power of x = a/b is the floor of the last times x^2, so it is short
+    of the true one by under 9/8; each term then loses under 3 units, and the
+    series after the first zero power adds under 2.
+    """
+    power = (a << bits) // b
+    total, k = 0, 1
+    while power:
+        total += power // k
+        power = power * a * a // (b * b)
+        k += 2
+    return total, 3 * (k // 2) + 2
+
+
+@functools.cache
+def log_bounds(p: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2^bits log p <= hi for an integer p >= 1, with
+    hi - lo <= 2 for p < 2^64: log p = j log 2 + 2 atanh((p - 2^j)/(p + 2^j))
+    with 2^j <= p < 2^(j+1) and log 2 = 2 atanh(1/3) (Brent and Zimmermann,
+    Modern Computer Arithmetic, ch. 4), summed with ``_GUARD_BITS`` extra bits."""
+    j = p.bit_length() - 1
+    log2, err2 = _atanh_floor(1, 3, bits + _GUARD_BITS)
+    rest, err = _atanh_floor(p - (1 << j), p + (1 << j), bits + _GUARD_BITS)
+    lo = 2 * (j * log2 + rest)
+    hi = lo + 2 * (j * err2 + err)
+    return lo >> _GUARD_BITS, -(-hi >> _GUARD_BITS)
 
 
 def _down(x: float) -> float:
@@ -141,54 +155,47 @@ def _up(x: float) -> float:
 _NO_FILTER = (-math.inf, math.inf)
 
 
-class PrimeLogs:
-    """Enclosures of log p for the primes of one system: an interval at each
-    ladder rung and a pair of float bounds, each computed on first use.
+@functools.cache
+def _float_log(p: int) -> tuple[float, float]:
+    """The tightest double bounds on the 64-bit ``log_bounds`` of log p: each
+    end correctly rounded by int/int division, then stepped out if that went
+    in (scaling a double by 2^64 is exact, so the test is too)."""
+    lo, hi = log_bounds(p, 64)
+    f_lo, f_hi = lo / 2**64, hi / 2**64
+    return _down(f_lo) if f_lo * 2**64 > lo else f_lo, _up(f_hi) if f_hi * 2**64 < hi else f_hi
 
-    Two threads may compute the same entry at once; both store the same
-    value, so the race is harmless.
-    """
 
-    def __init__(self) -> None:
-        self._enclosures: dict[int, dict] = {bits: {} for bits in _PREC_LADDER}
-        self._float_logs: dict[int, tuple[float, float]] = {}
+def _float_form(pev: PrimeExponentVector) -> tuple[float, float]:
+    """Float bounds on sum e * log p over pev, each step rounded outward."""
+    lo = hi = 0.0
+    for p, e in pev.items():
+        if abs(e) > 2**53:
+            return _NO_FILTER  # e would round on its way to a double
+        bounds = _float_log(p)
+        lp_lo, lp_hi = bounds if e > 0 else bounds[::-1]
+        lo = _down(lo + _down(e * lp_lo))
+        hi = _up(hi + _up(e * lp_hi))
+    return lo, hi
 
-    def _log(self, p: int, bits: int):
-        table = self._enclosures[bits]
-        lp = table.get(p)
-        if lp is None:
-            lp = table[p] = _rung_context(bits).ln(p)
-        return lp
 
-    def enclosure(self, pev: PrimeExponentVector, bits: int):
-        """Interval enclosure of sum e * log p over pev, at one ladder rung."""
-        total = _rung_context(bits).zero
-        for p, e in pev.items():
-            total += e * self._log(p, bits)
-        return total
+def _int_form(pev: PrimeExponentVector, bits: int) -> tuple[int, int]:
+    """Integers bounding 2^bits times sum e * log p over pev."""
+    lo = hi = 0
+    for p, e in pev.items():
+        bounds = log_bounds(p, bits)
+        lp_lo, lp_hi = bounds if e > 0 else bounds[::-1]
+        lo += e * lp_lo
+        hi += e * lp_hi
+    return lo, hi
 
-    def float_enclosure(self, pev: PrimeExponentVector) -> tuple[float, float]:
-        """Float bounds on sum e * log p over pev, each step rounded outward."""
-        lo = hi = 0.0
-        for p, e in pev.items():
-            if abs(e) > 2**53:
-                return _NO_FILTER  # e would round on its way to a double
-            bounds = self._float_logs.get(p)
-            if bounds is None:
-                bounds = self._float_logs[p] = self._float_log(p)
-            lp_lo, lp_hi = bounds if e > 0 else bounds[::-1]
-            lo = _down(lo + _down(e * lp_lo))
-            hi = _up(hi + _up(e * lp_hi))
-        return lo, hi
 
-    def _float_log(self, p: int) -> tuple[float, float]:
-        """Float bounds on log p, cut outward from its 64-bit enclosure.
-
-        ``to_float`` rounds each end to a neighbouring double, so one step
-        outward encloses the interval.
-        """
-        lo, hi = self._log(p, _PREC_LADDER[0])._mpi_
-        return _down(to_float(lo)), _up(to_float(hi))
+def _quotient(num: tuple, den: tuple) -> tuple:
+    """The least and greatest of n / d over the bounds n of num and d of den,
+    or ``_NO_FILTER`` while den brackets 0."""
+    if den[0] <= 0 <= den[1]:
+        return _NO_FILTER
+    quotients = [n / d for n in num for d in den]
+    return min(quotients), max(quotients)
 
 
 # slots: a hypothesis-H check holds one value per class (122,465 for 8 maps
@@ -197,15 +204,13 @@ class PrimeLogs:
 class RegularityValue:
     """alpha = log(mass)/log(length) as an exact pair of exponent vectors.
 
-    ``logs`` holds the log enclosures of the system the value came from;
-    values built without one use a fresh table.  The exact rational alpha
-    of a parallel pair is worked out once, at construction; the canonical
-    form, the float and the float enclosure on first use.
+    The exact rational alpha of a parallel pair is worked out once, at
+    construction; the canonical form, the float and the float enclosure on
+    first use.
     """
 
     mass_pev: PrimeExponentVector
     length_pev: PrimeExponentVector
-    logs: PrimeLogs | None = field(default=None, compare=False, repr=False)
     _rational: Fraction | None = field(init=False, compare=False, repr=False)
     _canonical: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _float: float | None = field(default=None, init=False, compare=False, repr=False)
@@ -260,26 +265,19 @@ class RegularityValue:
         one ulp; worked out on first use and kept."""
         bounds = self._float_bounds
         if bounds is None:
-            logs = self.logs or PrimeLogs()
-            m_lo, m_hi = logs.float_enclosure(self.mass_pev)
-            l_lo, l_hi = logs.float_enclosure(self.length_pev)
-            if l_lo <= 0.0 <= l_hi:
-                bounds = _NO_FILTER
-            else:
-                quotients = (m_lo / l_lo, m_lo / l_hi, m_hi / l_lo, m_hi / l_hi)
-                bounds = _down(min(quotients)), _up(max(quotients))
+            lo, hi = _quotient(_float_form(self.mass_pev), _float_form(self.length_pev))
+            bounds = _down(lo), _up(hi)
             object.__setattr__(self, "_float_bounds", bounds)
         return bounds
 
-    def interval(self, prec_bits: int):
-        """Enclosing interval of alpha at one rung (64, 256 or 1024 bits)."""
-        logs = self.logs or PrimeLogs()
-        quot = logs.enclosure(self.mass_pev, prec_bits) / logs.enclosure(
-            self.length_pev, prec_bits
-        )
-        lo, hi = quot._mpi_
-        # make_mpf keeps the endpoints exactly; mpf() would round them to mp.prec
-        return mpmath.mp.make_mpf(lo), mpmath.mp.make_mpf(hi)
+    def interval(self, prec_bits: int) -> tuple[Fraction, Fraction]:
+        """Bounds on alpha at one rung (64, 256 or 1024 bits): the extreme
+        quotients of the integer ``log_bounds`` forms of mass and length, or
+        the infinities while the length form brackets 0."""
+        if prec_bits not in _PREC_LADDER:
+            raise ValueError(f"precision must be one of {_PREC_LADDER}, got {prec_bits}")
+        mass = tuple(map(Fraction, _int_form(self.mass_pev, prec_bits)))
+        return _quotient(mass, _int_form(self.length_pev, prec_bits))
 
 
 def _aligned(
@@ -389,6 +387,10 @@ def _divide_pev(pev: PrimeExponentVector, g: int) -> PrimeExponentVector:
     return PrimeExponentVector({p: e // g for p, e in pev.items()})
 
 
+def _apart(x: tuple, y: tuple) -> bool:
+    return x[1] < y[0] or y[1] < x[0]
+
+
 def values_equal(a: RegularityValue, b: RegularityValue) -> bool:
     """Exact equality, that is canonical-form equality; for other pairs the
     float filter and interval ladder only certify distinctness, or raise
@@ -398,15 +400,10 @@ def values_equal(a: RegularityValue, b: RegularityValue) -> bool:
     if a._rational is not None or b._rational is not None:
         # distinct rationals differ, and a rational never equals an irrational
         return False
-    lo_a, hi_a = a.float_enclosure()
-    lo_b, hi_b = b.float_enclosure()
-    if hi_a < lo_b or hi_b < lo_a:
+    if _apart(a.float_enclosure(), b.float_enclosure()):
         return False
-    for prec in _PREC_LADDER:
-        lo_a, hi_a = a.interval(prec)
-        lo_b, hi_b = b.interval(prec)
-        if hi_a < lo_b or hi_b < lo_a:
-            return False
+    if any(_apart(a.interval(prec), b.interval(prec)) for prec in _PREC_LADDER):
+        return False
     raise AmbiguousRegularityError(
         f"cannot separate regularity values near {a.to_float()!r} at "
         f"{_PREC_LADDER[-1]} bits"
@@ -500,7 +497,6 @@ class PreparedIFS:
     slot_r_pev: tuple[PrimeExponentVector, ...]
     independent: bool
     witness: tuple[int, ...] | None
-    logs: PrimeLogs
     primes: tuple[int, ...]
     p_rows: tuple[tuple[tuple[int, int], ...], ...]
     r_rows: tuple[tuple[tuple[int, int], ...], ...]
@@ -590,7 +586,6 @@ def prepare(system: WeightedIFS | PreparedIFS) -> PreparedIFS:
         slot_r_pev=r_pev,
         independent=independent,
         witness=witness,
-        logs=PrimeLogs(),
         primes=primes,
         p_rows=rows(p_pev),
         r_rows=rows(r_pev),
@@ -638,7 +633,6 @@ def _class_regularity(prepared: PreparedIFS, kprime: tuple[int, ...]) -> Regular
     alpha_exact = RegularityValue(
         PrimeExponentVector(dict(zip(primes, mass))),
         PrimeExponentVector(dict(zip(primes, length))),
-        prepared.logs,
     )
     # the same double to_float would give (zero exponents add exact 0.0s),
     # so sorting by it in assert_separated derives no alpha a second time

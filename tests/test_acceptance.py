@@ -101,9 +101,10 @@ def test_criterion_05_binomial_spectrum_recovery(suite):
 def test_criterion_06_trident_spectrum_max_and_endpoint_slopes(suite):
     suite.assert_criterion(
         6,
-        note="; the binding magnitude grows like 0.91*ln(K_max) (4.06 at K=64, 5.33 "
-        "at 256, 6.59 at 1024), so exceeding 10 extrapolates to K_max near "
-        "4e4 - a sweep of roughly 5e8 classes, far beyond the stated depth",
+        note="; the end segments are the chords (0,1)-(1,K-1) and (K-1,1)-(1,0), "
+        "of slopes +(ln 2K + c)/ln 3 and -(ln(K/2) + c)/ln 3 with "
+        "c = (K-1) ln(K/(K-1)) -> 1, so both exceed 10 first at K_max = 43,447 "
+        "- a sweep of about 9.4e8 candidate vectors, far beyond the stated depth",
     )
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -100,6 +101,21 @@ def test_zeta_closed_form_examples(capsys, config):
     assert rc == 0
     assert payload["exact"] == "16/11"
     assert abs(payload["value_re"] - 16 / 11) < 1e-15
+
+
+def test_zeta_exact_value_is_capped_at_large_integer_s(capsys, config):
+    # the exact rational of a deep s would pass the 4,300-digit str limit
+    cantor = config("cantor")
+    rc, payload = run_json(capsys, ["zeta", "--config", cantor, "--s", str(10**6)])
+    assert rc == 0
+    assert payload["exact"] is None and payload["value_re"] == 0.0
+    for n, want in ((10**8, 0), (-(10**8), 2)):
+        start = time.perf_counter()
+        rc = main(["zeta", "--config", cantor, f"--s={n}"])
+        assert time.perf_counter() - start < 1.0
+        assert rc == want
+    # far left of the abscissa z = 3^-s has no double: a clear refusal
+    assert "error: --s: z = (1/3)^s overflows a double" in capsys.readouterr().err
 
 
 def test_zeta_series_mode(capsys, config):

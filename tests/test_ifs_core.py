@@ -19,6 +19,7 @@ from mfzeta.ifs_core import (
     factorize_int,
     parse_system,
 )
+from mfzeta.regularity import _int_form
 
 BETA = WeightedIFS(ratios=(F(1, 3), F(1, 3)), probs=(F(1, 3), F(2, 3)))
 TRIDENT = WeightedIFS(ratios=(F(1, 5),) * 3, probs=(F(1, 5), F(3, 5), F(1, 5)))
@@ -52,7 +53,11 @@ def test_factorize_fraction():
 def test_pev_log_matches_float_log(num, den):
     q = F(num, den)
     pev = factorize(q)
-    assert math.isclose(pev.log(), math.log(q), rel_tol=0, abs_tol=1e-12)
+    # the integer form that the interval rungs use: 2^64 log q within [lo, hi]
+    lo, hi = _int_form(pev, 64)
+    assert lo <= hi <= lo + 2 * sum(abs(e) for _, e in pev.items())
+    for end in (lo, hi):
+        assert math.isclose(end / 2**64, math.log(q), rel_tol=0, abs_tol=1e-12)
     assert pev.as_fraction() == q
 
 

@@ -19,10 +19,12 @@ from mfzeta.regularity import (
     OnePlusLogKey,
     RegularityValue,
     VectorKey,
+    _PREC_LADDER,
     assert_separated,
     check_hypothesis_H,
     collapsed_regularity,
     is_monofractal,
+    log_bounds,
     partition_values,
     prepare,
     primitive_matrix,
@@ -152,14 +154,14 @@ def _overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
 
 def test_float_filter_near_ties_fall_through_to_the_ladder(interval_rungs):
     a = RegularityValue(factorize(F(1, 3)), factorize(F(1, 2)))
-    # separated by the first mpmath rung, not by doubles
+    # separated by the first integer rung, not by doubles
     b = _near_tie(85137581, 53715834)
     assert _overlap(a.float_enclosure(), b.float_enclosure())
     assert not values_equal(a, b)
     assert set(interval_rungs) == {64}
     # closer still: the 64-bit intervals overlap too
     interval_rungs.clear()
-    b2 = _near_tie(630138897, 397573380)
+    b2 = _near_tie(10439860591, 6586818671)
     assert _overlap(a.float_enclosure(), b2.float_enclosure())
     assert not values_equal(a, b2)
     assert 256 in interval_rungs
@@ -425,6 +427,11 @@ def test_prepare_holds_integer_rows_and_log_tables():
     assert prepared.exponents((2, 1)) == ([1, -3], [0, -3])
 
 
+def _log(pev) -> float:
+    """The log of a prime exponent vector's rational: fsum of e * log p."""
+    return math.fsum(e * math.log(p) for p, e in pev.items())
+
+
 @settings(max_examples=60, deadline=None)
 @given(system=small_systems(), data=st.data())
 def test_alpha_float_is_the_float_of_the_exact_value(system, data):
@@ -435,7 +442,7 @@ def test_alpha_float_is_the_float_of_the_exact_value(system, data):
     value = cls.alpha_exact
     assert cls.alpha_float.hex() == value.to_float().hex()
     q = value.rational_value()
-    direct = float(q) if q is not None else value.mass_pev.log() / value.length_pev.log()
+    direct = float(q) if q is not None else _log(value.mass_pev) / _log(value.length_pev)
     assert cls.alpha_float.hex() == direct.hex()
 
 
@@ -476,30 +483,20 @@ def test_hypothesis_h_sweep_derives_each_alpha_once(monkeypatch):
     assert len(calls) == len(points) + certified.N
 
 
-def test_interval_never_sets_global_precision(monkeypatch):
-    """interval works in private contexts: mpmath's iv.prec/mp.prec stay put."""
+def test_interval_never_sets_global_precision(modules_after_import):
+    """interval is integer arithmetic: no precision state, and no mpmath."""
     value = regularity_of(ROBY, (1, 0, 1)).alpha_exact
     expected = [value.interval(bits) for bits in (64, 256, 1024)]
-    assignments = []
-    for ctx in (mpmath.iv, mpmath.mp):
-        prop = getattr(type(ctx), "prec")
-
-        def spy(self, n, prop=prop):
-            assignments.append(n)
-            prop.fset(self, n)
-
-        monkeypatch.setattr(type(ctx), "prec", property(prop.fget, spy))
-    iv_prec, mp_prec = mpmath.iv.prec, mpmath.mp.prec
     fresh = regularity_of(ROBY, (1, 0, 1)).alpha_exact
     assert [fresh.interval(bits) for bits in (64, 256, 1024)] == expected
-    assert assignments == []
-    assert (mpmath.iv.prec, mpmath.mp.prec) == (iv_prec, mp_prec)
+    assert all(isinstance(end, F) for pair in expected for end in pair)
+    assert "mpmath" not in modules_after_import("mfzeta.cli")
     with pytest.raises(ValueError, match="precision must be one of"):
         fresh.interval(128)
 
 
 def test_interval_threads_match_serial():
-    """Concurrent comparisons at 64 and 1024 bits share no precision state."""
+    """Concurrent comparisons at 64 and 1024 bits give the serial bounds."""
     prepared = prepare(ROBY)
     values = [regularity_of(prepared, k).alpha_exact for k in primitive_vectors(3, 5)]
     values += [regularity_of(ROBY, k).alpha_exact for k in ((1, 0, 1), (2, 1, 3))]
@@ -520,7 +517,6 @@ def test_interval_threads_match_serial():
         except BaseException as exc:  # reported by the main thread
             errors.append(exc)
 
-    precs = (mpmath.iv.prec, mpmath.mp.prec)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -538,4 +534,35 @@ def test_interval_threads_match_serial():
     assert not errors
     for i, bits in enumerate((64, 1024, 64, 1024)):
         assert results[i] == serial[bits]
-    assert (mpmath.iv.prec, mpmath.mp.prec) == precs
+
+
+PRIMES_BELOW_1000 = [p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def test_log_bounds_bracket_a_1100_bit_log_within_two_units():
+    with mpmath.workprec(1100):
+        for p in PRIMES_BELOW_1000:
+            log_p = mpmath.log(p)
+            for bits in _PREC_LADDER:
+                lo, hi = log_bounds(p, bits)
+                scaled = mpmath.ldexp(log_p, bits)
+                assert lo <= scaled <= hi, (p, bits)
+                assert hi - lo <= 2, (p, bits)
+
+
+def test_float_log_is_never_looser_than_a_64_bit_mpmath_interval():
+    """The float bounds of log p that a 64-bit mpmath interval gave, each end
+    truncated to a double by ``to_float`` and stepped one ulp outward."""
+    from mpmath.ctx_iv import MPIntervalContext
+    from mpmath.libmp import to_float
+
+    ctx = MPIntervalContext()
+    ctx.prec = 64
+    for p in PRIMES_BELOW_1000:
+        lo, hi = ctx.ln(p)._mpi_
+        f_lo, f_hi = regularity._float_log(p)
+        assert math.nextafter(to_float(lo), -math.inf) <= f_lo, p
+        assert f_hi <= math.nextafter(to_float(hi), math.inf), p
+        # and they bound the 64-bit integer table
+        table_lo, table_hi = log_bounds(p, 64)
+        assert F(f_lo) <= F(table_lo, 2**64) and F(table_hi, 2**64) <= F(f_hi), p

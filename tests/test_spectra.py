@@ -232,6 +232,23 @@ def test_sweep_sigma2_is_a_line():
     assert hi == pytest.approx(LOG3_2, abs=1e-9)
 
 
+@pytest.mark.parametrize("K", [64, 128])
+def test_trident_hull_ends_are_closed_form_chords(K):
+    """The hull's end segments join classes (0,1)-(1,K-1) and (K-1,1)-(1,0),
+    of slopes +(ln 2K + c)/ln 3 and -(ln(K/2) + c)/ln 3, c = (K-1) ln(K/(K-1))."""
+    points = spectrum_sweep(TRIDENT, K_max=K)
+    by_key = {p.key.vector: p for p in points}
+
+    def chord(a, b):
+        return (by_key[b].f - by_key[a].f) / (by_key[b].alpha - by_key[a].alpha)
+
+    slopes = concave_envelope(points).endpoint_slopes()
+    assert slopes == (chord((0, 1), (1, K - 1)), chord((K - 1, 1), (1, 0)))
+    c = (K - 1) * math.log(K / (K - 1))
+    closed = ((math.log(2 * K) + c) / math.log(3), -(math.log(K / 2) + c) / math.log(3))
+    assert slopes == pytest.approx(closed, rel=1e-12)
+
+
 def test_sweep_sigma1_all_flat():
     spec = AtomicMeasureSpec(family="sigma1")
     points = spectrum_sweep(spec, K_max=12)
@@ -288,12 +305,17 @@ FOLD_FOUR = WeightedIFS(ratios=(F(1, 5),) * 4, probs=(F(1, 10), F(1, 10), F(3, 1
 FOUR_SLOTS = WeightedIFS(ratios=(F(1, 4),) * 4, probs=(F(1, 7), F(1, 5), F(1, 4), F(57, 140)))
 
 
+def _log(pev) -> float:
+    """The log of a prime exponent vector's rational: fsum of e * log p."""
+    return math.fsum(e * math.log(p) for p, e in pev.items())
+
+
 def _reference_row(prepared, k) -> tuple[float, float, str]:
     """alpha from the exact value's exponent vectors and f from Fractions:
     the arithmetic the sweep must reproduce without building either."""
     value = collapsed_regularity(prepared, k).alpha_exact
     q = value.rational_value()
-    alpha = float(q) if q is not None else value.mass_pev.log() / value.length_pev.log()
+    alpha = float(q) if q is not None else _log(value.mass_pev) / _log(value.length_pev)
     K = sum(k)
     if prepared.folds:
         num = math.fsum(kq * math.log(kq) for kq in k if kq)
