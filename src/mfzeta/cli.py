@@ -73,13 +73,13 @@ POLE_TERM_CAP = 200_000_000
 
 # Work cap of one `spectrum` run, in candidate class vectors C(kmax + w, w),
 # w the sweep width; `zeta` applies it to the hypothesis check of an
-# unequal-ratio class.  On the same VM the hypothesis-H path costs about
-# 0.11 ms per class and the collapsed path, one numpy pass plus each row's
-# strings and CSV line, about 0.03 ms, so a sweep within the cap ends in well
-# under a minute: measured 14-17 s (253 MB peak) for 3 unequal ratios at
-# kmax 99 and 2.9-3.1 s (126 MB) for 2 equal ratios at kmax 590 (105,951
-# classes).  Time would allow a larger cap, but the peak memory of a
-# hypothesis-H sweep grows with it.
+# unequal-ratio class.  On the same VM both sweep paths, one numpy pass plus
+# each row's strings and CSV line, cost about 0.03 ms per class, so a sweep
+# within the cap ends in well under a minute: measured 4.0-4.4 s (143 MB
+# peak) for 3 unequal ratios at kmax 99 (141,211 classes) and 3.2 s (124 MB)
+# for 2 equal ratios at kmax 590 (105,951 classes).  Time would allow a
+# larger cap; peak memory, about 1 KB per output row on either path, grows
+# with it.
 SWEEP_VECTOR_CAP = 175_000
 
 # Work cap of `zeta --terms`, in series terms.  Just right of the convergence
@@ -386,7 +386,7 @@ def cmd_count(args) -> int:
         raise ConfigError("--samples", f"need at least one sample, got {args.samples}")
     points = len(args.x) if args.x else args.samples
     # every pole lattice of a class zeta has the period 2 pi / -ln(base)
-    period = 2 * math.pi / -math.log(float(rz.base))
+    period = 2 * math.pi / rz.log_unit
     lnx = max((math.log(x) for x in args.x or [args.xmax] if x > 1), default=0.0)
     fast = args.trunc if lnx == 0 else min(args.trunc, int(FAST_TRIG_ARG / (period * lnx)))
     slow = 2 * (args.trunc - fast)  # terms per x past FAST_TRIG_ARG

@@ -18,7 +18,10 @@ rational exponent ratio.  Other pairs are only certified distinct, by a ladder:
 3. if the intervals still overlap, ``AmbiguousRegularityError`` is
    raised — values are never silently merged.
 
-``partition_values`` groups values into these classes for every caller.
+``partition_values`` groups values into these classes.  ``ClassColumns``
+groups the class vectors of a whole sweep the same way from integer columns,
+with the float filter as one numpy pass; it builds values only for the pairs
+that the filter leaves to the intervals.
 
 The float alpha of a class is ``alpha_from_exponents``; for a whole matrix
 of classes at once, ``alphas_from_exponents`` gives the same doubles, with
@@ -198,8 +201,9 @@ def _quotient(num: tuple, den: tuple) -> tuple:
     return min(quotients), max(quotients)
 
 
-# slots: a hypothesis-H check holds one value per class (122,465 for 8 maps
-# at K = 12), and per-instance dicts would add about 30 MB there
+# slots: the oracle holds one value per stage record, and a read of
+# HypothesisReport.classes one per class; a per-instance dict would add about
+# 250 bytes to each
 @dataclass(frozen=True, slots=True)
 class RegularityValue:
     """alpha = log(mass)/log(length) as an exact pair of exponent vectors.
@@ -329,17 +333,26 @@ def alphas_from_exponents(
     ints rounds correctly; any other row is the quotient of the
     ``row_fsums`` of the same products e * log p.
     """
-    rows = np.arange(len(length))
-    first = (length != 0).argmax(axis=1)
-    a, b = mass[rows, first], length[rows, first]
-    parallel = (mass * b[:, None] == length * a[:, None]).all(axis=1)
+    parallel, a, b = _parallel_rows(mass, length)
     # b > 0, as _parallel makes it: a zero a then gives +0.0
-    sign = np.where(b < 0, -1, 1)
-    alpha = (a * sign) / (b * sign)
+    alpha = a / b
     free = ~parallel
     logs = np.asarray(logs)
     alpha[free] = row_fsums(mass[free] * logs) / row_fsums(length[free] * logs)
     return alpha
+
+
+def _parallel_rows(
+    mass: np.ndarray, length: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_parallel`` of each row pair of two int64 matrices: a mask of the
+    parallel rows and each row's (a, b), b > 0, read where the mask is set."""
+    rows = np.arange(len(length))
+    first = (length != 0).argmax(axis=1)
+    a, b = mass[rows, first], length[rows, first]
+    parallel = (mass * b[:, None] == length * a[:, None]).all(axis=1)
+    sign = np.where(b < 0, -1, 1)
+    return parallel, a * sign, b * sign
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -697,19 +710,154 @@ def primitive_vectors(N: int, K_max: int) -> list[tuple[int, ...]]:
     return list(map(tuple, primitive_matrix(N, K_max).tolist()))
 
 
+def _exponent_matrix(rows: tuple[tuple[tuple[int, int], ...], ...], n: int) -> np.ndarray:
+    """The (j, e) rows of a ``PreparedIFS`` as a dense int64 matrix over n primes."""
+    out = np.zeros((len(rows), n), dtype=np.int64)
+    for q, row in enumerate(rows):
+        for j, e in row:
+            out[q, j] = e
+    return out
+
+
+def _float_forms(e: np.ndarray, primes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``_float_form`` of each row of an int64 exponent matrix over primes,
+    bit for bit: the same steps in the same prime order, each zero exponent
+    skipped as the sparse vector skips it."""
+    lo, hi = np.zeros(len(e)), np.zeros(len(e))
+    # with infinite bounds on log p (a filter forced open) a zero exponent
+    # makes 0 * inf = nan, which np.where drops
+    with np.errstate(invalid="ignore"):
+        for col, p in zip(e.T, primes):
+            lp_lo, lp_hi = _float_log(p)
+            pos, f = col > 0, col.astype(np.float64)
+            down = lo + np.nextafter(f * np.where(pos, lp_lo, lp_hi), -np.inf)
+            up = hi + np.nextafter(f * np.where(pos, lp_hi, lp_lo), np.inf)
+            lo = np.where(col != 0, np.nextafter(down, -np.inf), lo)
+            hi = np.where(col != 0, np.nextafter(up, np.inf), hi)
+    wide = (np.abs(e) > 2**53).any(axis=1)
+    lo[wide], hi[wide] = _NO_FILTER
+    return lo, hi
+
+
+@dataclass(frozen=True, eq=False)
+class ClassColumns:
+    """Nonzero class vectors of one system as the rows of an int64 matrix
+    ``k``, with the exponents over ``primes`` of each row's mass and length
+    products and its float alpha (``alphas_from_exponents``).
+
+    Built by ``class_columns``.  Row i stands for the value ``value(i)``;
+    ``partition`` groups the rows as ``partition_values`` groups those
+    values, and builds a value only for a pair that the float filter leaves
+    to the interval ladder.
+    """
+
+    primes: tuple[int, ...]
+    k: np.ndarray
+    mass: np.ndarray
+    length: np.ndarray
+    alpha: np.ndarray
+
+    def value(self, i: int) -> RegularityValue:
+        """The exact value of row i."""
+        return RegularityValue(
+            PrimeExponentVector(dict(zip(self.primes, self.mass[i].tolist()))),
+            PrimeExponentVector(dict(zip(self.primes, self.length[i].tolist()))),
+        )
+
+    def float_enclosures(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``float_enclosure()`` bounds of the values of the given rows,
+        bit for bit: ``_quotient`` of the ``_float_forms``, widened by one ulp."""
+        n_lo, n_hi = _float_forms(self.mass[rows], self.primes)
+        d_lo, d_hi = _float_forms(self.length[rows], self.primes)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.stack((n_lo / d_lo, n_lo / d_hi, n_hi / d_lo, n_hi / d_hi))
+            lo = np.nextafter(q.min(axis=0), -np.inf)
+            hi = np.nextafter(q.max(axis=0), np.inf)
+        brackets_0 = (d_lo <= 0) & (0 <= d_hi)
+        lo[brackets_0], hi[brackets_0] = _NO_FILTER
+        return lo, hi
+
+    def partition(self) -> np.ndarray:
+        """Each row's class number: rows share a class exactly when their
+        values are equal, and classes are numbered in first-seen order, the
+        order of ``partition_values``' lists.
+
+        Rows are bucketed by canonical form: a parallel row by its reduced
+        rational (a, b), any other by its mass and length exponents divided
+        by their gcd.  One row per bucket is then certified distinct from
+        the others.  Sorted by alpha, an adjacent pair is apart when either
+        value is rational or their float enclosures are disjoint; only the
+        pairs left go through ``values_equal``, which raises
+        ``AmbiguousRegularityError`` when it cannot separate them.
+        """
+        parallel, a, b = _parallel_rows(self.mass, self.length)
+        # a leading 0 marks a pair, a leading 1 a rational
+        key = np.column_stack((np.zeros(len(self.k), np.int64), self.mass, self.length))
+        key[:, 1:] //= np.gcd.reduce(key[:, 1:], axis=1)[:, None]
+        g = np.gcd(a, b)[parallel]
+        key[parallel] = 0
+        key[parallel, :3] = np.column_stack((np.ones_like(g), a[parallel] // g, b[parallel] // g))
+        # a stable sort on every column (np.unique(axis=0) sorts row bytes,
+        # several times slower), then a bucket starts at each new key
+        order = np.lexsort(key.T[::-1])
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = (key[order[1:]] != key[order[:-1]]).any(axis=1)
+        bucket = np.empty_like(order)
+        bucket[order] = np.cumsum(starts) - 1
+        first = order[starts]  # each bucket's first row: the sort is stable
+        seen = np.argsort(first)
+        number = np.empty_like(seen)
+        number[seen] = np.arange(len(seen))
+        reps = first[seen]
+        ranked = reps[np.argsort(self.alpha[reps], kind="stable")]
+        lo, hi = self.float_enclosures(ranked)
+        irrational = ~parallel[ranked]
+        left = (lo[1:] <= hi[:-1]) & (lo[:-1] <= hi[1:]) & irrational[1:] & irrational[:-1]
+        for i in np.flatnonzero(left).tolist():
+            if values_equal(self.value(ranked[i]), self.value(ranked[i + 1])):
+                raise AmbiguousRegularityError(
+                    "distinct canonical forms compare equal through the ladder"
+                )
+        return number[bucket]
+
+
+def class_columns(prepared: PreparedIFS, k: np.ndarray) -> ClassColumns:
+    """The ``ClassColumns`` of the rows of k, nonzero class vectors of ``prepared``."""
+    n = len(prepared.primes)
+    mass = k @ _exponent_matrix(prepared.p_rows, n)
+    length = k @ _exponent_matrix(prepared.r_rows, n)
+    alpha = alphas_from_exponents(mass, length, prepared.log_primes)
+    return ClassColumns(prepared.primes, k, mass, length, alpha)
+
+
 @dataclass
 class HypothesisReport:
     """Result of checking that primitive vectors have pairwise distinct regularity.
 
-    When the hypothesis holds, ``classes`` are the classes of all primitive
-    vectors in enumeration order; otherwise it is empty.  A separation that
-    stays ambiguous certifies no grouping, so it leaves ``collisions`` empty.
+    When the hypothesis holds, ``columns`` holds all primitive vectors in
+    enumeration order and ``classes`` builds their classes on each read;
+    otherwise ``columns`` is None and ``classes`` is empty.  A separation
+    that stays ambiguous certifies no grouping, so it leaves ``collisions``
+    empty.
     """
 
     holds: bool
     collisions: list[tuple[float, list[tuple[int, ...]]]] = field(default_factory=list)
     ambiguous: list[str] = field(default_factory=list)
-    classes: list[RegularityClass] = field(default_factory=list)
+    columns: ClassColumns | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def classes(self) -> list[RegularityClass]:
+        columns = self.columns
+        if columns is None:
+            return []
+        classes = []
+        for i, (k, alpha) in enumerate(zip(columns.k.tolist(), columns.alpha.tolist())):
+            value = columns.value(i)
+            # the double to_float would derive (zero exponents add exact 0.0s)
+            object.__setattr__(value, "_float", alpha)
+            classes.append(RegularityClass(VectorKey(tuple(k)), value, alpha, sum(k)))
+        return classes
 
 
 def check_hypothesis_H(ifs: WeightedIFS | PreparedIFS, K_max: int) -> HypothesisReport:
@@ -717,22 +865,26 @@ def check_hypothesis_H(ifs: WeightedIFS | PreparedIFS, K_max: int) -> Hypothesis
 
     The vectors range over the class space of ``PreparedIFS``: for equal
     ratios, maps with the same probability share a slot, since they make
-    per-map vectors collide by construction.
+    per-map vectors collide by construction.  They are grouped as
+    ``ClassColumns.partition`` groups them.
     """
     prepared = prepare(ifs)
     if prepared.dependence is not None:
-        return HypothesisReport(holds=False, collisions=[], ambiguous=[prepared.dependence])
-    classes = [_class_regularity(prepared, k) for k in primitive_vectors(prepared.width, K_max)]
+        return HypothesisReport(holds=False, ambiguous=[prepared.dependence])
+    columns = class_columns(prepared, primitive_matrix(prepared.width, K_max))
     try:
-        parts = partition_values([cls.alpha_exact for cls in classes])
+        number = columns.partition()
     except AmbiguousRegularityError as exc:
         return HypothesisReport(holds=False, ambiguous=[str(exc)])
+    shared = np.flatnonzero(np.bincount(number)[number] > 1)
+    if not len(shared):
+        return HypothesisReport(holds=True, columns=columns)
+    # the rows of each shared class, classes in first-seen order
+    shared = shared[np.argsort(number[shared], kind="stable")]
+    parts = np.split(shared, np.flatnonzero(np.diff(number[shared])) + 1)
     collisions = [
-        (classes[part[0]].alpha_float, [classes[i].key.vector for i in part])
+        (float(columns.alpha[part[0]]), list(map(tuple, columns.k[part].tolist())))
         for part in parts
-        if len(part) > 1
     ]
     collisions.sort(key=lambda item: item[0])
-    return HypothesisReport(
-        holds=not collisions, collisions=collisions, classes=[] if collisions else classes
-    )
+    return HypothesisReport(holds=False, collisions=collisions)

@@ -26,8 +26,8 @@ from .regularity import (
     PreparedIFS,
     RegularityKey,
     VectorKey,
-    alphas_from_exponents,
     check_hypothesis_H,
+    class_columns,
     is_monofractal,
     prepare,
     primitive_matrix,
@@ -136,24 +136,17 @@ def _ifs_sweep(ifs: WeightedIFS | PreparedIFS, K_max: int) -> list[SpectrumPoint
         # independent distinct probabilities make every class distinct
         if prepared.dependence is not None:
             raise ValueError(prepared.dependence)
-        k = primitive_matrix(prepared.width, K_max)
-        n = len(prepared.primes)
-        alpha = alphas_from_exponents(
-            k @ _exponent_matrix(prepared.p_rows, n),
-            k @ _exponent_matrix(prepared.r_rows, n),
-            prepared.log_primes,
-        )
+        columns = class_columns(prepared, primitive_matrix(prepared.width, K_max))
         label = "collapsed class"
     else:
-        report = check_hypothesis_H(prepared, K_max)
-        if not report.holds:
+        columns = check_hypothesis_H(prepared, K_max).columns
+        if columns is None:
             return _oracle_fallback_sweep(prepared, K_max)
-        # the classes go before the points are made: holding both raises
-        # peak memory.  They are in enumeration order, the rows of k
-        alpha = np.array([cls.alpha_float for cls in report.classes])
-        del report
-        k = primitive_matrix(prepared.width, K_max)
         label = "class"
+    # mass and length go before the points are made: holding them too raises
+    # peak memory
+    k, alpha = columns.k, columns.alpha
+    del columns
     f = closed_abscissas(prepared, k).tolist()
     K = k.sum(axis=1).tolist()
     c = prepared.multiplicities if prepared.folds else None
@@ -173,15 +166,6 @@ def _ifs_sweep(ifs: WeightedIFS | PreparedIFS, K_max: int) -> list[SpectrumPoint
             )
         )
     return points
-
-
-def _exponent_matrix(rows: tuple[tuple[tuple[int, int], ...], ...], n: int) -> np.ndarray:
-    """The (j, e) rows of a ``PreparedIFS`` as a dense int64 matrix over n primes."""
-    out = np.zeros((len(rows), n), dtype=np.int64)
-    for q, row in enumerate(rows):
-        for j, e in row:
-            out[q, j] = e
-    return out
 
 
 def _alpha_order(alpha: np.ndarray, key_str) -> list[int]:

@@ -31,10 +31,11 @@ from .regularity import (
     PreparedIFS,
     RegularityKey,
     VectorKey,
+    class_columns,
     collapsed_regularity,
     partition_values,
     prepare,
-    primitive_vectors,
+    primitive_matrix,
     row_fsums,
     unit_values,
 )
@@ -62,7 +63,8 @@ class HypothesisViolationError(ValueError):
 
 
 class KeyRangeError(ValueError):
-    """A class key whose length base would round to 0.0 as a double."""
+    """A class key too deep to evaluate: its length base would round to 0.0 as
+    a double, or its entries or mass and length exponents pass 2**31."""
 
 
 # a positive rational at or below 2**-1075 rounds to the double 0.0
@@ -221,6 +223,12 @@ class RationalZeta:
     def entire(self) -> bool:
         return self.den.degree == 0
 
+    @functools.cached_property
+    def log_unit(self) -> float:
+        """-log(base) as a double: the distance in log x between two jumps of
+        the counting function, worked out on first use and kept."""
+        return -math.log(float(self.base))
+
     def z_of(self, s: complex) -> complex:
         return cmath.exp(complex(s) * math.log(self.base))
 
@@ -266,16 +274,21 @@ def multinomial_zeta(ifs: WeightedIFS | PreparedIFS, k: Sequence[int]) -> AlphaL
     kprime = prepared.class_vector(k)
     if prepared.dependence is not None:
         raise HypothesisViolationError(prepared.dependence)
+    mass, length = prepared.exponents(kprime)
+    if max(map(abs, (*kprime, *mass, *length))) >= 2**31:
+        # the int64 columns of the hypothesis check multiply two exponents,
+        # and building an exact base with that many bits runs past a minute
+        raise KeyRangeError(f"class {kprime} is too deep: its entries or exponents pass 2**31")
     base = _length_base(list(zip(prepared.slot_ratios, kprime)), kprime)
     if not prepared.ifs.equal_ratios():
         # the target leads the partition, whatever its K
-        vectors = primitive_vectors(prepared.width, HYPOTHESIS_K_MAX)
-        vectors = [kprime, *(v for v in vectors if v != kprime)]
-        values = [collapsed_regularity(prepared, v).alpha_exact for v in vectors]
-        shared = partition_values(values)[0]
+        rows = primitive_matrix(prepared.width, HYPOTHESIS_K_MAX)
+        rows = np.vstack((kprime, rows[(rows != kprime).any(axis=1)]))
+        number = class_columns(prepared, rows).partition()
+        shared = np.flatnonzero(number == number[0])
         if len(shared) > 1:
             raise HypothesisViolationError(
-                f"regularity of {kprime} is also attained by {vectors[shared[1]]}; "
+                f"regularity of {kprime} is also attained by {tuple(rows[shared[1]].tolist())}; "
                 "the multinomial series undercounts this class"
             )
     if prepared.folds:

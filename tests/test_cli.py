@@ -28,6 +28,12 @@ CONFIGS = {
     "rho": {"type": "ifs", "ratios": ["1/3", "1/3"], "probs": ["1/2", "1/2"]},
     "oracle": {"type": "ifs", "ratios": ["1/2", "1/4", "1/8"], "probs": ["1/2", "1/3", "1/6"]},
     "certified": {"type": "ifs", "ratios": ["1/2", "1/3"], "probs": ["1/3", "2/3"]},
+    # a ratio so close to 1 that a class can be deep in it before its base rounds to 0
+    "near_one": {
+        "type": "ifs",
+        "ratios": ["4294967295/4294967296", "1/4294967296"],
+        "probs": ["1/2", "1/2"],
+    },
 }
 
 
@@ -67,6 +73,7 @@ def test_alpha_keys_are_bounded(tmp_path, capsys, config):
         ("zeta", "beta", "100000000,1", "too deep"),
         ("zeta", "certified", "3000,1", "too deep"),
         ("zeta", "certified", "18446744073709551616,1", "below 2**64"),
+        ("zeta", "near_one", "8589934592,1", "exponents pass 2**31"),
         ("count", "sigma2", "1/100000000", "too deep"),
     ]
     for command, name, alpha, message in cases:

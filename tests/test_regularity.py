@@ -14,6 +14,7 @@ from mfzeta import regularity
 from mfzeta.ifs_core import PrimeExponentVector, WeightedIFS, factorize
 from mfzeta.oracle import enumerate_stage
 from mfzeta.regularity import (
+    ClassColumns,
     FractionKey,
     InfiniteKey,
     OnePlusLogKey,
@@ -22,6 +23,7 @@ from mfzeta.regularity import (
     _PREC_LADDER,
     assert_separated,
     check_hypothesis_H,
+    class_columns,
     collapsed_regularity,
     is_monofractal,
     log_bounds,
@@ -180,6 +182,17 @@ def test_float_filter_defers_what_doubles_cannot_bound(interval_rungs):
         interval_rungs.clear()
         assert not values_equal(a, value)
         assert interval_rungs
+    # the same two as rows of class columns
+    columns = ClassColumns(
+        primes=(2, 3, 2**61 - 1),
+        k=np.ones((2, 1), dtype=np.int64),
+        mass=np.array([[0, -(2**60), 0], [-1, 0, 0]]),
+        length=np.array([[-(2**60) - 1, 0, 0], [-61, 0, 1]]),
+        alpha=np.zeros(2),
+    )
+    assert [columns.value(i) for i in range(2)] == [deep, flat]
+    lo, hi = columns.float_enclosures(np.arange(2))
+    assert lo.tolist() == [-math.inf] * 2 and hi.tolist() == [math.inf] * 2
 
 
 def test_float_filter_separates_a_certified_sweep(interval_rungs):
@@ -371,14 +384,58 @@ def test_partition_buckets_are_the_equal_values(system, K_max):
 
 
 @settings(max_examples=40, deadline=None)
+@given(system=small_systems(), K_max=st.integers(1, 5))
+@example(system=ROBY, K_max=4)  # collisions
+@example(system=WeightedIFS(ratios=(F(1, 2), F(1, 4)), probs=(F(1, 2), F(1, 2))), K_max=5)
+def test_column_partition_is_partition_values(system, K_max):
+    """``ClassColumns.partition`` makes the lists of ``partition_values`` over
+    the class values, and the hypothesis check reports its shared lists."""
+    prepared = prepare(system)
+    k = primitive_matrix(prepared.width, K_max)
+    classes = [collapsed_regularity(prepared, row) for row in k.tolist()]
+    parts = partition_values([cls.alpha_exact for cls in classes])
+    number = class_columns(prepared, k).partition()
+    assert [np.flatnonzero(number == n).tolist() for n in range(len(parts))] == parts
+    assert number.max() == len(parts) - 1
+    if prepared.dependence is None:
+        collisions = [
+            (classes[part[0]].alpha_float, [classes[i].key.vector for i in part])
+            for part in parts
+            if len(part) > 1
+        ]
+        collisions.sort(key=lambda item: item[0])
+        assert check_hypothesis_H(prepared, K_max).collisions == collisions
+
+
+@settings(max_examples=40, deadline=None)
 @given(system=small_systems(), K_max=st.integers(1, 6))
 def test_float_enclosure_contains_the_1024_bit_interval(system, K_max):
+    """Each column enclosure is the value's ``float_enclosure`` bit for bit."""
     prepared = prepare(system)
-    for k in primitive_vectors(prepared.width, K_max):
-        value = collapsed_regularity(prepared, k).alpha_exact
+    k = primitive_matrix(prepared.width, K_max)
+    columns = class_columns(prepared, k)
+    col_lo, col_hi = columns.float_enclosures(np.arange(len(k)))
+    for i, row in enumerate(k.tolist()):
+        value = collapsed_regularity(prepared, row).alpha_exact
         lo, hi = value.float_enclosure()
+        assert (col_lo[i].hex(), col_hi[i].hex()) == (lo.hex(), hi.hex())
         lo_iv, hi_iv = value.interval(1024)
         assert lo <= lo_iv <= hi_iv <= hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=small_systems(), K_max=st.integers(1, 8))
+def test_holding_hypothesis_check_builds_values_only_for_the_ladder(system, K_max):
+    """A check that holds builds a value only for each side of a pair that
+    its float filter leaves to ``values_equal``."""
+    built, pairs = [], []
+    value, equal = regularity.RegularityValue, regularity.values_equal
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularity, "RegularityValue", lambda *args: built.append(1) or value(*args))
+        mp.setattr(regularity, "values_equal", lambda a, b: pairs.append(1) or equal(a, b))
+        report = check_hypothesis_H(system, K_max)
+    if report.holds:
+        assert len(built) <= 2 * len(pairs)
 
 
 def test_key_strings():
@@ -460,27 +517,28 @@ def test_hypothesis_h_sweep_derives_each_alpha_once(monkeypatch):
     from mfzeta.spectra import spectrum_sweep
 
     calls = []
-    original = regularity.alpha_from_exponents
+    original = regularity.alphas_from_exponents
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(mass, length, logs):
+        calls.append(len(mass))
+        return original(mass, length, logs)
 
-    monkeypatch.setattr(regularity, "alpha_from_exponents", counted)
+    monkeypatch.setattr(regularity, "alphas_from_exponents", counted)
     certified = WeightedIFS(ratios=(F(1, 2), F(1, 3)), probs=(F(1, 3), F(2, 3)))
     prepared = prepare(certified)
     report = check_hypothesis_H(prepared, 24)
     assert report.holds
-    assert len(calls) == len(report.classes)
+    # one column pass for all the classes
+    assert calls == [len(report.classes)]
     # the seeded float is the one a value built from the vectors alone derives
     for cls in report.classes:
         value = cls.alpha_exact
         fresh = RegularityValue(value.mass_pev, value.length_pev)
         assert value.to_float().hex() == fresh.to_float().hex() == cls.alpha_float.hex()
-    # a sweep adds one alpha per map, for the monofractal test of its units
+    # a sweep takes its alphas from the check's pass
     del calls[:]
     points = spectrum_sweep(prepared, 24)
-    assert len(calls) == len(points) + certified.N
+    assert calls == [len(points)]
 
 
 def test_interval_never_sets_global_precision(modules_after_import):

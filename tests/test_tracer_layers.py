@@ -6,13 +6,19 @@ rename inside the package fails here instead of only in a traced benchmark run.
 import importlib
 import importlib.util
 import inspect
+import math
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import mfzeta.regularity
 from mfzeta.ifs_core import WeightedIFS
-from mfzeta.regularity import RegularityValue, check_hypothesis_H
+from mfzeta.regularity import (
+    RegularityValue,
+    check_hypothesis_H,
+    collapsed_regularity,
+    primitive_vectors,
+)
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -58,9 +64,10 @@ def test_interval_rung_counter_reads_prec_bits():
     assert params == ["self", "prec_bits"]
 
 
-def test_hypothesis_separations_go_through_values_equal(monkeypatch):
-    """The tracer counts ambiguity (``regularity.ambiguous.count``) on
-    ``values_equal``, so the separations of a sweep must be made through it."""
+CERTIFIED = WeightedIFS(ratios=(F(1, 2), F(1, 3)), probs=(F(1, 3), F(2, 3)))
+
+
+def _spy_values_equal(monkeypatch) -> list:
     calls = []
     original = mfzeta.regularity.values_equal
 
@@ -69,8 +76,57 @@ def test_hypothesis_separations_go_through_values_equal(monkeypatch):
         return original(a, b)
 
     monkeypatch.setattr(mfzeta.regularity, "values_equal", spy)
-    system = WeightedIFS(ratios=(F(1, 2), F(1, 3)), probs=(F(1, 3), F(2, 3)))
-    report = check_hypothesis_H(system, 8)
+    return calls
+
+
+def test_hypothesis_separations_go_through_values_equal(monkeypatch):
+    """The tracer counts ambiguity (``regularity.ambiguous.count``) on
+    ``values_equal``, so the separations of a sweep that the float filter
+    leaves must be made through it: with float bounds on log p that overlap
+    everything, that is every one."""
+    calls = _spy_values_equal(monkeypatch)
+    monkeypatch.setattr(mfzeta.regularity, "_float_log", lambda p: (-math.inf, math.inf))
+    report = check_hypothesis_H(CERTIFIED, 8)
     assert report.holds
     # one call per adjacent pair of the sorted class values
     assert len(calls) == len(report.classes) - 1 > 0
+    # a pair with a rational side is apart without one: every alpha of this
+    # system is the rational (k1 + k2)/(k1 + 2 k2)
+    del calls[:]
+    rational = WeightedIFS(ratios=(F(1, 2), F(1, 4)), probs=(F(1, 2), F(1, 2)))
+    assert check_hypothesis_H(rational, 8).holds
+    assert calls == []
+
+
+def test_only_overlapping_separations_reach_values_equal(monkeypatch):
+    """With the float filter on, exactly the adjacent pairs whose float
+    enclosures overlap go through ``values_equal``; when one of them cannot
+    be separated, the check fails with the ladder's message."""
+    calls = _spy_values_equal(monkeypatch)
+    log_bounds = mfzeta.regularity._float_log
+    # bounds on log p a thousandth wider: 2 of the 80 adjacent pairs overlap
+    monkeypatch.setattr(
+        mfzeta.regularity,
+        "_float_log",
+        lambda p: (log_bounds(p)[0] * (1 - 1e-3), log_bounds(p)[1] * (1 + 1e-3)),
+    )
+    values = sorted(
+        (collapsed_regularity(CERTIFIED, k).alpha_exact for k in primitive_vectors(2, 16)),
+        key=RegularityValue.to_float,
+    )
+    overlapping = [
+        (a, b)
+        for a, b in zip(values, values[1:])
+        if not mfzeta.regularity._apart(a.float_enclosure(), b.float_enclosure())
+    ]
+    assert 0 < len(overlapping) < len(values) - 1
+    assert check_hypothesis_H(CERTIFIED, 16).holds
+    assert calls == overlapping
+    # intervals that never separate: the first overlapping pair is ambiguous
+    del calls[:]
+    monkeypatch.setattr(RegularityValue, "interval", lambda self, prec_bits: (F(-9), F(9)))
+    report = check_hypothesis_H(CERTIFIED, 16)
+    near = overlapping[0][0].to_float()
+    assert not report.holds and report.collisions == [] and report.classes == []
+    assert report.ambiguous == [f"cannot separate regularity values near {near!r} at 1024 bits"]
+    assert calls == overlapping[:1]
