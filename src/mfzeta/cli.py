@@ -15,8 +15,10 @@ import csv
 import json
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -43,7 +45,7 @@ from .regularity import (
     _PREC_LADDER,
     prepare,
 )
-from .spectra import concave_envelope, spectrum_sweep, sweep_width
+from .spectra import ROW_BLOCK, SpectrumTable, concave_envelope, spectrum_sweep, sweep_width
 from .verify import report_json, run_suite
 from .zeta import (
     HYPOTHESIS_K_MAX,
@@ -74,12 +76,12 @@ POLE_TERM_CAP = 200_000_000
 # Work cap of one `spectrum` run, in candidate class vectors C(kmax + w, w),
 # w the sweep width; `zeta` applies it to the hypothesis check of an
 # unequal-ratio class.  On the same VM both sweep paths, one numpy pass plus
-# each row's strings and CSV line, cost about 0.03 ms per class, so a sweep
-# within the cap ends in well under a minute: measured 4.0-4.4 s (143 MB
-# peak) for 3 unequal ratios at kmax 99 (141,211 classes) and 3.2 s (124 MB)
-# for 2 equal ratios at kmax 590 (105,951 classes).  Time would allow a
-# larger cap; peak memory, about 1 KB per output row on either path, grows
-# with it.
+# each row's text, formatted from the columns and written a block at a time,
+# cost about 0.013-0.019 ms per class, so a sweep within the cap ends in well
+# under a minute: measured 1.8-2.6 s (78 MB peak) for 3 unequal ratios at
+# kmax 99 (141,211 classes) and 1.5-2.0 s (67 MB) for 2 equal ratios at kmax
+# 590 (105,951 classes).  Time would allow a larger cap; peak memory, about
+# 0.35 KB per class above the interpreter's 30 MB on either path, grows with it.
 SWEEP_VECTOR_CAP = 175_000
 
 # Work cap of `zeta --terms`, in series terms.  Just right of the convergence
@@ -140,8 +142,10 @@ def _write_manifest(out: Path, command: str, config: str, params: dict,
 def _write_csv(path: Path, header: list[str], rows, manifest_path: Path) -> None:
     """Header + rows + trailing manifest reference; body is byte-deterministic
     (the comment names the manifest file, never its timestamped content).
-    ``csv`` writes a float by ``repr``, the shortest round-trip decimal, and
-    the rows go straight to the file, so the body is never held whole."""
+    ``csv`` writes a float by ``repr``, the shortest round-trip decimal, so a
+    row of floats and a row of their ``repr`` strings (as ``spectrum`` passes
+    them, each float formatted once) give the same bytes.  The rows go
+    straight to the file from any iterable, so the body is never held whole."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -228,22 +232,23 @@ def cmd_spectrum(args) -> int:
             f"C({args.kmax} + {width}, {width}) candidate class vectors exceed "
             f"the cap of {SWEEP_VECTOR_CAP:,} per run",
         )
-    points = spectrum_sweep(system, K_max=args.kmax)
+    table = spectrum_sweep(system, K_max=args.kmax)
     out = Path(args.out)
     envelope_path = out.with_suffix(".envelope.csv")
-    outputs = [out] if len(points) < 2 else [out, envelope_path]
+    envelope = concave_envelope(table) if len(table) > 1 else None
+    outputs = [out] if envelope is None else [out, envelope_path]
     manifest_path = _write_manifest(
         out, "spectrum", args.config,
         {"kmax": args.kmax, "precision_bits": _PREC_LADDER[0]}, outputs,
     )
+    vertex_rows: list[tuple[str, str]] = []
+    blocks = _spectrum_blocks(table, envelope.rows if envelope else (), vertex_rows)
     _write_csv(
-        out,
-        ["alpha", "f", "key", "alpha_desc", "f_desc"],
-        ((p.alpha, p.f, str(p.key), p.alpha_desc, p.f_desc) for p in points),
+        out, ["alpha", "f", "key", "alpha_desc", "f_desc"], chain.from_iterable(blocks),
         manifest_path,
     )
-    if len(points) < 2:
-        p = points[0]
+    if envelope is None:
+        p = table[0]
         print(
             f"warning: monofractal system: the spectrum degenerates to the "
             f"single point (D, D) = ({p.alpha!r}, {p.f!r}); no envelope written",
@@ -251,18 +256,28 @@ def cmd_spectrum(args) -> int:
         )
         print(f"spectrum: 1 point -> {out}")
         return 0
-    envelope = concave_envelope(points)
-    _write_csv(
-        envelope_path,
-        ["alpha", "f"],
-        envelope.breakpoints,
-        manifest_path,
-    )
+    _write_csv(envelope_path, ["alpha", "f"], vertex_rows, manifest_path)
     print(
-        f"spectrum: {len(points)} points -> {out}; "
+        f"spectrum: {len(table)} points -> {out}; "
         f"envelope: {len(envelope.breakpoints)} vertices -> {envelope_path}"
     )
     return 0
+
+
+def _spectrum_blocks(table: SpectrumTable, vertices, vertex_rows: list):
+    """The rows of a spectrum CSV as strings, in blocks of ``ROW_BLOCK``, so
+    that the text is never held whole.  Each float is formatted once, by the
+    ``repr`` that ``csv`` uses; the alpha and f text of the rows whose
+    indices ``vertices`` lists (in increasing order) goes to ``vertex_rows``."""
+    for lo in range(0, len(table), ROW_BLOCK):
+        hi = lo + ROW_BLOCK
+        alpha = list(map(repr, table.alpha[lo:hi].tolist()))
+        f = list(map(repr, table.f[lo:hi].tolist()))
+        vertex_rows.extend(
+            (alpha[i - lo], f[i - lo])
+            for i in vertices[bisect_left(vertices, lo):bisect_left(vertices, hi)]
+        )
+        yield zip(alpha, f, *table.text(lo, hi))
 
 
 def cmd_zeta(args) -> int:
@@ -312,24 +327,30 @@ def cmd_zeta(args) -> int:
         if isinstance(system, FractalStringSpec) and key is not None:
             raise ConfigError("--alpha", "string zetas take no class key")
         rz = _class_zeta(closed_form_zeta, system, key)
-        try:
-            z = rz.z_of(s)
-        except OverflowError:
-            raise ConfigError("--s", f"z = ({rz.base})^s overflows a double at s = {args.s}")
-        den = rz.den(z)
-        if abs(den) < 1e-15:
-            raise ConfigError("--s", f"s = {args.s} is a pole of the closed form")
-        value = rz.num(z) / den
-        exact = None
+        # an integer s takes the exact path first: its value may be a double
+        # where z = base^s is not
+        exact = value = None
         n, degree = int(s.real), max(rz.num.degree, rz.den.degree, 1)
         bits = abs(n) * degree * max(rz.base.numerator, rz.base.denominator).bit_length()
         if s.imag == 0 and s.real == n and bits <= ZETA_EXACT_BITS:
             zq = rz.base ** n
             exact_den = rz.den(zq)
-            if exact_den != 0:
-                exact_value = rz.num(zq) / exact_den
-                exact = str(exact_value)
+            if exact_den == 0:
+                raise ConfigError("--s", f"s = {args.s} is a pole of the closed form")
+            exact_value = rz.num(zq) / exact_den
+            exact = str(exact_value)
+            # past the double range, the double path decides
+            with contextlib.suppress(OverflowError):
                 value = complex(exact_value)
+        if value is None:
+            try:
+                z = rz.z_of(s)
+            except OverflowError:
+                raise ConfigError("--s", f"z = ({rz.base})^s overflows a double at s = {args.s}")
+            den = rz.den(z)
+            if abs(den) < 1e-15:
+                raise ConfigError("--s", f"s = {args.s} is a pole of the closed form")
+            value = rz.num(z) / den
         payload = {
             "mode": "rational",
             "label": rz.label,

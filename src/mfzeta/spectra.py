@@ -2,17 +2,22 @@
 
 The spectrum sweep reports the abscissa of convergence of every primitive
 exponent class, working out the alphas and abscissas of all the classes in
-one numpy pass that matches the single-class entry points bit for bit;
-envelopes are exact upper concave hulls of the sweep; the Legendre side
-solves sum p_i^q r_i^b = 1 and transforms.  The Moran dimension of the
-ratios rounds out the comparison toolkit.
+one numpy pass that matches the single-class entry points bit for bit.  It
+returns a ``SpectrumTable``: alpha and f as sorted float arrays, the class
+keys as int columns, and the key and description text built from those
+columns a block of rows at a time; ``SpectrumPoint``s are made only when a
+caller iterates or indexes the table.  Envelopes are upper concave hulls
+read from the sorted columns; the Legendre side solves sum p_i^q r_i^b = 1
+and transforms.  The Moran dimension of the ratios rounds out the
+comparison toolkit.
 """
 from __future__ import annotations
 
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import abc
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -32,7 +37,7 @@ from .regularity import (
     prepare,
     primitive_matrix,
 )
-from .zeta import _abscissa_description, closed_abscissas
+from .zeta import abscissa_descriptions, closed_abscissas
 
 
 @dataclass(frozen=True)
@@ -44,11 +49,137 @@ class SpectrumPoint:
     f_desc: str = ""
 
 
+# rows a table builds text or points for at a time, so that a sweep's text is
+# never held whole
+ROW_BLOCK = 4096
+
+
+class SpectrumTable(abc.Sequence):
+    """The rows of a sweep, one per class, sorted by (alpha, key string).
+
+    ``alpha`` and ``f`` are float arrays; ``text(lo, hi)`` builds the key,
+    alpha_desc and f_desc columns of rows lo..hi-1 as lists of strings, and
+    ``keys(lo, hi)`` their keys.  As a sequence the table is its points,
+    built on demand a block at a time.  A subclass built from unsorted rows
+    sorts them with ``_alpha_order``.
+    """
+
+    def __init__(self, alpha: np.ndarray, f: np.ndarray):
+        self.alpha, self.f = alpha, f
+
+    def keys(self, lo: int, hi: int) -> list[RegularityKey]:
+        raise NotImplementedError
+
+    def text(self, lo: int, hi: int) -> tuple[list[str], list[str], list[str]]:
+        raise NotImplementedError
+
+    def points(self, lo: int, hi: int) -> list[SpectrumPoint]:
+        _, alpha_desc, f_desc = self.text(lo, hi)
+        return list(map(
+            SpectrumPoint, self.alpha[lo:hi].tolist(), self.f[lo:hi].tolist(),
+            self.keys(lo, hi), alpha_desc, f_desc,
+        ))
+
+    def __len__(self) -> int:
+        return len(self.alpha)
+
+    def __getitem__(self, i: int) -> SpectrumPoint:
+        i = range(len(self))[i]
+        return self.points(i, i + 1)[0]
+
+    def __iter__(self):
+        for lo in range(0, len(self), ROW_BLOCK):
+            yield from self.points(lo, lo + ROW_BLOCK)
+
+
+class ClassTable(SpectrumTable):
+    """An IFS sweep's classes, with their primitive class vectors as the rows
+    of the int matrix ``k``; ``multiplicities`` are the maps per slot of a
+    folding system, else None."""
+
+    def __init__(self, alpha, f, k: np.ndarray, label: str, multiplicities):
+        width = k.shape[1]
+        # the str of a VectorKey and of the vector's tuple
+        self._key = "(" + ",".join(["%d"] * width) + ")"
+        self._desc = f"{label} (" + ", ".join(["%d"] * width) + ("," if width == 1 else "") + ")"
+        order = _alpha_order(alpha, lambda i: self._key % tuple(k[i].tolist()))
+        super().__init__(alpha[order], f[order])
+        self.k, self.multiplicities = k[order], multiplicities
+
+    def keys(self, lo, hi):
+        return [VectorKey(tuple(v)) for v in self.k[lo:hi].tolist()]
+
+    def text(self, lo, hi):
+        k = self.k[lo:hi]
+        vectors = list(map(tuple, k.tolist()))
+        key, desc = self._key, self._desc
+        return (
+            [key % v for v in vectors],
+            [desc % v for v in vectors],
+            abscissa_descriptions(k, self.multiplicities),
+        )
+
+
+def _atomic_key(num: int, den: int) -> str:
+    """The key string of an atomic row: k1/K, or a one-plus-log level (den 0)."""
+    return f"{num}/{den}" if den else f"1+log_{{3^{num}}}2"
+
+
+class AtomicTable(SpectrumTable):
+    """An atomic sweep's classes: rows num/den = k1/K in lowest terms, and
+    one-plus-log levels num with den 0; ``f_desc`` is that of the k1/K rows."""
+
+    def __init__(self, alpha, f, num: np.ndarray, den: np.ndarray, f_desc: str):
+        order = _alpha_order(alpha, lambda i: _atomic_key(num[i], den[i]))
+        super().__init__(alpha[order], f[order])
+        self.num, self.den, self.f_desc = num[order], den[order], f_desc
+
+    def keys(self, lo, hi):
+        return [
+            FractionKey(Fraction(n, d)) if d else OnePlusLogKey(n)
+            for n, d in zip(self.num[lo:hi].tolist(), self.den[lo:hi].tolist())
+        ]
+
+    def text(self, lo, hi):
+        rows = list(zip(self.num[lo:hi].tolist(), self.den[lo:hi].tolist()))
+        return (
+            [_atomic_key(n, d) for n, d in rows],
+            [
+                (f"k1/K = {n}/{d}" if d > 1 else f"k1/K = {n}") if d else f"1 + log_(3^{n}) 2"
+                for n, d in rows
+            ],
+            [self.f_desc if d else "entire zeta" for _, d in rows],
+        )
+
+
+class PointTable(SpectrumTable):
+    """A sweep given as its sorted points: a monofractal system's one point,
+    or the oracle fallback's estimates."""
+
+    def __init__(self, points: list[SpectrumPoint]):
+        super().__init__(np.array([p.alpha for p in points]), np.array([p.f for p in points]))
+        self._given = points
+
+    def keys(self, lo, hi):
+        return [p.key for p in self._given[lo:hi]]
+
+    def text(self, lo, hi):
+        points = self._given[lo:hi]
+        return (
+            [str(p.key) for p in points],
+            [p.alpha_desc for p in points],
+            [p.f_desc for p in points],
+        )
+
+
 @dataclass(frozen=True)
 class EnvelopeFunction:
-    """Upper concave hull, piecewise linear between breakpoints."""
+    """Upper concave hull, piecewise linear between breakpoints; ``rows``
+    holds the index, in the points it was built from, of the point behind
+    each breakpoint."""
 
     breakpoints: tuple[tuple[float, float], ...]
+    rows: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.breakpoints) < 1:
@@ -117,13 +248,13 @@ def sweep_width(system: PreparedIFS | AtomicMeasureSpec) -> int:
     return system.width
 
 
-def _ifs_sweep(ifs: WeightedIFS | PreparedIFS, K_max: int) -> list[SpectrumPoint]:
+def _ifs_sweep(ifs: WeightedIFS | PreparedIFS, K_max: int) -> SpectrumTable:
     prepared = prepare(ifs)
     mono = is_monofractal(prepared)
     if mono is not None:
         # f(D) = D exactly: emit one value for both coordinates
         d = mono.to_float()
-        return [
+        return PointTable([
             SpectrumPoint(
                 alpha=d,
                 f=d,
@@ -131,7 +262,7 @@ def _ifs_sweep(ifs: WeightedIFS | PreparedIFS, K_max: int) -> list[SpectrumPoint
                 alpha_desc="common single-map regularity",
                 f_desc="Moran dimension of the support (equals alpha)",
             )
-        ]
+        ])
     if prepared.ifs.equal_ratios():
         # independent distinct probabilities make every class distinct
         if prepared.dependence is not None:
@@ -141,31 +272,17 @@ def _ifs_sweep(ifs: WeightedIFS | PreparedIFS, K_max: int) -> list[SpectrumPoint
     else:
         columns = check_hypothesis_H(prepared, K_max).columns
         if columns is None:
-            return _oracle_fallback_sweep(prepared, K_max)
+            return PointTable(_oracle_fallback_sweep(prepared, K_max))
         label = "class"
-    # mass and length go before the points are made: holding them too raises
+    # mass and length go before the text is made: holding them too raises
     # peak memory
     k, alpha = columns.k, columns.alpha
     del columns
-    f = closed_abscissas(prepared, k).tolist()
-    K = k.sum(axis=1).tolist()
-    c = prepared.multiplicities if prepared.folds else None
-    vectors = list(map(tuple, k.tolist()))
-    alpha_list = alpha.tolist()
-    points = []
     # a primitive vector is its own key
-    for i in _alpha_order(alpha, lambda i: str(VectorKey(vectors[i]))):
-        v = vectors[i]
-        points.append(
-            SpectrumPoint(
-                alpha=alpha_list[i],
-                f=f[i],
-                key=VectorKey(v),
-                alpha_desc=f"{label} {v}",
-                f_desc=_abscissa_description(v, K[i], c),
-            )
-        )
-    return points
+    return ClassTable(
+        alpha, closed_abscissas(prepared, k), k, label,
+        prepared.multiplicities if prepared.folds else None,
+    )
 
 
 def _alpha_order(alpha: np.ndarray, key_str) -> list[int]:
@@ -234,48 +351,31 @@ def _oracle_fallback_sweep(prepared: PreparedIFS, K_max: int) -> list[SpectrumPo
     return points
 
 
-def _atomic_sweep(spec: AtomicMeasureSpec, K_max: int) -> list[SpectrumPoint]:
-    points = []
-    logm_over_logb = math.log(spec.m) / math.log(spec.base)
-    for K in range(1, K_max + 1):
-        for k1 in range(1, K + 1):
-            if math.gcd(k1, K) != 1:
-                continue
-            q = Fraction(k1, K)
-            if spec.family == "sigma1":
-                f = 0.0
-                desc = "pole of z/(1-z) at s=0"
-            else:
-                f = float(q) * logm_over_logb
-                desc = f"(k1/K) log_{spec.base} {spec.m}"
-            points.append(
-                SpectrumPoint(
-                    alpha=float(q),
-                    f=f,
-                    key=FractionKey(q),
-                    alpha_desc=f"k1/K = {q}",
-                    f_desc=desc,
-                )
-            )
+def _atomic_sweep(spec: AtomicMeasureSpec, K_max: int) -> AtomicTable:
+    # the fractions k1/K in lowest terms with K <= K_max
+    den, num = np.tril_indices(K_max + 1)
+    keep = (num > 0) & (np.gcd(num, den) == 1)
+    num, den = num[keep], den[keep]
+    alpha = num / den  # correctly rounded, as float(Fraction(k1, K)) is
     if spec.family == "sigma1":
-        for level in range(1, K_max + 1):
-            points.append(
-                SpectrumPoint(
-                    alpha=1 + math.log(2) / (level * math.log(3)),
-                    f=0.0,
-                    key=OnePlusLogKey(level),
-                    alpha_desc=f"1 + log_(3^{level}) 2",
-                    f_desc="entire zeta",
-                )
-            )
-    points.sort(key=lambda p: (p.alpha, str(p.key)))
-    return points
+        # and the one-plus-log levels, as rows num = level, den = 0
+        levels = np.arange(1, K_max + 1)
+        num = np.concatenate((num, levels))
+        den = np.concatenate((den, np.zeros_like(levels)))
+        alpha = np.concatenate((alpha, 1 + math.log(2) / (levels * math.log(3))))
+        f = np.zeros(len(alpha))
+        f_desc = "pole of z/(1-z) at s=0"
+    else:
+        f = alpha * (math.log(spec.m) / math.log(spec.base))
+        f_desc = f"(k1/K) log_{spec.base} {spec.m}"
+    return AtomicTable(alpha, f, num, den, f_desc)
 
 
 def spectrum_sweep(
     system: WeightedIFS | PreparedIFS | AtomicMeasureSpec, K_max: int = 64
-) -> list[SpectrumPoint]:
-    """One point per primitive class with stage sum <= K_max, sorted by alpha."""
+) -> SpectrumTable:
+    """One row per primitive class with stage sum <= K_max, sorted by alpha
+    (then by key string)."""
     if isinstance(system, AtomicMeasureSpec):
         return _atomic_sweep(system, K_max)
     if isinstance(system, (WeightedIFS, PreparedIFS)):
@@ -289,34 +389,48 @@ def spectrum_sweep(
 
 
 def concave_envelope(points: Sequence[SpectrumPoint | tuple]) -> EnvelopeFunction:
-    """Upper concave hull via monotone chain; alpha ties keep the max f."""
-    raw = []
-    for p in points:
-        if isinstance(p, SpectrumPoint):
-            raw.append((p.alpha, p.f))
-        else:
-            raw.append((float(p[0]), float(p[1])))
-    if len(raw) < 2:
+    """Upper concave hull via monotone chain; alpha ties keep the max f.
+
+    A ``SpectrumTable`` is read from its sorted columns; other points
+    (``SpectrumPoint``s or (alpha, f) pairs) are sorted by alpha first.
+    """
+    if isinstance(points, SpectrumTable):
+        order, alpha, f = None, points.alpha, points.f
+    else:
+        raw = np.array(
+            [(p.alpha, p.f) if isinstance(p, SpectrumPoint) else (float(p[0]), float(p[1]))
+             for p in points],
+            dtype=float,
+        ).reshape(-1, 2)
+        order = np.argsort(raw[:, 0], kind="stable")
+        alpha, f = raw[order, 0], raw[order, 1]
+    if len(alpha) < 2:
         raise ValueError("concave envelope needs at least 2 points")
-    best: dict[float, float] = {}
-    for x, y in raw:
-        if x not in best or y > best[x]:
-            best[x] = y
-    pts = sorted(best.items())
-    if len(pts) == 1:
-        return EnvelopeFunction(breakpoints=(pts[0],))
-    hull: list[tuple[float, float]] = []
-    for x, y in pts:
+    # one run per distinct alpha, at its max f (the first row holding it)
+    starts = np.flatnonzero(np.concatenate(([True], alpha[1:] != alpha[:-1])))
+    xs = alpha[starts].tolist()
+    ys = np.maximum.reduceat(f, starts).tolist()
+    hull: list[int] = []
+    for j, (x, y) in enumerate(zip(xs, ys)):
         while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            x0, y0, x1, y1 = xs[hull[-2]], ys[hull[-2]], xs[hull[-1]], ys[hull[-1]]
             # drop the middle point when it lies on or under the chord;
             # the slack absorbs float noise on exactly collinear sweeps
             if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) >= -1e-14:
                 hull.pop()
             else:
                 break
-        hull.append((x, y))
-    return EnvelopeFunction(breakpoints=tuple(hull))
+        hull.append(j)
+    ends = np.append(starts[1:], len(alpha))
+    rows = [
+        lo if hi - lo == 1 else lo + int(np.argmax(f[lo:hi]))
+        for lo, hi in zip(starts[hull].tolist(), ends[hull].tolist())
+    ]
+    if order is not None:
+        rows = order[rows].tolist()
+    return EnvelopeFunction(
+        breakpoints=tuple((xs[j], ys[j]) for j in hull), rows=tuple(rows)
+    )
 
 
 # ---------------------------------------------------------------------------

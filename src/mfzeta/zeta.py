@@ -64,21 +64,36 @@ class HypothesisViolationError(ValueError):
 
 class KeyRangeError(ValueError):
     """A class key too deep to evaluate: its length base would round to 0.0 as
-    a double, or its entries or mass and length exponents pass 2**31."""
+    a double or pass ``LENGTH_BASE_BITS`` bits, or its entries or mass and
+    length exponents pass 2**31."""
 
 
 # a positive rational at or below 2**-1075 rounds to the double 0.0
 _LOG_ZERO_DOUBLE = -1075 * math.log(2)
+
+# Cap on the bits of a class's exact length base, estimated as the sum of
+# e * max(bits of the numerator, bits of the denominator) over its factors
+# b**e.  A power of 2**20 bits builds in about 0.05 s on a 2-vCPU Xeon VM; the
+# deepest key of any shipped check, test or benchmark has an estimate of 128.
+LENGTH_BASE_BITS = 1 << 20
 
 
 def _length_base(factors: Sequence[tuple[Fraction, int]], key) -> Fraction:
     """prod b**e over the (b, e) factors: the length base of the class ``key``.
 
     Every consumer takes the log of the base as a double, so a base that would
-    round to 0.0 is refused; the logs decide it before any power is built.
+    round to 0.0 is refused; the logs decide it before any power is built.  So
+    is a base of more than ``LENGTH_BASE_BITS`` bits, which a ratio near 1
+    reaches long before its double rounds to 0.0.
     """
     if math.fsum(e * math.log(b) for b, e in factors) <= _LOG_ZERO_DOUBLE:
         raise KeyRangeError(f"class {key} is too deep: its length base rounds to 0.0")
+    bits = sum(e * max(b.numerator.bit_length(), b.denominator.bit_length()) for b, e in factors)
+    if bits > LENGTH_BASE_BITS:
+        raise KeyRangeError(
+            f"class {key} is too deep: its exact length base has about {bits:,} bits, "
+            f"above the cap of {LENGTH_BASE_BITS:,}"
+        )
     base = Fraction(1)
     for b, e in factors:
         base *= b**e
@@ -359,7 +374,9 @@ def _closed_abscissa(prepared: PreparedIFS, kprime: Sequence[int]) -> tuple[floa
     that ``float(Fraction(k_i, K))`` and ``math.log(Fraction(k_i, K))`` use.
     """
     K = sum(kprime)
-    desc = _abscissa_description(kprime, K, prepared.multiplicities if prepared.folds else None)
+    desc = abscissa_descriptions(
+        np.array([kprime]), prepared.multiplicities if prepared.folds else None
+    )[0]
     if prepared.folds:
         num = math.fsum(kq * math.log(kq) for kq in kprime if kq)
         num -= math.fsum(kq * lc for kq, lc in zip(kprime, prepared.log_multiplicities))
@@ -368,23 +385,28 @@ def _closed_abscissa(prepared: PreparedIFS, kprime: Sequence[int]) -> tuple[floa
     return max(0.0, _entropy_ratio([kq / K for kq in kprime], prepared.log_ratios)), desc
 
 
-def _abscissa_description(
-    kprime: Sequence[int], K: int, multiplicities: Sequence[int] | None
-) -> str:
-    """The exact form of the abscissa of the class vector k' with sum K (see
-    ``_closed_abscissa``); ``multiplicities`` are the maps per slot of a
-    folding system, None for one map per slot."""
+def abscissa_descriptions(k: np.ndarray, multiplicities: Sequence[int] | None) -> list[str]:
+    """The exact form of the abscissa of each class vector k' in the rows of
+    an int matrix (see ``_closed_abscissa``); ``multiplicities`` are the maps
+    per slot of a folding system, None for one map per slot."""
+    totals = k.sum(axis=1, keepdims=True)
     if multiplicities is not None:
-        return (
+        return [
             f"log_(r^{K})({'*'.join(f'{kq}^{kq}' for kq in kprime if kq)}"
             f" / ({'*'.join(f'{cq}^{kq}' for cq, kq in zip(multiplicities, kprime))}"
             f" * {K}^{K}))"
-        )
-    weights = []
-    for kq in kprime:
-        g = math.gcd(kq, K)
-        weights.append(f"{kq // g}/{K // g}" if g != K else str(kq // g))
-    return f"sum (k_i/K) log(k_i/K) / sum (k_i/K) log r_i with k/K = ({', '.join(weights)})"
+            for kprime, (K,) in zip(k.tolist(), totals.tolist())
+        ]
+    # the weights k_i/K in lowest terms, an integer when the denominator is 1
+    g = np.gcd(k, totals)
+    num = (k // g).ravel().tolist()
+    den = np.broadcast_to(totals // g, k.shape).ravel().tolist()
+    cells = iter([f"{n}/{d}" if d != 1 else f"{n}" for n, d in zip(num, den)])
+    row = (
+        "sum (k_i/K) log(k_i/K) / sum (k_i/K) log r_i with k/K = ("
+        + ", ".join(["%s"] * k.shape[1]) + ")"
+    )
+    return [row % weights for weights in zip(*[cells] * k.shape[1])]
 
 
 def closed_abscissas(prepared: PreparedIFS, k: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
 """CLI subcommands: emission formats, determinism, examples, exit codes."""
+import csv
+import io
 import json
 import lzma
 import math
@@ -14,8 +16,9 @@ import pytest
 import mfzeta
 from mfzeta import cli, dimensions
 from mfzeta.cli import ZETA_TERM_CAP, main, parse_alpha_key
-from mfzeta.ifs_core import ConfigError
+from mfzeta.ifs_core import ConfigError, parse_system
 from mfzeta.regularity import FractionKey, OnePlusLogKey, VectorKey, primitive_vectors
+from mfzeta.spectra import ROW_BLOCK, SpectrumPoint, concave_envelope, spectrum_sweep
 from mfzeta.zeta import SeriesValue
 
 CONFIGS = {
@@ -25,6 +28,9 @@ CONFIGS = {
     "sigma2": {"type": "atomic", "family": "sigma2"},
     "m2": {"type": "atomic", "family": "generalized", "m": 2},
     "beta": {"type": "ifs", "ratios": ["1/3", "1/3"], "probs": ["1/3", "2/3"]},
+    "beta0": {"type": "ifs", "ratios": ["1/2", "1/2"], "probs": ["1/3", "2/3"]},
+    # two maps share a probability: the slots fold
+    "trident": {"type": "ifs", "ratios": ["1/5", "1/5", "1/5"], "probs": ["1/5", "3/5", "1/5"]},
     "rho": {"type": "ifs", "ratios": ["1/3", "1/3"], "probs": ["1/2", "1/2"]},
     "oracle": {"type": "ifs", "ratios": ["1/2", "1/4", "1/8"], "probs": ["1/2", "1/3", "1/6"]},
     "certified": {"type": "ifs", "ratios": ["1/2", "1/3"], "probs": ["1/3", "2/3"]},
@@ -123,6 +129,29 @@ def test_zeta_exact_value_is_capped_at_large_integer_s(capsys, config):
         assert rc == want
     # far left of the abscissa z = 3^-s has no double: a clear refusal
     assert "error: --s: z = (1/3)^s overflows a double" in capsys.readouterr().err
+
+
+def test_zeta_takes_the_exact_path_first_at_integer_s(capsys, config):
+    # z = 3^6000 overflows a double, but the exact value is a double near -1/2
+    rc, payload = run_json(capsys, ["zeta", "--config", config("cantor"), "--s=-6000"])
+    assert rc == 0
+    exact = F(payload["exact"])
+    assert payload["value_re"] == float(exact) == -0.5 and payload["value_im"] == 0.0
+    # one step past the exact cap, neither path has the value
+    assert main(["zeta", "--config", config("cantor"), "--s=-6001"]) == 2
+    assert "overflows a double" in capsys.readouterr().err
+
+
+def test_zeta_refuses_length_bases_past_the_bit_cap(capsys, config):
+    # the base (4294967295/4294967296)^33554432 / 4294967296 rounds to a
+    # double far from 0.0, but its exact form has about 2^30 bits
+    argv = ["zeta", "--config", config("near_one"), "--alpha", "33554432,1", "--s", "3"]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --alpha: "), err
+    assert "exact length base has about 1,107,296,289 bits" in err[0]
 
 
 def test_zeta_series_mode(capsys, config):
@@ -447,6 +476,70 @@ def test_spectrum_bodies_equal_the_benchmark_reference(tmp_path, capsys):
         envelope = out.with_suffix(".envelope.csv").read_text()
         assert envelope == reference[name]["spectrum.envelope.csv"], name
     capsys.readouterr()
+
+
+def _csv_body(rows) -> str:
+    body = io.StringIO()
+    csv.writer(body, lineterminator="\n").writerows(rows)
+    return body.getvalue()
+
+
+@pytest.mark.parametrize(
+    "name, kmax",
+    [
+        ("sigma1", 40),
+        ("sigma2", 40),
+        ("rho", 16),  # monofractal: one point, no envelope
+        ("trident", 24),  # folding slots
+        ("oracle", 6),  # hypothesis H fails: the oracle fallback
+        ("beta", 128),  # more rows than one write block
+    ],
+)
+def test_spectrum_bodies_are_the_points_view_written_by_csv(tmp_path, capsys, config, name, kmax):
+    """On the sweep kinds the benchmark reference does not cover, the CSV
+    and envelope bodies are what ``csv.writer`` makes of the sweep's points."""
+    out = tmp_path / "s.csv"
+    assert main(["spectrum", "--config", config(name), "--kmax", str(kmax), "--out", str(out)]) == 0
+    points = list(spectrum_sweep(parse_system(json.dumps(CONFIGS[name])), K_max=kmax))
+    capsys.readouterr()
+    if name == "beta":
+        assert len(points) > ROW_BLOCK
+    header = "alpha,f,key,alpha_desc,f_desc\n"
+    rows = [(p.alpha, p.f, str(p.key), p.alpha_desc, p.f_desc) for p in points]
+    manifest = "# manifest: s.manifest.json\n"
+    assert out.read_text() == header + _csv_body(rows) + manifest
+    envelope = tmp_path / "s.envelope.csv"
+    if len(points) < 2:
+        assert not envelope.exists()
+    else:
+        vertices = concave_envelope(points).breakpoints
+        assert envelope.read_text() == "alpha,f\n" + _csv_body(vertices) + manifest
+
+
+def test_ifs_spectrum_is_written_without_points_or_key_strings(tmp_path, config, monkeypatch):
+    """An IFS sweep is written from its columns: no SpectrumPoint is built,
+    and no VectorKey is turned into its string."""
+    calls = []
+    init, key_str = SpectrumPoint.__init__, VectorKey.__str__
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("SpectrumPoint")
+        init(self, *args, **kwargs)
+
+    def counted_str(self):
+        calls.append("VectorKey")
+        return key_str(self)
+
+    monkeypatch.setattr(SpectrumPoint, "__init__", counted_init)
+    monkeypatch.setattr(VectorKey, "__str__", counted_str)
+    out = str(tmp_path / "s.csv")
+    for name in ("beta0", "certified", "trident"):
+        assert main(["spectrum", "--config", config(name), "--kmax", "64", "--out", out]) == 0
+    assert calls == []
+    # the spies do see the points view
+    table = spectrum_sweep(parse_system(json.dumps(CONFIGS["beta0"])), K_max=4)
+    str(table[0].key)
+    assert calls == ["SpectrumPoint", "VectorKey"]
 
 
 def test_count_error_paths(tmp_path, capsys, config):

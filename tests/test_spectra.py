@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mfzeta.ifs_core import AtomicMeasureSpec, WeightedIFS
@@ -19,6 +19,8 @@ from mfzeta.regularity import (
     prepare,
 )
 from mfzeta.spectra import (
+    ROW_BLOCK,
+    ClassTable,
     EnvelopeFunction,
     _alpha_order,
     concave_envelope,
@@ -372,6 +374,111 @@ def test_alpha_order_is_the_sort_by_alpha_then_key_string(rows):
     alpha = np.array([a for a, _ in rows])
     order = _alpha_order(alpha, lambda i: rows[i][1])
     assert order == sorted(range(len(rows)), key=lambda i: rows[i])
+
+
+def _old_abscissa_description(k, multiplicities) -> str:
+    """The per-row f_desc formula the columns replace."""
+    K = sum(k)
+    if multiplicities is not None:
+        return (
+            f"log_(r^{K})({'*'.join(f'{kq}^{kq}' for kq in k if kq)}"
+            f" / ({'*'.join(f'{cq}^{kq}' for cq, kq in zip(multiplicities, k))}"
+            f" * {K}^{K}))"
+        )
+    weights = [str(F(kq, K)) for kq in k]
+    return f"sum (k_i/K) log(k_i/K) / sum (k_i/K) log r_i with k/K = ({', '.join(weights)})"
+
+
+_PROBS = st.integers(1, 9).flatmap(lambda a: st.tuples(st.just(a), st.integers(a + 1, 12)))
+
+
+@st.composite
+def _small_systems(draw):
+    kind = draw(st.sampled_from(["equal", "folding", "unequal", "width-1"]))
+    if kind == "width-1":
+        # equal probabilities on equal ratios: a single class
+        m = draw(st.integers(2, 4))
+        n = draw(st.integers(m, 6))
+        return WeightedIFS(ratios=(F(1, n),) * m, probs=(F(1, m),) * m)
+    a, b = draw(_PROBS)
+    if kind == "folding":
+        # two maps share a probability below 1/2
+        p = F(a, 2 * b)
+        return WeightedIFS(ratios=(F(1, 3),) * 3, probs=(p, p, 1 - 2 * p))
+    p = F(a, b)
+    if kind == "equal":
+        r = F(1, draw(st.integers(2, 7)))
+        return WeightedIFS(ratios=(r, r), probs=(p, 1 - p))
+    ratios = draw(st.sampled_from([(F(1, 2), F(1, 3)), (F(1, 3), F(1, 4)), (F(2, 5), F(1, 7))]))
+    return WeightedIFS(ratios=ratios, probs=(p, 1 - p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_systems(), st.integers(1, 14))
+def test_table_text_is_the_text_of_its_points(system, K_max):
+    """Every text column of a sweep's table is the str or repr of its points
+    view, row by row and over any block split, and the envelope read from
+    the columns is the envelope of the points."""
+    prepared = prepare(system)
+    assume(prepared.dependence is None)
+    table = spectrum_sweep(prepared, K_max=K_max)
+    points = list(table)
+    assert len(points) == len(table) and [table[i] for i in range(len(table))] == points
+    keys, alpha_desc, f_desc = table.text(0, len(table))
+    assert keys == [str(p.key) for p in points]
+    assert alpha_desc == [p.alpha_desc for p in points]
+    assert f_desc == [p.f_desc for p in points]
+    assert list(map(repr, table.alpha.tolist())) == [repr(p.alpha) for p in points]
+    assert list(map(repr, table.f.tolist())) == [repr(p.f) for p in points]
+    if isinstance(table, ClassTable):
+        c = prepared.multiplicities if prepared.folds else None
+        for p in points:
+            assert p.alpha_desc.endswith(f" {p.key.vector}")
+            assert p.f_desc == _old_abscissa_description(p.key.vector, c)
+    if len(points) > 1:
+        envelope = concave_envelope(table)
+        assert envelope == concave_envelope(points)
+        assert [(points[i].alpha, points[i].f) for i in envelope.rows] == list(envelope.breakpoints)
+
+
+def test_table_blocks_join_up():
+    table = spectrum_sweep(BETA, K_max=128)
+    assert len(table) > ROW_BLOCK
+    whole = table.text(0, len(table))
+    split = [table.text(lo, lo + ROW_BLOCK) for lo in range(0, len(table), ROW_BLOCK)]
+    assert [sum((part[c] for part in split), []) for c in range(3)] == list(whole)
+    assert table[ROW_BLOCK] == list(table)[ROW_BLOCK] and table[-1] == list(table)[-1]
+
+
+def _old_envelope_breakpoints(pairs):
+    """The float-keyed merge and sorted monotone chain the columns replace."""
+    best = {}
+    for x, y in pairs:
+        if x not in best or y > best[x]:
+            best[x] = y
+    hull = []
+    for x, y in sorted(best.items()):
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) >= -1e-14:
+                hull.pop()
+            else:
+                break
+        hull.append((x, y))
+    return tuple(hull)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(-2, 2)),
+        min_size=2,
+        max_size=30,
+    )
+)
+def test_envelope_of_unsorted_pairs_is_the_old_merge_and_chain(pairs):
+    envelope = concave_envelope(pairs)
+    assert envelope.breakpoints == _old_envelope_breakpoints(pairs)
+    assert [pairs[i] for i in envelope.rows] == list(envelope.breakpoints)
 
 
 def test_sweeps_with_rational_alphas():
