@@ -60,14 +60,14 @@ from .zeta import (
 # Work cap of one `count` run, in pole terms: (2*trunc+1 + POLE_TERMS_PER_X)
 # per x value, where a term whose cos/sin argument |Im w| ln x passes
 # FAST_TRIG_ARG counts SLOW_TERM_WEIGHT times.  libm reduces such arguments
-# the slow way (glibc from about 1.05e8): on a 2-vCPU Xeon VM numpy's cos and
-# sin of 4,096 of them take 640-870 us against 155 us, and one fibonacci x at
-# trunc 4,000,000 takes 4.6 s at x = 1e300 (nearly every argument past 1e8)
-# against 0.75 s at x = 5 (none), 5.8e-7 s against 9.4e-8 s a term.  That
-# fast cost, with 0.2-0.35 ms of fixed cost per x (under 4,000 terms), bounds
-# a run within the cap to about 20 s; the slowest system is the two-lattice
-# fibonacci string.  The largest argument is period * (trunc + 1) * ln x, x
-# the largest --x or --xmax, and each x is priced as if it were that x.
+# the slow way (from about 1.05e8): on a 2-vCPU Xeon VM numpy's cos and sin of
+# 4,096 take 850-930 us against 210-260 us.  Half the counted poles are
+# evaluated (mirror pairs), so for fibonacci, the slowest system, a counted
+# term costs 6.6e-8 s at x = 5 (no argument past 1e8) and 3.1e-7 s at
+# x = 1e300 (nearly all).  With 0.3 ms fixed cost per x (under 4,000 terms),
+# a run within the cap ends in about 13 s (trunc 99,997,999, x = 1.1).  The
+# largest argument is period * (trunc + 1) * ln x, x the largest --x or
+# --xmax, and each x is priced as if it were that x.
 POLE_TERMS_PER_X = 4_000
 FAST_TRIG_ARG = 1e8
 SLOW_TERM_WEIGHT = 6
@@ -91,7 +91,7 @@ SWEEP_VECTOR_CAP = 175_000
 ZETA_TERM_CAP = 5_000_000
 
 # Cap on the bits of `zeta`'s exact value at an integer s = n, estimated as |n|
-# times the larger degree of the closed form times the bits of the base's larger
+# times the larger degree of the closed form times log2 of the base's larger
 # part: 3,600 digits, under Python's 4,300-digit str limit, with room for the
 # coefficients.  Past it `exact` is null.
 ZETA_EXACT_BITS = 12_000
@@ -331,7 +331,7 @@ def cmd_zeta(args) -> int:
         # where z = base^s is not
         exact = value = None
         n, degree = int(s.real), max(rz.num.degree, rz.den.degree, 1)
-        bits = abs(n) * degree * max(rz.base.numerator, rz.base.denominator).bit_length()
+        bits = abs(n) * degree * math.log2(max(rz.base.numerator, rz.base.denominator))
         if s.imag == 0 and s.real == n and bits <= ZETA_EXACT_BITS:
             zq = rz.base ** n
             exact_den = rz.den(zq)

@@ -226,9 +226,9 @@ def _check_jump_guard(guard: float) -> None:
 # mmaps, so peak RSS stays below that of a whole-lattice pass
 _BLOCK = 4096
 
-# np.frexp exponents of finite doubles: 2**-1074 = 0.5 * 2**-1073 up to
-# DBL_MAX < 2**1024.  A double t is m * 2**(e - 53), m an integer below 2**53.
-_EXP_MIN, _EXP_MAX = -1073, 1024
+# np.frexp exponents of doubles, 0.5 * 2**-1073 up to 2**1024 plus one for a
+# doubled term.  A double t is m * 2**(e - 53), m an integer below 2**53.
+_EXP_MIN, _EXP_MAX = -1073, 1025
 _BINS = _EXP_MAX - _EXP_MIN + 1
 _SCALE = 1 << (53 - _EXP_MIN)
 # blocks between two flushes of the float bins: 2**26 halves below 2**27 sum
@@ -236,30 +236,29 @@ _SCALE = 1 << (53 - _EXP_MIN)
 _FLUSH = 2**26 // _BLOCK
 
 
-def _exact_sum(blocks: Iterable[np.ndarray]) -> float:
-    """The correctly rounded sum of every term of blocks of at most ``_BLOCK``
-    terms: the float ``math.fsum`` returns, from numpy passes alone.
+def _exact_sum(blocks: Iterable[tuple[np.ndarray, bool]]) -> float:
+    """The correctly rounded sum of (terms, paired) blocks of at most
+    ``_BLOCK`` terms, a paired block counted twice: ``math.fsum`` of the
+    terms written out, from numpy passes alone.
 
-    Each term is split into its frexp exponent e and 53-bit integer
-    mantissa m = hi * 2**26 + lo, with |hi| < 2**27 and |lo| < 2**26.  Both
-    halves are summed per exponent with ``np.bincount`` into float bins,
-    whose sums stay exact integers for ``_FLUSH`` blocks.  The bins then make
-    one integer N with sum = N / 2**1126, and int/int true division rounds
-    it correctly, half to even.  This is the small superaccumulator of Neal,
-    "Fast exact summation using small and large superaccumulators"
-    (arXiv:1505.05571, 2015).  A non-finite term raises ``ValueError``: the
-    sum then has no finite value.
+    Each term is split into its frexp exponent e, plus 1 when paired (exact,
+    and no overflow), and mantissa m = hi * 2**26 + lo, |hi| < 2**27 and
+    |lo| < 2**26.  Both halves are summed per exponent by ``np.bincount``
+    into float bins, exact for ``_FLUSH`` blocks, that make one integer N
+    with sum = N / 2**1126, rounded once by int/int true division: the small
+    superaccumulator of Neal (arXiv:1505.05571, 2015).  A non-finite term
+    raises ``ValueError``.
     """
     total = 0
     bins = np.zeros((2, _BINS))
     # an infinite term makes its lo half inf - inf; _flush reports it
     with np.errstate(invalid="ignore"):
-        for count, terms in enumerate(blocks, 1):
+        for count, (terms, paired) in enumerate(blocks, 1):
             m, e = np.frexp(terms)
             m *= 2.0**53
             hi = np.trunc(m * 2.0**-26)
             m -= hi * 2.0**26
-            e -= _EXP_MIN
+            e -= _EXP_MIN - paired
             bins[0] += np.bincount(e, weights=hi, minlength=_BINS)
             bins[1] += np.bincount(e, weights=m, minlength=_BINS)
             if count % _FLUSH == 0:
@@ -283,48 +282,49 @@ def _flush(bins: np.ndarray) -> int:
 
 def _lattice_terms(
     lat: DimensionLattice, Z: int, lnx: float, zero_is_pole: bool
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[np.ndarray, bool]]:
     """Re(res * x^w / w) for w = real_part + i*period*(j + phase_shift), |j| <= Z,
-    as arrays over blocks of consecutive j.
+    as (block, paired) over blocks of consecutive j = 0..Z.
 
-    Each term is the float that CPython's ``res * cmath.exp(w * lnx) / w``
-    gives: the same libm exp/cos/sin calls, the same products, and the real
-    part of CPython's complex division (Smith's method, branching on
-    |Re w| >= |Im w|).  That holds while real_part * lnx <= ln(DBL_MAX / 4)
-    ~ 708.4, where cmath.exp is plain exp times (cos, sin); the lattices
-    here have real_part < 1, so only x beyond about 1e307 could leave it.
-    Im w increases with j, so only the block around j = 0 can hold poles
-    with |Im w| <= |Re w|; every other block takes the |Re w| < |Im w|
-    branch whole.  The pole at s = 0 on the zero lattice is dropped; it is
-    folded into the double-pole term.
+    The lattice is self-conjugate (real residue, shift 0 or 1/2), so pole
+    -j - 2*shift has the negated Im w and the same term: every step below
+    is even or odd under negation, cos even and sin odd.  All terms are
+    paired but j = 0 at shift 0 (its own mirror) and j = Z at shift 1/2.
+    A term is CPython's ``res * cmath.exp(w * lnx) / w``: the same libm
+    calls and products, and Smith's division branching on |Re w| >= |Im w|,
+    while real_part * lnx <= 708.4 (x below about 1e307 here).  The s = 0
+    pole of the zero lattice is dropped; it is in the double-pole term.
     """
     wr = lat.real_part
-    res = lat.residue
-    drop_zero = zero_is_pole and abs(wr) < 1e-12
+    res = lat.residue.real
+    lone = Z if lat.phase_shift else 0  # the one unpaired pole
+    first = 1 if zero_is_pole and abs(wr) < 1e-12 and lone == 0 else 0
     l = math.exp(wr * lnx)
-    for lo in range(-Z, Z + 1, _BLOCK):
-        j = np.arange(lo, min(lo + _BLOCK, Z + 1), dtype=np.float64)
-        im = lat.period * (j + lat.phase_shift)
-        mixed = im[0] <= abs(wr) and im[-1] >= -abs(wr)
-        if mixed and drop_zero:
-            im = im[im != 0.0]
+    for lo in range(first, Z + 1, _BLOCK):
+        hi = min(lo + _BLOCK, Z + 1)
+        im = lat.period * (np.arange(lo, hi, dtype=np.float64) + lat.phase_shift)
         arg = im * lnx
-        er = l * np.cos(arg)
-        ei = l * np.sin(arg)
-        mr = res.real * er - res.imag * ei
-        mi = res.real * ei + res.imag * er
-        if not mixed:
+        mr = res * (l * np.cos(arg))
+        mi = res * (l * np.sin(arg))
+        if im[0] > abs(wr):
             ratio = wr / im
-            yield (mr * ratio + mi) / (wr * ratio + im)
-            continue
-        out = np.empty_like(im)
-        near = np.abs(im) <= abs(wr)
-        far = ~near
-        ratio = wr / im[far]
-        out[far] = (mr[far] * ratio + mi[far]) / (wr * ratio + im[far])
-        ratio = im[near] / wr
-        out[near] = (mr[near] + mi[near] * ratio) / (wr + im[near] * ratio)
-        yield out
+            out = (mr * ratio + mi) / (wr * ratio + im)
+        else:
+            out = np.empty_like(im)
+            near = im <= abs(wr)
+            far = ~near
+            ratio = wr / im[far]
+            out[far] = (mr[far] * ratio + mi[far]) / (wr * ratio + im[far])
+            ratio = im[near] / wr
+            out[near] = (mr[near] + mi[near] * ratio) / (wr + im[near] * ratio)
+        if lo <= lone < hi:
+            k = lone - lo
+            if k:
+                yield out[:k], True
+            yield out[k:k + 1], False
+            out = out[k + 1:]
+        if len(out):
+            yield out, True
 
 
 @dataclass(frozen=True)
@@ -349,8 +349,11 @@ def _explicit_setup(
     if rz.entire:
         raise ValueError("entire zeta: no pole expansion (counting is 0 or 1)")
     lattices = tuple(pole_lattices(rz))
-    if not all(lat.simple for lat in lattices):
-        raise ValueError("non-simple pole lattice; explicit sum unsupported")
+    for lat in lattices:
+        if not lat.simple:
+            raise ValueError("non-simple pole lattice; explicit sum unsupported")
+        if lat.residue.imag != 0.0 or lat.phase_shift not in (0.0, 0.5):
+            raise ValueError("lattice not self-conjugate; explicit sum unsupported")
     v0 = rz.value_at_zero()
     return _ExplicitSetup(
         rz=rz,
@@ -377,6 +380,8 @@ def counting_explicit(
     sequence, its lattices and its s = 0 data are derived once per
     (system, key) and kept for later x.  The pole sum is ``_exact_sum``'s
     correctly rounded one, so it needs no ordering of the terms by |Im|.
+    Self-conjugate lattices (others are refused) give equal mirror terms:
+    Z+1 are evaluated for the sum of all 2Z+1.
     """
     if x <= 1:
         raise ValueError("x must exceed 1")

@@ -137,9 +137,23 @@ def test_zeta_takes_the_exact_path_first_at_integer_s(capsys, config):
     assert rc == 0
     exact = F(payload["exact"])
     assert payload["value_re"] == float(exact) == -0.5 and payload["value_im"] == 0.0
-    # one step past the exact cap, neither path has the value
-    assert main(["zeta", "--config", config("cantor"), "--s=-6001"]) == 2
+    # the cap counts log2(3) bits a power of 1/3, so -6001 (about 2,900
+    # digits) is exact as well
+    rc, payload = run_json(capsys, ["zeta", "--config", config("cantor"), "--s=-6001"])
+    assert rc == 0
+    assert payload["exact"] is not None and payload["value_re"] == -0.5
+    # one step past the exact cap (7572 log2 3 > 12,000), neither path has the value
+    assert main(["zeta", "--config", config("cantor"), "--s=-7572"]) == 2
     assert "overflows a double" in capsys.readouterr().err
+
+
+def test_zeta_exact_cap_is_the_first_integer_s_past_its_bits(capsys, config):
+    # 7571 log2 3 = 11,999.7 bits is within ZETA_EXACT_BITS, 7572 log2 3 is not
+    cantor = config("cantor")
+    rc, payload = run_json(capsys, ["zeta", "--config", cantor, "--s", "7571"])
+    assert rc == 0 and payload["exact"] == f"1/{3**7571 - 2}"
+    rc, payload = run_json(capsys, ["zeta", "--config", cantor, "--s", "7572"])
+    assert rc == 0 and payload["exact"] is None and payload["value_re"] == 0.0
 
 
 def test_zeta_refuses_length_bases_past_the_bit_cap(capsys, config):

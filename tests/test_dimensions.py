@@ -2,6 +2,7 @@
 import cmath
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -385,7 +386,8 @@ def test_explicit_rounds_to_direct_on_samples(system, key, hi):
 def _explicit_term_by_term(system, key, x, Z):
     """Reference: one cmath.exp and one Python complex division per pole.
 
-    Returns the real parts of the terms, lattice by lattice, and the value.
+    Returns the real parts of the terms by j, lattice by lattice, and the
+    value.
     """
     rz = closed_form_zeta(system, key)
     v0 = rz.value_at_zero()
@@ -397,15 +399,15 @@ def _explicit_term_by_term(system, key, x, Z):
     lnx = math.log(x)
     per_lattice = []
     for lat in pole_lattices(rz):
-        terms = []
+        terms = {}
         for j in range(-Z, Z + 1):
             im = lat.period * (j + lat.phase_shift)
             if zero_is_pole and abs(lat.real_part) < 1e-12 and im == 0.0:
                 continue
             w = complex(lat.real_part, im)
-            terms.append((lat.residue * cmath.exp(w * lnx) / w).real)
+            terms[j] = (lat.residue * cmath.exp(w * lnx) / w).real
         per_lattice.append((lat, terms))
-    value = math.fsum(t for _, terms in per_lattice for t in terms) + const
+    value = math.fsum(t for _, terms in per_lattice for t in terms.values()) + const
     return per_lattice, zero_is_pole, value
 
 
@@ -423,13 +425,77 @@ def _explicit_term_by_term(system, key, x, Z):
 )
 def test_explicit_is_bit_identical_to_term_by_term_sum(system, key):
     rz = closed_form_zeta(system, key)
-    Z = 2100  # 4201 poles per lattice: two numpy blocks
+    Z = 4200  # 4201 poles in each lattice's half: two numpy blocks
     for x in sample_off_jump_xs(rz, count=6, hi=1e12, seed=3):
         per_lattice, zero_is_pole, value = _explicit_term_by_term(system, key, x, Z)
         for lat, terms in per_lattice:
+            # the premise of the half, in CPython's arithmetic: pole -j - 2*shift
+            # gives the same double as pole j
+            shift2 = round(2 * lat.phase_shift)
+            weight = {}
+            for j, t in terms.items():
+                mirror = -j - shift2
+                if mirror in terms:
+                    assert terms[mirror].hex() == t.hex(), (x, lat, j)
+                weight[j] = 2 if mirror != j and mirror in terms else 1
             blocks = _lattice_terms(lat, Z, math.log(x), zero_is_pole)
-            assert [t for block in blocks for t in block] == terms
+            half = [(t, 1 + paired) for block, paired in blocks for t in block]
+            assert half == [(terms[j], weight[j]) for j in range(Z + 1) if j in terms]
         assert counting_explicit(system, key, x, Z).explicit_value == value, x
+
+
+def test_numpy_cos_is_even_and_sin_odd_bit_for_bit():
+    # the mirror pole's cos/sin argument is the exact negative, at every
+    # scale up to 1e300, slow argument reduction past 1e8 included
+    rng = np.random.default_rng(20)
+    for e in range(0, 301):
+        a = rng.uniform(1.0, 10.0, 2000) * 10.0**e
+        assert (np.cos(-a).view(np.int64) == np.cos(a).view(np.int64)).all(), e
+        assert (np.sin(-a).view(np.int64) == (-np.sin(a)).view(np.int64)).all(), e
+
+
+@pytest.mark.parametrize(
+    "change", [{"residue": complex(0.5, 1e-17)}, {"phase_shift": 0.25}]
+)
+def test_explicit_refuses_lattices_that_are_not_self_conjugate(monkeypatch, change):
+    bad = dataclasses.replace(pole_lattices(closed_form_zeta(CANTOR))[0], **change)
+    monkeypatch.setattr(dimensions, "pole_lattices", lambda rz: [bad])
+    _explicit_setup.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="not self-conjugate"):
+            counting_explicit(CANTOR, None, 10.0, Z=1000)
+    finally:
+        _explicit_setup.cache_clear()
+
+
+# cantor: one lattice at shift 0; fibonacci: shifts 0 and 1/2; sigma1 1/2:
+# the zero lattice, whose s = 0 pole is dropped
+@pytest.mark.parametrize(
+    "system, key, dropped",
+    [(CANTOR, None, 0), (FIB, None, 0), (SIGMA1, FractionKey(F(1, 2)), 1)],
+)
+def test_explicit_evaluates_half_of_each_lattice(monkeypatch, system, key, dropped):
+    Z = 2100
+    evaluated, summed = [], []
+    cos, exact_sum = np.cos, dimensions._exact_sum
+
+    def counted_cos(arg):
+        evaluated.append(len(arg))
+        return cos(arg)
+
+    def counted_sum(blocks):
+        blocks = list(blocks)
+        summed.extend((len(b), paired) for b, paired in blocks)
+        return exact_sum(blocks)
+
+    x = sample_off_jump_xs(closed_form_zeta(system, key), count=1, seed=4)[0]
+    lattices = len(_explicit_setup(system, key).lattices)
+    monkeypatch.setattr(np, "cos", counted_cos)
+    monkeypatch.setattr(dimensions, "_exact_sum", counted_sum)
+    counting_explicit(system, key, x, Z)
+    assert sum(evaluated) == lattices * (Z + 1) - dropped
+    # the terms stand for all 2Z+1 poles of each lattice
+    assert sum(n * (1 + paired) for n, paired in summed) == lattices * (2 * Z + 1) - dropped
 
 
 def test_explicit_derives_lattices_once_per_class(monkeypatch):
@@ -455,8 +521,19 @@ def test_explicit_derives_lattices_once_per_class(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _blocks(terms):
-    return [terms[i:i + _BLOCK] for i in range(0, len(terms), _BLOCK)]
+def _blocks(terms, paired=()):
+    """Blocks of at most ``_BLOCK`` terms, the i-th flagged ``paired[i]``
+    (False past the end of ``paired``)."""
+    starts = range(0, len(terms), _BLOCK)
+    return [(terms[i:i + _BLOCK], i // _BLOCK < len(paired) and paired[i // _BLOCK])
+            for i in starts]
+
+
+def _written_out(blocks):
+    return [t for block, paired in blocks for t in block.tolist() * (1 + paired)]
+
+
+DBL_MAX = sys.float_info.max
 
 
 @st.composite
@@ -468,8 +545,10 @@ def term_arrays(draw):
     span = draw(st.sampled_from([0, 30, 1000]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     terms = np.ldexp(rng.uniform(-1, 1, n), rng.integers(-span, span + 1, n))
+    near_half_max = [DBL_MAX / 2, math.nextafter(DBL_MAX / 2, math.inf), DBL_MAX]
     special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                               2.225073858507201e-308, 2.0**1000, -(2.0**1000)])
+                               2.225073858507201e-308, 2.0**1000, -(2.0**1000),
+                               *near_half_max, *(-t for t in near_half_max)])
     bounded = st.floats(min_value=-(2.0**1000), max_value=2.0**1000)
     extra = draw(st.lists(special | bounded, max_size=40))
     terms = np.concatenate([terms, extra])
@@ -478,23 +557,42 @@ def term_arrays(draw):
     return terms[rng.permutation(len(terms))]
 
 
+def _correctly_rounded_sum(terms):
+    """math.fsum, or, where its partial sums overflow, the exact rational sum
+    rounded once; OverflowError when the sum itself is past DBL_MAX."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return float(sum(map(Fraction, terms)))
+
+
 @settings(max_examples=150, deadline=None)
-@given(term_arrays())
-def test_exact_sum_is_fsum_bit_for_bit(terms):
-    want = math.fsum(terms.tolist()).hex()
-    assert _exact_sum(_blocks(terms)).hex() == want
+@given(term_arrays(), st.lists(st.booleans(), max_size=4))
+def test_exact_sum_is_fsum_bit_for_bit(terms, paired):
+    # a paired block is summed as its terms written out twice
+    blocks = _blocks(terms, paired)
+    try:
+        want = _correctly_rounded_sum(_written_out(blocks)).hex()
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _exact_sum(blocks)
+        return
+    assert _exact_sum(blocks).hex() == want
     # flushing the float bins after every block gives the same integer
     with mock.patch.object(dimensions, "_FLUSH", 1):
-        assert _exact_sum(_blocks(terms)).hex() == want
+        assert _exact_sum(blocks).hex() == want
 
 
 def test_exact_sum_of_nothing_and_of_cancelling_terms():
     assert _exact_sum([]).hex() == (0.0).hex()
     terms = np.array([1e300, 1.0, -1e300, 5e-324, -5e-324, -0.0])
-    assert _exact_sum([terms]) == 1.0
+    assert _exact_sum(_blocks(terms)) == 1.0
     # the halfway case 1 + 2**-53 rounds to even, as fsum does
-    assert _exact_sum([np.array([1.0, 2.0**-53])]) == math.fsum([1.0, 2.0**-53]) == 1.0
-    assert _exact_sum([np.array([1.0, 2.0**-53, 2.0**-106])]) == 1.0 + 2.0**-52
+    assert _exact_sum(_blocks(np.array([1.0, 2.0**-53]))) == math.fsum([1.0, 2.0**-53]) == 1.0
+    assert _exact_sum(_blocks(np.array([1.0, 2.0**-53, 2.0**-106]))) == 1.0 + 2.0**-52
+    # a paired DBL_MAX is 2 * DBL_MAX in the bins, not inf
+    pair = [(np.array([DBL_MAX]), True), (np.array([-DBL_MAX, -DBL_MAX / 2]), False)]
+    assert _exact_sum(pair) == DBL_MAX / 2
 
 
 @pytest.mark.parametrize(
