@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from .ifs_core import (
     AtomicMeasureSpec,
     BudgetExceededError,
@@ -27,9 +29,9 @@ from .regularity import (
     RegularityKey,
     RegularityValue,
     VectorKey,
-    partition_values,
+    class_columns,
     prepare,
-    regularity_of,
+    value_columns,
 )
 from .sequences import multinomial
 
@@ -87,7 +89,9 @@ def enumerate_stage(
 ) -> StageEnumeration:
     """Aggregate the N^K stage-K intervals by exponent vector.
 
-    Each record carries count = multinomial(K; k).  Gap intervals (mass 0)
+    Each record carries count = multinomial(K; k), and its regularity is a
+    row of one ``class_columns`` call over the stage's class vectors, keyed
+    by the primitive class vector.  Gap intervals (mass 0)
     of all levels <= K are reported separately, aggregated by the exponent
     vector of their enclosing level-(j-1) cell.
     """
@@ -97,15 +101,17 @@ def enumerate_stage(
         raise ValueError("stage K must be >= 1")
     if ifs.N**K > budget:
         raise BudgetExceededError(f"N^K = {ifs.N**K} exceeds budget {budget}")
+    ks = list(_compositions(K, ifs.N))
+    columns = class_columns(prepared, np.array([prepared.fold(k) for k in ks], dtype=np.int64))
+    keys = columns.k // np.gcd.reduce(columns.k, axis=1)[:, None]
     intervals = []
-    for k in _compositions(K, ifs.N):
+    for i, (k, key) in enumerate(zip(ks, keys.tolist())):
         mass = Fraction(1)
         length = Fraction(1)
         for ki, p, r in zip(k, ifs.probs, ifs.ratios):
             if ki:
                 mass *= p**ki
                 length *= r**ki
-        cls = regularity_of(prepared, k)
         intervals.append(
             IntervalRecord(
                 stage=K,
@@ -114,8 +120,8 @@ def enumerate_stage(
                 length=length,
                 count=multinomial(K, k),
                 kind="ifs",
-                regularity=cls.alpha_exact,
-                key_hint=cls.key,
+                regularity=columns.value(i),
+                key_hint=VectorKey(tuple(key)),
             )
         )
 
@@ -290,8 +296,8 @@ def _ladder(records: Iterable[IntervalRecord]) -> list[tuple[Fraction, int]]:
 def group_by_regularity(
     records: Iterable[IntervalRecord],
 ) -> dict[RegularityKey, list[tuple[Fraction, int]]]:
-    """Group records by exact regularity (``partition_values``); never merges
-    undecided values.
+    """Group records by exact regularity (one ``ClassColumns.partition`` of
+    their values); never merges undecided values.
 
     Each group is keyed by its smallest key hint and carries (length,
     multiplicity) pairs sorted by decreasing length with equal lengths merged.
@@ -299,9 +305,13 @@ def group_by_regularity(
     finite, infinite = [], []
     for rec in records:
         (infinite if rec.regularity is None else finite).append(rec)
+    parts: dict[int, list[IntervalRecord]] = {}
+    if finite:
+        number = value_columns([rec.regularity for rec in finite]).partition()
+        for n, rec in zip(number.tolist(), finite):
+            parts.setdefault(n, []).append(rec)
     out: dict[RegularityKey, list[tuple[Fraction, int]]] = {}
-    for part in partition_values([rec.regularity for rec in finite]):
-        group = [finite[i] for i in part]
+    for group in parts.values():
         out[min((rec.key_hint for rec in group), key=_key_sort_token)] = _ladder(group)
     if infinite:
         out[InfiniteKey()] = _ladder(infinite)

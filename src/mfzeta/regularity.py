@@ -14,18 +14,18 @@ rational exponent ratio.  Other pairs are only certified distinct, by a ladder:
    log p cut outward from its 64-bit integer bounds); disjoint enclosures
    prove the values distinct, which settles nearly every pair;
 2. intervals at 64, then 256, then 1024 bits, from the integer bounds of
-   ``log_bounds``, only for pairs whose float enclosures overlap;
+   ``log_bounds``, only for pairs whose float enclosures overlap
+   (``values_equal``);
 3. if the intervals still overlap, ``AmbiguousRegularityError`` is
    raised — values are never silently merged.
 
-``partition_values`` groups values into these classes.  ``ClassColumns``
-groups the class vectors of a whole sweep the same way from integer columns,
-with the float filter as one numpy pass; it builds values only for the pairs
-that the filter leaves to the intervals.
-
-The float alpha of a class is ``alpha_from_exponents``; for a whole matrix
-of classes at once, ``alphas_from_exponents`` gives the same doubles, with
-``row_fsums`` in place of ``math.fsum``.
+Each formula has one form, over columns.  ``ClassColumns`` holds the mass
+and length exponents of many values as int64 matrices, built from class
+vectors by ``class_columns`` or from values by ``value_columns``;
+``alphas_from_exponents`` gives their float alphas, and ``partition`` groups
+them into classes of equal values, running the float filter as one numpy
+pass.  A single class (``regularity_of``, ``collapsed_regularity``) is a
+one-row column.
 
 Facts that every class of one system shares (its class space with the
 factorized parameters of each slot and the independence verdict of its
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -146,14 +145,6 @@ def log_bounds(p: int, bits: int) -> tuple[int, int]:
     return lo >> _GUARD_BITS, -(-hi >> _GUARD_BITS)
 
 
-def _down(x: float) -> float:
-    return math.nextafter(x, -math.inf)
-
-
-def _up(x: float) -> float:
-    return math.nextafter(x, math.inf)
-
-
 # An enclosure that overlaps everything: the float filter then decides nothing.
 _NO_FILTER = (-math.inf, math.inf)
 
@@ -165,20 +156,10 @@ def _float_log(p: int) -> tuple[float, float]:
     in (scaling a double by 2^64 is exact, so the test is too)."""
     lo, hi = log_bounds(p, 64)
     f_lo, f_hi = lo / 2**64, hi / 2**64
-    return _down(f_lo) if f_lo * 2**64 > lo else f_lo, _up(f_hi) if f_hi * 2**64 < hi else f_hi
-
-
-def _float_form(pev: PrimeExponentVector) -> tuple[float, float]:
-    """Float bounds on sum e * log p over pev, each step rounded outward."""
-    lo = hi = 0.0
-    for p, e in pev.items():
-        if abs(e) > 2**53:
-            return _NO_FILTER  # e would round on its way to a double
-        bounds = _float_log(p)
-        lp_lo, lp_hi = bounds if e > 0 else bounds[::-1]
-        lo = _down(lo + _down(e * lp_lo))
-        hi = _up(hi + _up(e * lp_hi))
-    return lo, hi
+    return (
+        math.nextafter(f_lo, -math.inf) if f_lo * 2**64 > lo else f_lo,
+        math.nextafter(f_hi, math.inf) if f_hi * 2**64 < hi else f_hi,
+    )
 
 
 def _int_form(pev: PrimeExponentVector, bits: int) -> tuple[int, int]:
@@ -209,8 +190,7 @@ class RegularityValue:
     """alpha = log(mass)/log(length) as an exact pair of exponent vectors.
 
     The exact rational alpha of a parallel pair is worked out once, at
-    construction; the canonical form, the float and the float enclosure on
-    first use.
+    construction; the canonical form and the float on first use.
     """
 
     mass_pev: PrimeExponentVector
@@ -218,15 +198,13 @@ class RegularityValue:
     _rational: Fraction | None = field(init=False, compare=False, repr=False)
     _canonical: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _float: float | None = field(default=None, init=False, compare=False, repr=False)
-    _float_bounds: tuple[float, float] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self):
         if self.length_pev.is_zero():
             raise ValueError("length exponent vector must be nonzero")
-        _, mass, length = _aligned(self.mass_pev, self.length_pev)
-        ratio = _parallel(mass, length)
+        mass, length = self.mass_pev.exponents(), self.length_pev.exponents()
+        primes = {**mass, **length}
+        ratio = _parallel([mass.get(p, 0) for p in primes], [length.get(p, 0) for p in primes])
         object.__setattr__(self, "_rational", None if ratio is None else Fraction(*ratio))
 
     def rational_value(self) -> Fraction | None:
@@ -257,22 +235,13 @@ class RegularityValue:
         return ("pair", _divide_pev(self.mass_pev, g), _divide_pev(self.length_pev, g))
 
     def to_float(self) -> float:
+        """alpha as a double: the ``alphas_from_exponents`` row of this value,
+        read from the columns that built it or derived here on first use."""
         value = self._float
         if value is None:
-            primes, mass, length = _aligned(self.mass_pev, self.length_pev)
-            value = alpha_from_exponents(mass, length, [math.log(p) for p in primes])
+            value = value_columns([self]).alpha.item()
             object.__setattr__(self, "_float", value)
         return value
-
-    def float_enclosure(self) -> tuple[float, float]:
-        """Float bounds on alpha, every product, sum and quotient widened by
-        one ulp; worked out on first use and kept."""
-        bounds = self._float_bounds
-        if bounds is None:
-            lo, hi = _quotient(_float_form(self.mass_pev), _float_form(self.length_pev))
-            bounds = _down(lo), _up(hi)
-            object.__setattr__(self, "_float_bounds", bounds)
-        return bounds
 
     def interval(self, prec_bits: int) -> tuple[Fraction, Fraction]:
         """Bounds on alpha at one rung (64, 256 or 1024 bits): the extreme
@@ -282,15 +251,6 @@ class RegularityValue:
             raise ValueError(f"precision must be one of {_PREC_LADDER}, got {prec_bits}")
         mass = tuple(map(Fraction, _int_form(self.mass_pev, prec_bits)))
         return _quotient(mass, _int_form(self.length_pev, prec_bits))
-
-
-def _aligned(
-    mass: PrimeExponentVector, length: PrimeExponentVector
-) -> tuple[list[int], list[int], list[int]]:
-    """The primes of a pair of vectors and the exponents of each over them."""
-    mass_e, length_e = mass.exponents(), length.exponents()
-    primes = [*length_e, *(p for p in mass_e if p not in length_e)]
-    return primes, [mass_e.get(p, 0) for p in primes], [length_e.get(p, 0) for p in primes]
 
 
 def _parallel(mass: Sequence[int], length: Sequence[int]) -> tuple[int, int] | None:
@@ -305,33 +265,18 @@ def _parallel(mass: Sequence[int], length: Sequence[int]) -> tuple[int, int] | N
     return (-a, -b) if b < 0 else (a, b)
 
 
-def alpha_from_exponents(
-    mass: Sequence[int], length: Sequence[int], logs: Sequence[float]
-) -> float:
-    """alpha = log(mass)/log(length) as a double, from the exponents of the
-    two products over primes whose ``math.log`` values are ``logs``.
-
-    A parallel pair is the rational a/b, which int true division rounds
-    correctly, as ``float(Fraction(a, b))`` does; any other pair is the
-    quotient of the ``fsum``s of the products e * log p (a zero exponent adds
-    an exact 0.0, which leaves a correctly rounded sum unchanged).
-    """
-    ratio = _parallel(mass, length)
-    if ratio is not None:
-        return ratio[0] / ratio[1]
-    num = math.fsum(map(operator.mul, mass, logs))
-    return num / math.fsum(map(operator.mul, length, logs))
-
-
 def alphas_from_exponents(
     mass: np.ndarray, length: np.ndarray, logs: Sequence[float]
 ) -> np.ndarray:
-    """``alpha_from_exponents`` of each row pair of two int64 matrices, bit
-    for bit; every row of ``length`` must be nonzero.
+    """alpha = log(mass)/log(length) as a double for each row pair of two
+    int64 matrices, the exponents of the two products over primes whose
+    ``math.log`` values are ``logs``; every row of ``length`` must be nonzero.
 
-    A parallel row is a/b, which float64 division of the exactly converted
-    ints rounds correctly; any other row is the quotient of the
-    ``row_fsums`` of the same products e * log p.
+    A parallel row is the rational a/b, which float64 division of the
+    exactly converted ints rounds correctly, as ``float(Fraction(a, b))``
+    does; any other row is the quotient of the ``row_fsums`` of the products
+    e * log p (a zero exponent adds an exact 0.0, which leaves a correctly
+    rounded sum unchanged).
     """
     parallel, a, b = _parallel_rows(mass, length)
     # b > 0, as _parallel makes it: a zero a then gives +0.0
@@ -406,14 +351,13 @@ def _apart(x: tuple, y: tuple) -> bool:
 
 def values_equal(a: RegularityValue, b: RegularityValue) -> bool:
     """Exact equality, that is canonical-form equality; for other pairs the
-    float filter and interval ladder only certify distinctness, or raise
-    ``AmbiguousRegularityError``."""
+    interval ladder only certifies distinctness, or raises
+    ``AmbiguousRegularityError``.  The float filter runs before it, over
+    whole columns, in ``ClassColumns.partition``."""
     if a.canonical() == b.canonical():
         return True
     if a._rational is not None or b._rational is not None:
         # distinct rationals differ, and a rational never equals an irrational
-        return False
-    if _apart(a.float_enclosure(), b.float_enclosure()):
         return False
     if any(_apart(a.interval(prec), b.interval(prec)) for prec in _PREC_LADDER):
         return False
@@ -421,35 +365,6 @@ def values_equal(a: RegularityValue, b: RegularityValue) -> bool:
         f"cannot separate regularity values near {a.to_float()!r} at "
         f"{_PREC_LADDER[-1]} bits"
     )
-
-
-def assert_separated(values: Sequence[RegularityValue]) -> None:
-    """Certify pairwise distinctness of values with distinct canonical forms.
-
-    Values are sorted; separating each adjacent pair separates all pairs.
-    Raises ``AmbiguousRegularityError`` when a pair cannot be separated.
-    """
-    order = sorted(values, key=lambda v: v.to_float())
-    for a, b in zip(order, order[1:]):
-        if values_equal(a, b):
-            raise AmbiguousRegularityError(
-                "distinct canonical forms compare equal through the ladder"
-            )
-
-
-def partition_values(values: Sequence[RegularityValue]) -> list[list[int]]:
-    """The indices of ``values`` grouped into classes of equal values.
-
-    Values are bucketed by canonical form, buckets and their indices in
-    first-seen order; one representative per bucket then goes through
-    ``assert_separated``, so buckets are never merged or split silently.
-    """
-    buckets: dict[tuple, list[int]] = {}
-    for i, value in enumerate(values):
-        buckets.setdefault(value.canonical(), []).append(i)
-    parts = list(buckets.values())
-    assert_separated([values[part[0]] for part in parts])
-    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -638,43 +553,48 @@ def collapsed_regularity(
 
 
 def _class_regularity(prepared: PreparedIFS, kprime: tuple[int, ...]) -> RegularityClass:
-    """The class of a nonzero class vector k' with non-negative parts."""
-    mass, length = prepared.exponents(kprime)
+    """The class of a nonzero class vector k' with non-negative parts: the
+    one row of its ``ClassColumns``."""
+    value = class_columns(prepared, class_row(prepared, kprime)).value(0)
     g = math.gcd(*kprime)
-    primes = prepared.primes
-    alpha_float = alpha_from_exponents(mass, length, prepared.log_primes)
-    alpha_exact = RegularityValue(
-        PrimeExponentVector(dict(zip(primes, mass))),
-        PrimeExponentVector(dict(zip(primes, length))),
-    )
-    # the same double to_float would give (zero exponents add exact 0.0s),
-    # so sorting by it in assert_separated derives no alpha a second time
-    object.__setattr__(alpha_exact, "_float", alpha_float)
     return RegularityClass(
         key=VectorKey(kprime if g == 1 else tuple(x // g for x in kprime)),
-        alpha_exact=alpha_exact,
-        alpha_float=alpha_float,
+        alpha_exact=value,
+        alpha_float=value.to_float(),
         K=sum(kprime),
     )
 
 
-def is_monofractal(ifs: WeightedIFS | PreparedIFS) -> RegularityValue | None:
-    """The common unit-vector regularity when all maps share it, else None.
+def class_row(prepared: PreparedIFS, kprime: tuple[int, ...]) -> np.ndarray:
+    """The class vector k' as a one-row int64 matrix.
 
-    The unit values must form one ``partition_values`` bucket; the common
-    value may be irrational (e.g. the Devil's-staircase system).
+    Int64 columns multiply two exponents (``_parallel_rows``), so a vector
+    whose entries, or the exponents of its mass and length products, reach
+    2**31 is refused with ``ValueError`` rather than answered from wrapped
+    products.
     """
-    units = unit_values(prepare(ifs))
-    return units[0] if len(partition_values(units)) == 1 else None
+    mass, length = prepared.exponents(kprime)
+    if max(map(abs, (*kprime, *mass, *length))) >= 2**31:
+        raise ValueError(f"class {kprime} is too deep: its entries or exponents reach 2**31")
+    return np.array([kprime], dtype=np.int64)
 
 
-def unit_values(prepared: PreparedIFS) -> list[RegularityValue]:
-    """The regularity of each single map, in map order."""
-    N = prepared.ifs.N
-    return [
-        regularity_of(prepared, tuple(1 if j == i else 0 for j in range(N))).alpha_exact
-        for i in range(N)
-    ]
+def is_monofractal(ifs: WeightedIFS | PreparedIFS) -> RegularityValue | None:
+    """The common single-map regularity when all maps share it, else None.
+
+    The rows of ``unit_rows`` must form one class of ``ClassColumns.partition``;
+    the common value may be irrational (e.g. the Devil's-staircase system).
+    """
+    prepared = prepare(ifs)
+    columns = class_columns(prepared, unit_rows(prepared))
+    return columns.value(0) if columns.partition().max() == 0 else None
+
+
+def unit_rows(prepared: PreparedIFS) -> np.ndarray:
+    """The class vector of each single map, in map order, as int64 rows."""
+    rows = np.zeros((prepared.ifs.N, prepared.width), dtype=np.int64)
+    rows[np.arange(prepared.ifs.N), prepared.slot_of] = 1
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -720,9 +640,11 @@ def _exponent_matrix(rows: tuple[tuple[tuple[int, int], ...], ...], n: int) -> n
 
 
 def _float_forms(e: np.ndarray, primes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """``_float_form`` of each row of an int64 exponent matrix over primes,
-    bit for bit: the same steps in the same prime order, each zero exponent
-    skipped as the sparse vector skips it."""
+    """Float bounds on sum e * log p for each row of an int64 exponent
+    matrix over primes, from the bounds ``_float_log`` on each log p, every
+    product and sum rounded outward by one ulp and each zero exponent
+    skipped.  A row with an exponent beyond 2**53, which would round on its
+    way to a double, is left unbounded (``_NO_FILTER``)."""
     lo, hi = np.zeros(len(e)), np.zeros(len(e))
     # with infinite bounds on log p (a filter forced open) a zero exponent
     # makes 0 * inf = nan, which np.where drops
@@ -741,32 +663,36 @@ def _float_forms(e: np.ndarray, primes: Sequence[int]) -> tuple[np.ndarray, np.n
 
 @dataclass(frozen=True, eq=False)
 class ClassColumns:
-    """Nonzero class vectors of one system as the rows of an int64 matrix
-    ``k``, with the exponents over ``primes`` of each row's mass and length
-    products and its float alpha (``alphas_from_exponents``).
+    """Regularity values as rows: the exponents over ``primes`` of each
+    row's mass and length products, as int64 matrices, and its float alpha
+    (``alphas_from_exponents``).
 
-    Built by ``class_columns``.  Row i stands for the value ``value(i)``;
-    ``partition`` groups the rows as ``partition_values`` groups those
-    values, and builds a value only for a pair that the float filter leaves
-    to the interval ladder.
+    Built by ``class_columns`` from nonzero class vectors of one system, the
+    rows of ``k``, or by ``value_columns`` from values, with ``k`` None.
+    Row i stands for the value ``value(i)``; ``partition`` groups the rows
+    into classes of equal values, and builds a value only for a pair that
+    the float filter leaves to the interval ladder.
     """
 
     primes: tuple[int, ...]
-    k: np.ndarray
+    k: np.ndarray | None
     mass: np.ndarray
     length: np.ndarray
     alpha: np.ndarray
 
     def value(self, i: int) -> RegularityValue:
-        """The exact value of row i."""
-        return RegularityValue(
+        """The exact value of row i, its ``to_float`` the row's alpha."""
+        value = RegularityValue(
             PrimeExponentVector(dict(zip(self.primes, self.mass[i].tolist()))),
             PrimeExponentVector(dict(zip(self.primes, self.length[i].tolist()))),
         )
+        object.__setattr__(value, "_float", self.alpha[i].item())
+        return value
 
     def float_enclosures(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The ``float_enclosure()`` bounds of the values of the given rows,
-        bit for bit: ``_quotient`` of the ``_float_forms``, widened by one ulp."""
+        """Float bounds on the alphas of the given rows: the extreme
+        quotients of the ``_float_forms`` of mass and length, widened by one
+        ulp, or the infinities where the length bounds bracket 0."""
         n_lo, n_hi = _float_forms(self.mass[rows], self.primes)
         d_lo, d_hi = _float_forms(self.length[rows], self.primes)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -779,8 +705,7 @@ class ClassColumns:
 
     def partition(self) -> np.ndarray:
         """Each row's class number: rows share a class exactly when their
-        values are equal, and classes are numbered in first-seen order, the
-        order of ``partition_values``' lists.
+        values are equal, and classes are numbered in first-seen order.
 
         Rows are bucketed by canonical form: a parallel row by its reduced
         rational (a, b), any other by its mass and length exponents divided
@@ -792,7 +717,7 @@ class ClassColumns:
         """
         parallel, a, b = _parallel_rows(self.mass, self.length)
         # a leading 0 marks a pair, a leading 1 a rational
-        key = np.column_stack((np.zeros(len(self.k), np.int64), self.mass, self.length))
+        key = np.column_stack((np.zeros(len(self.mass), np.int64), self.mass, self.length))
         key[:, 1:] //= np.gcd.reduce(key[:, 1:], axis=1)[:, None]
         g = np.gcd(a, b)[parallel]
         key[parallel] = 0
@@ -830,6 +755,25 @@ def class_columns(prepared: PreparedIFS, k: np.ndarray) -> ClassColumns:
     return ClassColumns(prepared.primes, k, mass, length, alpha)
 
 
+def value_columns(values: Sequence[RegularityValue]) -> ClassColumns:
+    """The ``ClassColumns`` of regularity values, one row each in order,
+    over the primes of them all.  A value with an exponent that reaches
+    2**31 is refused with ``ValueError``, as ``class_row`` refuses one."""
+    primes = sorted(
+        {p for v in values for pev in (v.mass_pev, v.length_pev) for p, _ in pev.items()}
+    )
+    column = {p: j for j, p in enumerate(primes)}
+    mass, length = (np.zeros((len(values), len(primes)), dtype=np.int64) for _ in range(2))
+    for i, v in enumerate(values):
+        for out, pev in ((mass, v.mass_pev), (length, v.length_pev)):
+            for p, e in pev.items():
+                if abs(e) >= 2**31:
+                    raise ValueError(f"value {i} is too deep: its exponents reach 2**31")
+                out[i, column[p]] = e
+    alpha = alphas_from_exponents(mass, length, [math.log(p) for p in primes])
+    return ClassColumns(tuple(primes), None, mass, length, alpha)
+
+
 @dataclass
 class HypothesisReport:
     """Result of checking that primitive vectors have pairwise distinct regularity.
@@ -851,13 +795,10 @@ class HypothesisReport:
         columns = self.columns
         if columns is None:
             return []
-        classes = []
-        for i, (k, alpha) in enumerate(zip(columns.k.tolist(), columns.alpha.tolist())):
-            value = columns.value(i)
-            # the double to_float would derive (zero exponents add exact 0.0s)
-            object.__setattr__(value, "_float", alpha)
-            classes.append(RegularityClass(VectorKey(tuple(k)), value, alpha, sum(k)))
-        return classes
+        return [
+            RegularityClass(VectorKey(tuple(k)), columns.value(i), alpha, sum(k))
+            for i, (k, alpha) in enumerate(zip(columns.k.tolist(), columns.alpha.tolist()))
+        ]
 
 
 def check_hypothesis_H(ifs: WeightedIFS | PreparedIFS, K_max: int) -> HypothesisReport:

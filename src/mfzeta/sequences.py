@@ -201,5 +201,17 @@ class AlphaLengthSequence:
         return n
 
     def counting(self, x) -> int:
-        """Exact number of reciprocal lengths <= x, with multiplicity."""
-        return sum(self.law.multiplicity(n) for n in range(1, self.max_index(x) + 1))
+        """Exact number of reciprocal lengths <= x, with multiplicity.
+
+        A law with a generating function num/den (den[0] = 1) gives its
+        multiplicities by the recurrence m_i = num_i - sum_{j>=1} den_j m_{i-j},
+        in Python ints; the multinomial laws sum ``multiplicity``.
+        """
+        n = self.max_index(x)
+        if not hasattr(self.law, "generating_function"):
+            return sum(self.law.multiplicity(i) for i in range(1, n + 1))
+        num, den = self.law.generating_function()
+        m = (list(num) + [0] * n)[: n + 1]
+        for i in range(1, n + 1):
+            m[i] -= sum(d * m[i - j] for j, d in enumerate(den[1 : i + 1], 1))
+        return sum(m[1:])

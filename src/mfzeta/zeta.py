@@ -32,12 +32,11 @@ from .regularity import (
     RegularityKey,
     VectorKey,
     class_columns,
-    collapsed_regularity,
-    partition_values,
+    class_row,
     prepare,
     primitive_matrix,
     row_fsums,
-    unit_values,
+    unit_rows,
 )
 from .sequences import (
     AlphaLengthSequence,
@@ -356,38 +355,9 @@ def eval_series(
 # ---------------------------------------------------------------------------
 
 
-def _entropy_ratio(ws: Sequence[float], log_ratios: Sequence[float]) -> float:
-    """sum w_i log w_i / sum w_i log r_i over the nonzero w_i, 0.0 when the
-    numerator is 0.0."""
-    num = math.fsum(w * math.log(w) for w in ws if w)
-    if num == 0.0:
-        return 0.0
-    return num / math.fsum(w * lr for w, lr in zip(ws, log_ratios) if w)
-
-
-def _closed_abscissa(prepared: PreparedIFS, kprime: Sequence[int]) -> tuple[float, str]:
-    """The entropy-formula abscissa of the class vector k' and its exact form.
-
-    One map per slot: f = sum (k_i/K) log(k_i/K) / sum (k_i/K) log r_i.
-    Slots of several maps (multiplicities c): f = log_{r^K}(prod k'^k' / (prod c^k' K^K)).
-    No ``Fraction`` is built: ``k_i / K`` is correctly rounded, the double
-    that ``float(Fraction(k_i, K))`` and ``math.log(Fraction(k_i, K))`` use.
-    """
-    K = sum(kprime)
-    desc = abscissa_descriptions(
-        np.array([kprime]), prepared.multiplicities if prepared.folds else None
-    )[0]
-    if prepared.folds:
-        num = math.fsum(kq * math.log(kq) for kq in kprime if kq)
-        num -= math.fsum(kq * lc for kq, lc in zip(kprime, prepared.log_multiplicities))
-        num -= K * math.log(K)
-        return max(0.0, num / (K * prepared.log_ratios[0])), desc
-    return max(0.0, _entropy_ratio([kq / K for kq in kprime], prepared.log_ratios)), desc
-
-
 def abscissa_descriptions(k: np.ndarray, multiplicities: Sequence[int] | None) -> list[str]:
     """The exact form of the abscissa of each class vector k' in the rows of
-    an int matrix (see ``_closed_abscissa``); ``multiplicities`` are the maps
+    an int matrix (see ``closed_abscissas``); ``multiplicities`` are the maps
     per slot of a folding system, None for one map per slot."""
     totals = k.sum(axis=1, keepdims=True)
     if multiplicities is not None:
@@ -410,19 +380,22 @@ def abscissa_descriptions(k: np.ndarray, multiplicities: Sequence[int] | None) -
 
 
 def closed_abscissas(prepared: PreparedIFS, k: np.ndarray) -> np.ndarray:
-    """The ``_closed_abscissa`` value of each row of an int64 matrix of
-    nonzero class vectors, bit for bit.
+    """The entropy-formula abscissa of each class vector k' in the rows of an
+    int64 matrix, clamped at +0.0.
 
-    The terms are the same products, summed by ``row_fsums``; every log is
-    read from a table of ``math.log`` values (``np.log`` may differ from it
-    in the last bit), and the clamp at 0 gives +0.0 as ``max(0.0, x)`` does.
+    One map per slot: f = sum (k_i/K) log(k_i/K) / sum (k_i/K) log r_i over
+    the nonzero k_i, 0.0 when the numerator is 0.0.  Slots of several maps
+    (multiplicities c): f = log_{r^K}(prod k'^k' / (prod c^k' K^K)).  Each
+    sum is a ``row_fsums``, and no ``Fraction`` is built: ``k_i / K`` is the
+    correctly rounded double.  Every log is a ``math.log`` of a distinct
+    value (``np.log`` may differ from it in the last bit).
     """
     K = k.sum(axis=1)
     if prepared.folds:
-        int_logs = np.array([0.0, *map(math.log, range(1, int(K.max()) + 1))])
-        num = row_fsums(np.where(k > 0, k * int_logs[k], 0.0))
+        # log 1 = 0.0 stands in for the empty slots, whose terms k log k are 0
+        num = row_fsums(k * _math_logs(np.maximum(k, 1)))
         num = num - row_fsums(k * np.array(prepared.log_multiplicities))
-        num = num - K * int_logs[K]
+        num = num - K * _math_logs(K)
         value = num / (K * prepared.log_ratios[0])
     else:
         w = np.where(k > 0, k / K[:, None], 1.0)
@@ -440,11 +413,12 @@ def _math_logs(x: np.ndarray) -> np.ndarray:
 
 
 def abscissa_closed(ifs: WeightedIFS | PreparedIFS, k: Sequence[int]) -> AbscissaResult:
-    """Closed-form abscissa of the class zeta: the entropy formula
-    (see ``_closed_abscissa``)."""
+    """Closed-form abscissa of the class zeta: the entropy formula of
+    ``closed_abscissas`` on the one row of the class vector of k."""
     prepared = prepare(ifs)
-    value, desc = _closed_abscissa(prepared, prepared.class_vector(k))
-    return AbscissaResult(value=value, exact_description=desc, method="closed_form")
+    row = class_row(prepared, prepared.class_vector(k))
+    desc = abscissa_descriptions(row, prepared.multiplicities if prepared.folds else None)[0]
+    return AbscissaResult(closed_abscissas(prepared, row).item(), desc, "closed_form")
 
 
 def defining_residual(ifs: WeightedIFS | PreparedIFS, k: Sequence[int], sigma: float) -> float:
@@ -514,13 +488,16 @@ def _monoid_zeta(prepared: PreparedIFS, key: VectorKey) -> RationalZeta:
     enumerate the class and zeta = E(z)/(1 - E(z)) with E = sum z^{e_i}.
     """
     ifs = prepared.ifs
-    target = collapsed_regularity(prepared, prepared.class_vector(key.vector)).alpha_exact
-    support = [i - 1 for i in partition_values([target, *unit_values(prepared)])[0][1:]]
+    # the class first, then each single map
+    rows = np.vstack((class_row(prepared, prepared.class_vector(key.vector)), unit_rows(prepared)))
+    columns = class_columns(prepared, rows)
+    number = columns.partition()
+    support = np.flatnonzero(number[1:] == number[0]).tolist()
     if not support:
         raise ValueError(
             f"class {key} is not generated by single maps; no lattice closed form"
         )
-    alpha = target.to_float()
+    alpha = columns.alpha[0].item()
     off = [
         math.log(ifs.probs[i]) - alpha * math.log(ifs.ratios[i])
         for i in range(ifs.N)

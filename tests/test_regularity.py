@@ -21,18 +21,17 @@ from mfzeta.regularity import (
     RegularityValue,
     VectorKey,
     _PREC_LADDER,
-    assert_separated,
     check_hypothesis_H,
     class_columns,
     collapsed_regularity,
     is_monofractal,
     log_bounds,
-    partition_values,
     prepare,
     primitive_matrix,
     primitive_vectors,
     regularity_of,
     row_fsums,
+    value_columns,
     values_equal,
 )
 from mfzeta.sequences import multinomial
@@ -150,21 +149,43 @@ def _near_tie(mass_two: int, length_two: int) -> RegularityValue:
     )
 
 
-def _overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    return not (a[1] < b[0] or b[1] < a[0])
+def _columns(*values: RegularityValue) -> ClassColumns:
+    """The values as rows of ``ClassColumns``, built here without the
+    exponent bound of ``value_columns``: the float filter multiplies no
+    two exponents."""
+    primes = sorted(
+        {p for v in values for pev in (v.mass_pev, v.length_pev) for p, _ in pev.items()}
+    )
+
+    def matrix(pevs) -> np.ndarray:
+        return np.array([[pev.exponents().get(p, 0) for p in primes] for pev in pevs])
+
+    return ClassColumns(
+        primes=tuple(primes),
+        k=None,
+        mass=matrix(v.mass_pev for v in values),
+        length=matrix(v.length_pev for v in values),
+        alpha=np.zeros(len(values)),
+    )
+
+
+def _overlap(a: RegularityValue, b: RegularityValue) -> bool:
+    """Whether the column float enclosures of two values overlap."""
+    lo, hi = _columns(a, b).float_enclosures(np.arange(2))
+    return not (hi[0] < lo[1] or hi[1] < lo[0])
 
 
 def test_float_filter_near_ties_fall_through_to_the_ladder(interval_rungs):
     a = RegularityValue(factorize(F(1, 3)), factorize(F(1, 2)))
     # separated by the first integer rung, not by doubles
     b = _near_tie(85137581, 53715834)
-    assert _overlap(a.float_enclosure(), b.float_enclosure())
+    assert _overlap(a, b)
     assert not values_equal(a, b)
     assert set(interval_rungs) == {64}
     # closer still: the 64-bit intervals overlap too
     interval_rungs.clear()
     b2 = _near_tie(10439860591, 6586818671)
-    assert _overlap(a.float_enclosure(), b2.float_enclosure())
+    assert _overlap(a, b2)
     assert not values_equal(a, b2)
     assert 256 in interval_rungs
 
@@ -178,11 +199,10 @@ def test_float_filter_defers_what_doubles_cannot_bound(interval_rungs):
     # a length so close to 1 that the float bounds on its log straddle 0
     flat = RegularityValue(factorize(F(1, 2)), factorize(F(2**61 - 1, 2**61)))
     for value in (deep, flat):
-        assert value.float_enclosure() == (-math.inf, math.inf)
         interval_rungs.clear()
         assert not values_equal(a, value)
         assert interval_rungs
-    # the same two as rows of class columns
+    # as rows of class columns, the float filter leaves both unbounded
     columns = ClassColumns(
         primes=(2, 3, 2**61 - 1),
         k=np.ones((2, 1), dtype=np.int64),
@@ -201,9 +221,9 @@ def test_float_filter_separates_a_certified_sweep(interval_rungs):
     assert interval_rungs == []
 
 
-def test_assert_separated():
-    vals = [regularity_of(BETA, (2 - i, i)).alpha_exact for i in range(3)]
-    assert_separated(vals)  # should not raise
+def test_partition_separates_distinct_values():
+    k = np.array([(2 - i, i) for i in range(3)])
+    assert class_columns(prepare(BETA), k).partition().tolist() == [0, 1, 2]
 
 
 def test_monofractal_detection():
@@ -348,10 +368,15 @@ def test_stage_records_match_closed_forms(system, K):
     for rec in enumerate_stage(prepared, K).intervals:
         assert rec.count == multinomial(K, rec.k)
         assert rec.mass == math.prod(p**ki for p, ki in zip(system.probs, rec.k))
-        value = regularity_of(prepared, rec.k).alpha_exact
+        value = RegularityValue(factorize(rec.mass), factorize(rec.length))
         assert rec.regularity == value
         assert rec.regularity.canonical() == value.canonical()
         assert rec.regularity.rational_value() == value.rational_value()
+        q = value.rational_value()
+        direct = float(q) if q is not None else _log(value.mass_pev) / _log(value.length_pev)
+        assert rec.regularity.to_float().hex() == direct.hex()
+        kprime = prepared.fold(rec.k)
+        assert rec.key_hint == VectorKey(tuple(x // math.gcd(*kprime) for x in kprime))
 
 
 @settings(max_examples=40, deadline=None)
@@ -370,14 +395,14 @@ def test_hypothesis_h_classes_are_the_enumeration(system, K_max):
 @settings(max_examples=40, deadline=None)
 @given(system=small_systems(), K_max=st.integers(1, 5))
 def test_partition_buckets_are_the_equal_values(system, K_max):
+    """Columns built from values put two of them in one class exactly when
+    ``values_equal`` holds."""
     prepared = prepare(system)
     values = [
         collapsed_regularity(prepared, k).alpha_exact
         for k in primitive_vectors(prepared.width, K_max)
     ]
-    parts = partition_values(values)
-    assert sorted(i for part in parts for i in part) == list(range(len(values)))
-    bucket = {i: b for b, part in enumerate(parts) for i in part}
+    bucket = value_columns(values).partition().tolist()
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             assert (bucket[i] == bucket[j]) == values_equal(values[i], values[j])
@@ -387,16 +412,20 @@ def test_partition_buckets_are_the_equal_values(system, K_max):
 @given(system=small_systems(), K_max=st.integers(1, 5))
 @example(system=ROBY, K_max=4)  # collisions
 @example(system=WeightedIFS(ratios=(F(1, 2), F(1, 4)), probs=(F(1, 2), F(1, 2))), K_max=5)
-def test_column_partition_is_partition_values(system, K_max):
-    """``ClassColumns.partition`` makes the lists of ``partition_values`` over
-    the class values, and the hypothesis check reports its shared lists."""
+def test_column_partition_is_the_pairwise_equal_values(system, K_max):
+    """``ClassColumns.partition`` numbers the classes in first-seen order and
+    puts two rows in one class exactly when ``values_equal`` holds for their
+    values; the hypothesis check reports its shared classes."""
     prepared = prepare(system)
     k = primitive_matrix(prepared.width, K_max)
     classes = [collapsed_regularity(prepared, row) for row in k.tolist()]
-    parts = partition_values([cls.alpha_exact for cls in classes])
-    number = class_columns(prepared, k).partition()
-    assert [np.flatnonzero(number == n).tolist() for n in range(len(parts))] == parts
-    assert number.max() == len(parts) - 1
+    number = class_columns(prepared, k).partition().tolist()
+    for i in range(len(classes)):
+        assert number[i] <= max(number[:i], default=-1) + 1
+        for j in range(i + 1, len(classes)):
+            equal = values_equal(classes[i].alpha_exact, classes[j].alpha_exact)
+            assert (number[i] == number[j]) == equal
+    parts = [[i for i, n in enumerate(number) if n == c] for c in range(max(number) + 1)]
     if prepared.dependence is None:
         collisions = [
             (classes[part[0]].alpha_float, [classes[i].key.vector for i in part])
@@ -410,17 +439,14 @@ def test_column_partition_is_partition_values(system, K_max):
 @settings(max_examples=40, deadline=None)
 @given(system=small_systems(), K_max=st.integers(1, 6))
 def test_float_enclosure_contains_the_1024_bit_interval(system, K_max):
-    """Each column enclosure is the value's ``float_enclosure`` bit for bit."""
+    """Each column float enclosure contains the value's 1024-bit interval."""
     prepared = prepare(system)
     k = primitive_matrix(prepared.width, K_max)
     columns = class_columns(prepared, k)
-    col_lo, col_hi = columns.float_enclosures(np.arange(len(k)))
-    for i, row in enumerate(k.tolist()):
-        value = collapsed_regularity(prepared, row).alpha_exact
-        lo, hi = value.float_enclosure()
-        assert (col_lo[i].hex(), col_hi[i].hex()) == (lo.hex(), hi.hex())
-        lo_iv, hi_iv = value.interval(1024)
-        assert lo <= lo_iv <= hi_iv <= hi
+    lo, hi = (bounds.tolist() for bounds in columns.float_enclosures(np.arange(len(k))))
+    for i in range(len(k)):
+        lo_iv, hi_iv = columns.value(i).interval(1024)
+        assert lo[i] <= lo_iv <= hi_iv <= hi[i]
 
 
 @settings(max_examples=40, deadline=None)
@@ -535,10 +561,56 @@ def test_hypothesis_h_sweep_derives_each_alpha_once(monkeypatch):
         value = cls.alpha_exact
         fresh = RegularityValue(value.mass_pev, value.length_pev)
         assert value.to_float().hex() == fresh.to_float().hex() == cls.alpha_float.hex()
-    # a sweep takes its alphas from the check's pass
+    # a sweep takes its alphas from the check's pass; the only other pass is
+    # the monofractal check's, over the single-map rows
     del calls[:]
     points = spectrum_sweep(prepared, 24)
-    assert calls == [len(points)]
+    assert calls == [prepared.ifs.N, len(points)]
+
+
+def test_one_row_calls_refuse_exponents_that_int64_columns_cannot_multiply():
+    with pytest.raises(ValueError, match=r"class \(1099511627776, 1\) is too deep"):
+        regularity_of(BETA, (2**40, 1))
+    with pytest.raises(ValueError, match="reach 2[*][*]31"):
+        collapsed_regularity(BETA, (1, 2**31))
+    with pytest.raises(ValueError, match="value 1 is too deep"):
+        value_columns([_near_tie(1, 1), _near_tie(2**31, 1)])
+    # just below the bound the answer is exact
+    assert regularity_of(BETA, (2**31 - 2, 1)).key == VectorKey((2**31 - 2, 1))
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Count calls of the ``mfzeta`` function ``name``, under every module
+    name that binds it."""
+    import mfzeta
+
+    calls = []
+    modules = [m for key, m in sys.modules.items() if key.startswith("mfzeta.")]
+    original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in [mfzeta, *modules]:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_stages_and_verify_build_classes_as_columns(monkeypatch):
+    """A stage's regularities come from one ``class_columns`` call, and the
+    whole verify suite builds no class one row at a time by ``regularity_of``."""
+    from mfzeta.verify import run_suite
+
+    single = _spy(monkeypatch, "regularity_of")
+    columns = _spy(monkeypatch, "class_columns")
+    stage = enumerate_stage(TRIDENT, 6)
+    assert len(columns) == 1 and len(columns[0][1]) == len(stage.intervals) == 28
+    assert single == []
+    results = run_suite("all")
+    assert [r.name for r in results if not r.ok] == ["trident-endpoint-slopes"]
+    assert single == []
 
 
 def test_interval_never_sets_global_precision(modules_after_import):

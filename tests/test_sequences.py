@@ -93,6 +93,21 @@ def test_sequence_exact_counting():
     assert seq.counting(3) == 1
 
 
+def test_fibonacci_count_sums_the_recurrence(monkeypatch):
+    """A law with a generating function counts by its recurrence: at 1e300
+    the count is F(n + 3) - 2 with no binomial multiplicity summed."""
+    calls = []
+    multiplicity = FloorSumLaw.multiplicity
+    monkeypatch.setattr(
+        FloorSumLaw, "multiplicity", lambda self, n: calls.append(n) or multiplicity(self, n)
+    )
+    seq = AlphaLengthSequence.from_law(F(1, 2), FloorSumLaw())
+    n = seq.max_index(1e300)
+    assert n == 996
+    assert seq.counting(1e300) == fibonacci(n + 3) - 2
+    assert calls == []
+
+
 def test_sequence_base_length_lies_in_the_unit_interval():
     for base in (F(0), F(1), F(3, 2)):
         with pytest.raises(ValueError, match="base_length"):

@@ -361,6 +361,18 @@ def test_sweep_rows_are_the_public_entry_points_bit_for_bit(system, K_max):
         assert p.f_desc.endswith(weights)
 
 
+def test_deep_one_row_abscissa_takes_logs_of_its_distinct_values(monkeypatch):
+    """A one-row folding abscissa is the reference formula, bit for bit,
+    from a log per distinct count, not a table up to K."""
+    prepared = prepare(TRIDENT)
+    _, f, _ = _reference_row(prepared, (10**7, 1))
+    logs = []
+    log = math.log
+    monkeypatch.setattr(math, "log", lambda x: logs.append(x) or log(x))
+    assert abscissa_closed(prepared, (10**7, 1)).value.hex() == f.hex()
+    assert len(logs) <= 4
+
+
 @given(
     st.lists(
         st.tuples(st.sampled_from([0.5, -0.0, 0.0, 1.0, 2.0**-1074]), st.text("ab(,)", max_size=3)),

@@ -11,13 +11,16 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
+
 import mfzeta.regularity
 from mfzeta.ifs_core import WeightedIFS
 from mfzeta.regularity import (
     RegularityValue,
     check_hypothesis_H,
-    collapsed_regularity,
-    primitive_vectors,
+    class_columns,
+    prepare,
+    primitive_matrix,
 )
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -110,14 +113,14 @@ def test_only_overlapping_separations_reach_values_equal(monkeypatch):
         "_float_log",
         lambda p: (log_bounds(p)[0] * (1 - 1e-3), log_bounds(p)[1] * (1 + 1e-3)),
     )
-    values = sorted(
-        (collapsed_regularity(CERTIFIED, k).alpha_exact for k in primitive_vectors(2, 16)),
-        key=RegularityValue.to_float,
-    )
+    columns = class_columns(prepare(CERTIFIED), primitive_matrix(2, 16))
+    ranked = np.argsort(columns.alpha, kind="stable")
+    lo, hi = columns.float_enclosures(ranked)
+    values = [columns.value(i) for i in ranked.tolist()]
     overlapping = [
-        (a, b)
-        for a, b in zip(values, values[1:])
-        if not mfzeta.regularity._apart(a.float_enclosure(), b.float_enclosure())
+        (values[i], values[i + 1])
+        for i in range(len(values) - 1)
+        if not (hi[i] < lo[i + 1] or hi[i + 1] < lo[i])
     ]
     assert 0 < len(overlapping) < len(values) - 1
     assert check_hypothesis_H(CERTIFIED, 16).holds
