@@ -31,7 +31,9 @@ from .regularity import (
     VectorKey,
     class_columns,
     prepare,
+    unit_rows,
     value_columns,
+    vector_matrix,
 )
 from .sequences import multinomial
 
@@ -69,16 +71,6 @@ class StageEnumeration:
         return self.intervals + self.gaps
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` non-negative ints summing to `total`, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
-
-
 # ---------------------------------------------------------------------------
 # IFS stages
 # ---------------------------------------------------------------------------
@@ -89,11 +81,12 @@ def enumerate_stage(
 ) -> StageEnumeration:
     """Aggregate the N^K stage-K intervals by exponent vector.
 
-    Each record carries count = multinomial(K; k), and its regularity is a
-    row of one ``class_columns`` call over the stage's class vectors, keyed
-    by the primitive class vector.  Gap intervals (mass 0)
-    of all levels <= K are reported separately, aggregated by the exponent
-    vector of their enclosing level-(j-1) cell.
+    Each record carries count = multinomial(K; k), and its mass, length and
+    regularity are a row of one ``class_columns`` call over the stage's
+    class vectors, keyed by the primitive class vector.  Gap intervals (mass
+    0) of all levels <= K are reported separately, aggregated by the
+    exponent vector of their enclosing level-(j-1) cell.  Both come from one
+    ``vector_matrix``, by level, each level in lexicographic order.
     """
     prepared = prepare(ifs)
     ifs = prepared.ifs
@@ -101,63 +94,50 @@ def enumerate_stage(
         raise ValueError("stage K must be >= 1")
     if ifs.N**K > budget:
         raise BudgetExceededError(f"N^K = {ifs.N**K} exceeds budget {budget}")
-    ks = list(_compositions(K, ifs.N))
-    columns = class_columns(prepared, np.array([prepared.fold(k) for k in ks], dtype=np.int64))
+    vectors = vector_matrix(ifs.N, K)
+    levels = vectors.sum(axis=1)
+    ks = vectors[levels == K]
+    columns = class_columns(prepared, ks @ unit_rows(prepared))
     keys = columns.k // np.gcd.reduce(columns.k, axis=1)[:, None]
     intervals = []
-    for i, (k, key) in enumerate(zip(ks, keys.tolist())):
-        mass = Fraction(1)
-        length = Fraction(1)
-        for ki, p, r in zip(k, ifs.probs, ifs.ratios):
-            if ki:
-                mass *= p**ki
-                length *= r**ki
+    for i, (k, key) in enumerate(zip(ks.tolist(), keys.tolist())):
+        value = columns.value(i)
         intervals.append(
             IntervalRecord(
                 stage=K,
-                k=k,
-                mass=mass,
-                length=length,
+                k=tuple(k),
+                mass=value.mass_pev.as_fraction(),
+                length=value.length_pev.as_fraction(),
                 count=multinomial(K, k),
                 kind="ifs",
-                regularity=columns.value(i),
+                regularity=value,
                 key_hint=VectorKey(tuple(key)),
             )
         )
 
     gaps = []
-    if ifs.gap > 0:
-        for level in range(1, K + 1):
-            if level == 1:
-                gaps.append(
-                    IntervalRecord(
-                        stage=K,
-                        k=(0,) * ifs.N,
-                        mass=Fraction(0),
-                        length=ifs.gap,
-                        count=ifs.N - 1,
-                        kind="gap",
-                        regularity=None,
-                        key_hint=InfiniteKey(),
-                    )
+    gap = ifs.gap
+    if gap > 0:
+        # the N - 1 gaps under each cell of levels 0 .. K - 1
+        order = np.argsort(levels, kind="stable")
+        for cell, level in zip(vectors[order].tolist(), levels[order].tolist()):
+            if level == K:
+                break
+            length = gap
+            for ki, r in zip(cell, ifs.ratios):
+                length *= r**ki
+            gaps.append(
+                IntervalRecord(
+                    stage=K,
+                    k=tuple(cell),
+                    mass=Fraction(0),
+                    length=length,
+                    count=multinomial(level, cell) * (ifs.N - 1),
+                    kind="gap",
+                    regularity=None,
+                    key_hint=InfiniteKey(),
                 )
-                continue
-            for cell in _compositions(level - 1, ifs.N):
-                length = ifs.gap
-                for ki, r in zip(cell, ifs.ratios):
-                    length *= r**ki
-                gaps.append(
-                    IntervalRecord(
-                        stage=K,
-                        k=cell,
-                        mass=Fraction(0),
-                        length=length,
-                        count=multinomial(level - 1, cell) * (ifs.N - 1),
-                        kind="gap",
-                        regularity=None,
-                        key_hint=InfiniteKey(),
-                    )
-                )
+            )
     return StageEnumeration(stage=K, intervals=tuple(intervals), gaps=tuple(gaps))
 
 

@@ -182,9 +182,8 @@ def _quotient(num: tuple, den: tuple) -> tuple:
     return min(quotients), max(quotients)
 
 
-# slots: the oracle holds one value per stage record, and a read of
-# HypothesisReport.classes one per class; a per-instance dict would add about
-# 250 bytes to each
+# slots: the oracle holds one value per stage record; a per-instance dict
+# would add about 250 bytes to each
 @dataclass(frozen=True, slots=True)
 class RegularityValue:
     """alpha = log(mass)/log(length) as an exact pair of exponent vectors.
@@ -410,11 +409,12 @@ class PreparedIFS:
     and its witness refer to the distinct probabilities of an equal-ratio
     system and are trivially true otherwise.
 
-    For the sweeps, the same factorizations are also integer rows over the
-    system's ``primes``: ``p_rows[q]`` and ``r_rows[q]`` hold the pairs
-    (j, e) with e != 0 the exponent of ``primes[j]`` in slot q's probability
-    and ratio.  ``log_primes``, ``log_ratios`` and ``log_multiplicities``
-    hold the ``math.log`` of each prime, slot ratio and slot multiplicity.
+    For the columns, the same factorizations are also int64 matrices over
+    the system's ``primes``: row q of ``P`` and of ``R`` holds the exponents
+    of slot q's probability and ratio, so the mass and length exponents of
+    class vectors k are ``k @ P`` and ``k @ R``.  ``log_primes``,
+    ``log_ratios`` and ``log_multiplicities`` hold the ``math.log`` of each
+    prime, slot ratio and slot multiplicity.
     """
 
     ifs: WeightedIFS
@@ -426,8 +426,8 @@ class PreparedIFS:
     independent: bool
     witness: tuple[int, ...] | None
     primes: tuple[int, ...]
-    p_rows: tuple[tuple[tuple[int, int], ...], ...]
-    r_rows: tuple[tuple[tuple[int, int], ...], ...]
+    P: np.ndarray
+    R: np.ndarray
     log_primes: tuple[float, ...]
     log_ratios: tuple[float, ...]
     log_multiplicities: tuple[float, ...]
@@ -455,18 +455,6 @@ class PreparedIFS:
         for slot, ki in zip(self.slot_of, k):
             out[slot] += ki
         return tuple(out)
-
-    def exponents(self, kprime: Sequence[int]) -> tuple[list[int], list[int]]:
-        """The exponents over ``primes`` of the mass and length products of
-        the class vector k', unchecked."""
-        mass, length = [0] * len(self.primes), [0] * len(self.primes)
-        for kq, p_row, r_row in zip(kprime, self.p_rows, self.r_rows):
-            if kq:
-                for j, e in p_row:
-                    mass[j] += kq * e
-                for j, e in r_row:
-                    length[j] += kq * e
-        return mass, length
 
     def class_vector(self, k: Sequence[int]) -> tuple[int, ...]:
         """The primitive class vector that a given vector names.
@@ -501,10 +489,6 @@ def prepare(system: WeightedIFS | PreparedIFS) -> PreparedIFS:
     p_pev = tuple(factorize(p) for p in probs)
     r_pev = tuple(factorize(r) for r in ratios)
     primes = tuple(sorted({p for pev in p_pev + r_pev for p, _ in pev.items()}))
-
-    def rows(pevs: tuple[PrimeExponentVector, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return tuple(tuple((primes.index(p), e) for p, e in pev.items()) for pev in pevs)
-
     return PreparedIFS(
         ifs=system,
         slot_of=slot_of,
@@ -515,8 +499,8 @@ def prepare(system: WeightedIFS | PreparedIFS) -> PreparedIFS:
         independent=independent,
         witness=witness,
         primes=primes,
-        p_rows=rows(p_pev),
-        r_rows=rows(r_pev),
+        P=_exponent_rows(p_pev, primes),
+        R=_exponent_rows(r_pev, primes),
         log_primes=tuple(math.log(p) for p in primes),
         log_ratios=tuple(math.log(r) for r in ratios),
         log_multiplicities=tuple(math.log(c) for c in mult),
@@ -571,12 +555,12 @@ def class_row(prepared: PreparedIFS, kprime: tuple[int, ...]) -> np.ndarray:
     Int64 columns multiply two exponents (``_parallel_rows``), so a vector
     whose entries, or the exponents of its mass and length products, reach
     2**31 is refused with ``ValueError`` rather than answered from wrapped
-    products.
+    products.  Those exponents are worked out first in Python ints.
     """
-    mass, length = prepared.exponents(kprime)
-    if max(map(abs, (*kprime, *mass, *length))) >= 2**31:
+    row = np.array([kprime], dtype=object)
+    if np.abs(np.hstack((row, row @ prepared.P, row @ prepared.R))).max() >= 2**31:
         raise ValueError(f"class {kprime} is too deep: its entries or exponents reach 2**31")
-    return np.array([kprime], dtype=np.int64)
+    return row.astype(np.int64)
 
 
 def is_monofractal(ifs: WeightedIFS | PreparedIFS) -> RegularityValue | None:
@@ -602,13 +586,9 @@ def unit_rows(prepared: PreparedIFS) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def primitive_matrix(N: int, K_max: int) -> np.ndarray:
-    """All k with gcd 1 and 1 <= sum(k) <= K_max, in lexicographic order, as
-    the rows of an int64 matrix.
-
-    For N = 1 that is (1,) alone: the one class of a system whose
-    probabilities collapse to a single value.
-    """
+def vector_matrix(N: int, K_max: int) -> np.ndarray:
+    """All k of N non-negative parts with sum(k) <= K_max, the zero vector
+    first, in lexicographic order, as the rows of an int64 matrix."""
     if N < 1:
         raise ValueError("N must be at least 1")
     if K_max < 1:
@@ -622,21 +602,22 @@ def primitive_matrix(N: int, K_max: int) -> np.ndarray:
         parts = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
         rows = np.column_stack((rows, parts))
         left = np.repeat(left, counts) - parts
+    return rows
+
+
+def primitive_matrix(N: int, K_max: int) -> np.ndarray:
+    """The rows of ``vector_matrix`` with gcd 1, that is 1 <= sum(k) <= K_max.
+
+    For N = 1 that is (1,) alone: the one class of a system whose
+    probabilities collapse to a single value.
+    """
+    rows = vector_matrix(N, K_max)
     return rows[np.gcd.reduce(rows, axis=1) == 1]
 
 
 def primitive_vectors(N: int, K_max: int) -> list[tuple[int, ...]]:
     """The rows of ``primitive_matrix`` as tuples of ints."""
     return list(map(tuple, primitive_matrix(N, K_max).tolist()))
-
-
-def _exponent_matrix(rows: tuple[tuple[tuple[int, int], ...], ...], n: int) -> np.ndarray:
-    """The (j, e) rows of a ``PreparedIFS`` as a dense int64 matrix over n primes."""
-    out = np.zeros((len(rows), n), dtype=np.int64)
-    for q, row in enumerate(rows):
-        for j, e in row:
-            out[q, j] = e
-    return out
 
 
 def _float_forms(e: np.ndarray, primes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -748,11 +729,23 @@ class ClassColumns:
 
 def class_columns(prepared: PreparedIFS, k: np.ndarray) -> ClassColumns:
     """The ``ClassColumns`` of the rows of k, nonzero class vectors of ``prepared``."""
-    n = len(prepared.primes)
-    mass = k @ _exponent_matrix(prepared.p_rows, n)
-    length = k @ _exponent_matrix(prepared.r_rows, n)
+    mass, length = k @ prepared.P, k @ prepared.R
     alpha = alphas_from_exponents(mass, length, prepared.log_primes)
     return ClassColumns(prepared.primes, k, mass, length, alpha)
+
+
+def _exponent_rows(pevs: Sequence[PrimeExponentVector], primes: Sequence[int]) -> np.ndarray:
+    """The exponents over ``primes`` of each vector, as the rows of an int64
+    matrix; row i with an exponent that reaches 2**31 is refused with
+    ``ValueError``."""
+    column = {p: j for j, p in enumerate(primes)}
+    out = np.zeros((len(pevs), len(primes)), dtype=np.int64)
+    for i, pev in enumerate(pevs):
+        for p, e in pev.items():
+            if abs(e) >= 2**31:
+                raise ValueError(f"value {i} is too deep: its exponents reach 2**31")
+            out[i, column[p]] = e
+    return out
 
 
 def value_columns(values: Sequence[RegularityValue]) -> ClassColumns:
@@ -762,14 +755,8 @@ def value_columns(values: Sequence[RegularityValue]) -> ClassColumns:
     primes = sorted(
         {p for v in values for pev in (v.mass_pev, v.length_pev) for p, _ in pev.items()}
     )
-    column = {p: j for j, p in enumerate(primes)}
-    mass, length = (np.zeros((len(values), len(primes)), dtype=np.int64) for _ in range(2))
-    for i, v in enumerate(values):
-        for out, pev in ((mass, v.mass_pev), (length, v.length_pev)):
-            for p, e in pev.items():
-                if abs(e) >= 2**31:
-                    raise ValueError(f"value {i} is too deep: its exponents reach 2**31")
-                out[i, column[p]] = e
+    mass = _exponent_rows([v.mass_pev for v in values], primes)
+    length = _exponent_rows([v.length_pev for v in values], primes)
     alpha = alphas_from_exponents(mass, length, [math.log(p) for p in primes])
     return ClassColumns(tuple(primes), None, mass, length, alpha)
 
@@ -779,8 +766,7 @@ class HypothesisReport:
     """Result of checking that primitive vectors have pairwise distinct regularity.
 
     When the hypothesis holds, ``columns`` holds all primitive vectors in
-    enumeration order and ``classes`` builds their classes on each read;
-    otherwise ``columns`` is None and ``classes`` is empty.  A separation
+    enumeration order, one class each; otherwise it is None.  A separation
     that stays ambiguous certifies no grouping, so it leaves ``collisions``
     empty.
     """
@@ -789,16 +775,6 @@ class HypothesisReport:
     collisions: list[tuple[float, list[tuple[int, ...]]]] = field(default_factory=list)
     ambiguous: list[str] = field(default_factory=list)
     columns: ClassColumns | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def classes(self) -> list[RegularityClass]:
-        columns = self.columns
-        if columns is None:
-            return []
-        return [
-            RegularityClass(VectorKey(tuple(k)), columns.value(i), alpha, sum(k))
-            for i, (k, alpha) in enumerate(zip(columns.k.tolist(), columns.alpha.tolist()))
-        ]
 
 
 def check_hypothesis_H(ifs: WeightedIFS | PreparedIFS, K_max: int) -> HypothesisReport:

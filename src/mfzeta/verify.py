@@ -289,8 +289,8 @@ def _check_sigma_spectra():
 
 
 def _check_legendre(K_hull: int = 256):
-    for ifs in (BETA, BETA0, TRIDENT):
-        pipe = legendre_transform(ifs)
+    pipes = {ifs: legendre_transform(ifs) for ifs in (BETA, BETA0, TRIDENT)}
+    for ifs, pipe in pipes.items():
         if pipe.q_grid[0] != -8.0 or pipe.q_grid[-1] != 8.0:
             return False, f"{ifs.probs}: q grid [{pipe.q_grid[0]}, {pipe.q_grid[-1]}]"
         for q, b in zip(pipe.q_grid, pipe.b_values):
@@ -304,7 +304,7 @@ def _check_legendre(K_hull: int = 256):
             if res > 1e-12:
                 return False, f"{ifs.probs} q={q}: residual {res:.2e}"
     env = concave_envelope(spectrum_sweep(BETA0, K_max=K_hull))
-    pipe = legendre_transform(BETA0)
+    pipe = pipes[BETA0]
     worst = max(
         abs(env(t) - bs) for t, bs in zip(pipe.t_values, pipe.b_star_values)
     )

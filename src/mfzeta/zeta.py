@@ -64,7 +64,7 @@ class HypothesisViolationError(ValueError):
 class KeyRangeError(ValueError):
     """A class key too deep to evaluate: its length base would round to 0.0 as
     a double or pass ``LENGTH_BASE_BITS`` bits, or its entries or mass and
-    length exponents pass 2**31."""
+    length exponents reach 2**31 (``class_row``)."""
 
 
 # a positive rational at or below 2**-1075 rounds to the double 0.0
@@ -288,16 +288,17 @@ def multinomial_zeta(ifs: WeightedIFS | PreparedIFS, k: Sequence[int]) -> AlphaL
     kprime = prepared.class_vector(k)
     if prepared.dependence is not None:
         raise HypothesisViolationError(prepared.dependence)
-    mass, length = prepared.exponents(kprime)
-    if max(map(abs, (*kprime, *mass, *length))) >= 2**31:
+    try:
         # the int64 columns of the hypothesis check multiply two exponents,
         # and building an exact base with that many bits runs past a minute
-        raise KeyRangeError(f"class {kprime} is too deep: its entries or exponents pass 2**31")
+        row = class_row(prepared, kprime)
+    except ValueError as exc:
+        raise KeyRangeError(str(exc)) from exc
     base = _length_base(list(zip(prepared.slot_ratios, kprime)), kprime)
     if not prepared.ifs.equal_ratios():
         # the target leads the partition, whatever its K
         rows = primitive_matrix(prepared.width, HYPOTHESIS_K_MAX)
-        rows = np.vstack((kprime, rows[(rows != kprime).any(axis=1)]))
+        rows = np.vstack((row, rows[(rows != row).any(axis=1)]))
         number = class_columns(prepared, rows).partition()
         shared = np.flatnonzero(number == number[0])
         if len(shared) > 1:

@@ -79,7 +79,7 @@ def test_alpha_keys_are_bounded(tmp_path, capsys, config):
         ("zeta", "beta", "100000000,1", "too deep"),
         ("zeta", "certified", "3000,1", "too deep"),
         ("zeta", "certified", "18446744073709551616,1", "below 2**64"),
-        ("zeta", "near_one", "8589934592,1", "exponents pass 2**31"),
+        ("zeta", "near_one", "8589934592,1", "exponents reach 2**31"),
         ("count", "sigma2", "1/100000000", "too deep"),
     ]
     for command, name, alpha, message in cases:

@@ -3,7 +3,8 @@
 A function, class or method whose name occurs only once in the source text
 of ``src/mfzeta`` -- at its own definition -- is reached by no command and
 no check, only (at most) by tests.  Such code should be deleted, or moved
-into the tests that need it.
+into the tests that need it.  A method or property must moreover be read as
+an attribute somewhere in the package.
 """
 import ast
 import re
@@ -26,4 +27,31 @@ def test_every_definition_is_named_elsewhere_in_the_package():
                 continue
             if len(re.findall(rf"\b{re.escape(name)}\b", text)) < 2:
                 unused.append(f"{path.stem}.{name}")
+    assert unused == []
+
+
+def test_every_method_is_reached_as_an_attribute_in_the_package():
+    """A method or property is reached through ``obj.name``; a name that
+    occurs elsewhere only as a word (a field, a local, a docstring) does not
+    count."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    reached = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    unused = []
+    for stem, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = node.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if name not in reached:
+                    unused.append(f"{stem}.{cls.name}.{name}")
     assert unused == []

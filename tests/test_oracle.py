@@ -1,4 +1,5 @@
 """Brute-force enumeration against hand-computed stage tables."""
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -87,6 +88,42 @@ def test_trident_stage2_classes():
     assert groups[VectorKey((1, 1))] == [(F(1, 25), 4)]
     assert groups[VectorKey((0, 1))] == [(F(1, 25), 1)]
     assert groups[InfiniteKey()] == [(F(1, 5), 2), (F(1, 25), 6)]
+
+
+def _words_by_vector(ifs: WeightedIFS, K: int) -> dict:
+    """{k: [mass, length, count]} over all N^K words of length K, each word
+    multiplied out symbol by symbol and filed under its count vector k."""
+    out = {}
+    for word in itertools.product(range(ifs.N), repeat=K):
+        mass, length = F(1), F(1)
+        for i in word:
+            mass *= ifs.probs[i]
+            length *= ifs.ratios[i]
+        k = tuple(word.count(i) for i in range(ifs.N))
+        entry = out.setdefault(k, [mass, length, 0])
+        assert entry[:2] == [mass, length]
+        entry[2] += 1
+    return out
+
+
+@pytest.mark.parametrize("ifs", [BETA, TRIDENT, ROBY], ids=["beta", "trident", "roby"])
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_stage_is_the_aggregate_of_every_word(ifs, K):
+    stage = enumerate_stage(ifs, K)
+    intervals = [(r.k, r.mass, r.length, r.count) for r in stage.intervals]
+    words = _words_by_vector(ifs, K)
+    assert intervals == [(k, *words[k]) for k in sorted(words)]
+    assert {r.kind for r in stage.intervals} == {"ifs"}
+    # the N - 1 gaps under each cell of levels 0 .. K - 1, level by level
+    gap = (1 - sum(ifs.ratios)) / (ifs.N - 1)
+    expected = [((0,) * ifs.N, F(0), gap, ifs.N - 1)]
+    for level in range(1, K):
+        cells = _words_by_vector(ifs, level)
+        expected += [
+            (k, F(0), gap * cells[k][1], cells[k][2] * (ifs.N - 1)) for k in sorted(cells)
+        ]
+    assert [(r.k, r.mass, r.length, r.count) for r in stage.gaps] == expected
+    assert {r.kind for r in stage.gaps} == {"gap"}
 
 
 def test_budget_guard():

@@ -23,6 +23,7 @@ from mfzeta.regularity import (
     _PREC_LADDER,
     check_hypothesis_H,
     class_columns,
+    class_row,
     collapsed_regularity,
     is_monofractal,
     log_bounds,
@@ -385,11 +386,15 @@ def test_hypothesis_h_classes_are_the_enumeration(system, K_max):
     prepared = prepare(system)
     report = check_hypothesis_H(prepared, K_max)
     if report.holds:
-        assert report.classes == [
+        columns = report.columns
+        classes = [
             collapsed_regularity(prepared, k) for k in primitive_vectors(prepared.width, K_max)
         ]
+        assert [VectorKey(tuple(k)) for k in columns.k.tolist()] == [c.key for c in classes]
+        assert [columns.value(i) for i in range(len(classes))] == [c.alpha_exact for c in classes]
+        assert columns.alpha.tolist() == [c.alpha_float for c in classes]
     else:
-        assert report.classes == []
+        assert report.columns is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -501,13 +506,15 @@ def test_prepare_is_idempotent_and_holds_system_facts():
 def test_prepare_holds_integer_rows_and_log_tables():
     prepared = prepare(TRIDENT)  # slots 1/5 (two maps) and 3/5, ratio 1/5
     assert prepared.primes == (3, 5)
-    assert prepared.p_rows == (((1, -1),), ((0, 1), (1, -1)))
-    assert prepared.r_rows == (((1, -1),),) * 2
+    assert prepared.P.dtype == prepared.R.dtype == np.int64
+    assert prepared.P.tolist() == [[0, -1], [1, -1]]
+    assert prepared.R.tolist() == [[0, -1]] * 2
     assert prepared.log_primes == (math.log(3), math.log(5))
     assert prepared.log_ratios == (math.log(0.2),) * 2
     assert prepared.log_multiplicities == (math.log(2), 0.0)
     # mass (1/5)^2 (3/5) = 3 * 5^-3, length (1/5)^3
-    assert prepared.exponents((2, 1)) == ([1, -3], [0, -3])
+    columns = class_columns(prepared, class_row(prepared, (2, 1)))
+    assert columns.mass.tolist() == [[1, -3]] and columns.length.tolist() == [[0, -3]]
 
 
 def _log(pev) -> float:
@@ -555,12 +562,12 @@ def test_hypothesis_h_sweep_derives_each_alpha_once(monkeypatch):
     report = check_hypothesis_H(prepared, 24)
     assert report.holds
     # one column pass for all the classes
-    assert calls == [len(report.classes)]
+    assert calls == [len(report.columns.k)]
     # the seeded float is the one a value built from the vectors alone derives
-    for cls in report.classes:
-        value = cls.alpha_exact
+    for i, alpha in enumerate(report.columns.alpha.tolist()):
+        value = report.columns.value(i)
         fresh = RegularityValue(value.mass_pev, value.length_pev)
-        assert value.to_float().hex() == fresh.to_float().hex() == cls.alpha_float.hex()
+        assert value.to_float().hex() == fresh.to_float().hex() == alpha.hex()
     # a sweep takes its alphas from the check's pass; the only other pass is
     # the monofractal check's, over the single-map rows
     del calls[:]

@@ -499,10 +499,10 @@ def test_sweeps_with_rational_alphas():
     assert collapsed_regularity(ALPHA_TWO, (1, 0)).alpha_exact.rational_value() == 2
     report = check_hypothesis_H(QUARTER_RATIOS, 24)
     assert report.holds
-    for cls in report.classes:
-        k1, k2 = cls.key.vector
-        assert cls.alpha_exact.rational_value() == F(k1 + k2, k1 + 2 * k2)
-        assert cls.alpha_float == (k1 + k2) / (k1 + 2 * k2)
+    columns = report.columns
+    for i, ((k1, k2), alpha) in enumerate(zip(columns.k.tolist(), columns.alpha.tolist())):
+        assert columns.value(i).rational_value() == F(k1 + k2, k1 + 2 * k2)
+        assert alpha == (k1 + k2) / (k1 + 2 * k2)
 
 
 def test_sweep_checks_independence_once(independence_calls):
@@ -522,7 +522,8 @@ def test_hypothesis_h_classes_are_the_sweep_classes():
     report = check_hypothesis_H(THREE_MAP, 8)
     assert report.holds
     swept = {p.key: p.alpha for p in spectrum_sweep(THREE_MAP, K_max=8)}
-    assert {cls.key: cls.alpha_float for cls in report.classes} == swept
+    keys = [VectorKey(tuple(k)) for k in report.columns.k.tolist()]
+    assert dict(zip(keys, report.columns.alpha.tolist())) == swept
 
 
 def test_sweep_rejects_dependent_collapsed_probs():

@@ -92,7 +92,7 @@ def test_hypothesis_separations_go_through_values_equal(monkeypatch):
     report = check_hypothesis_H(CERTIFIED, 8)
     assert report.holds
     # one call per adjacent pair of the sorted class values
-    assert len(calls) == len(report.classes) - 1 > 0
+    assert len(calls) == len(report.columns.k) - 1 > 0
     # a pair with a rational side is apart without one: every alpha of this
     # system is the rational (k1 + k2)/(k1 + 2 k2)
     del calls[:]
@@ -130,6 +130,6 @@ def test_only_overlapping_separations_reach_values_equal(monkeypatch):
     monkeypatch.setattr(RegularityValue, "interval", lambda self, prec_bits: (F(-9), F(9)))
     report = check_hypothesis_H(CERTIFIED, 16)
     near = overlapping[0][0].to_float()
-    assert not report.holds and report.collisions == [] and report.classes == []
+    assert not report.holds and report.collisions == [] and report.columns is None
     assert report.ambiguous == [f"cannot separate regularity values near {near!r} at 1024 bits"]
     assert calls == overlapping[:1]

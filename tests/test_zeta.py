@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfzeta.ifs_core import AtomicMeasureSpec, FractalStringSpec, WeightedIFS
-from mfzeta.regularity import FractionKey, OnePlusLogKey, VectorKey, prepare
+from mfzeta.regularity import (
+    FractionKey,
+    OnePlusLogKey,
+    VectorKey,
+    collapsed_regularity,
+    prepare,
+    regularity_of,
+)
 from mfzeta.sequences import AlphaLengthSequence, FloorSumLaw, GeometricLaw, fibonacci
 from mfzeta.spectra import spectrum_sweep
 from mfzeta.zeta import (
@@ -17,6 +24,7 @@ from mfzeta.zeta import (
     AbscissaResult,
     DivergenceError,
     HypothesisViolationError,
+    KeyRangeError,
     Poly,
     RationalZeta,
     abscissa_closed,
@@ -37,6 +45,8 @@ ROBY = WeightedIFS(ratios=(F(1, 2), F(1, 4), F(1, 10)), probs=(F(1, 2), F(1, 4),
 THREE_MAP = WeightedIFS(ratios=(F(1, 5),) * 3, probs=(F(1, 5), F(1, 7), F(23, 35)))
 S1 = AtomicMeasureSpec(family="sigma1")
 S2 = AtomicMeasureSpec(family="sigma2")
+# a ratio so close to 1 that a class can be deep in it before its base rounds to 0
+NEAR_ONE = WeightedIFS(ratios=(F(2**32 - 1, 2**32), F(1, 2**32)), probs=(F(1, 2), F(1, 2)))
 
 
 # ---- Polynomials ----
@@ -247,6 +257,37 @@ def test_root_test_sigma2_style_law():
 def test_root_test_constant_multiplicity():
     sz = AlphaLengthSequence.from_law(F(1, 3), GeometricLaw(a=1, g=1))
     assert abs(abscissa_root_test(sz, 1000).value) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "system, below, at",
+    [
+        # length exponents of 2: -32 (k1 + k2)
+        (NEAR_ONE, (2**26 - 2, 1), (2**26 - 1, 1)),
+        (NEAR_ONE, (1, 2**26 - 2), (1, 2**26 - 1)),
+        # length exponents of 3: -(k1 + k2)
+        (BETA, (2**31 - 2, 1), (2**31 - 1, 1)),
+        (BETA, (1, 2**31 - 2), (1, 2**31 - 1)),
+    ],
+)
+def test_every_class_entry_point_shares_one_depth_guard(system, below, at):
+    """A class whose exponents reach 2**31 is refused by each entry point
+    with one message; one step shallower, each gets past the guard."""
+    entry_points = (regularity_of, collapsed_regularity, abscissa_closed, multinomial_zeta)
+    messages = set()
+    for entry_point in entry_points:
+        with pytest.raises(ValueError) as exc:
+            entry_point(system, at)
+        messages.add(str(exc.value))
+    assert messages == {f"class {at} is too deep: its entries or exponents reach 2**31"}
+    with pytest.raises(KeyRangeError):
+        multinomial_zeta(system, at)
+    assert regularity_of(system, below).key == VectorKey(below)
+    assert collapsed_regularity(system, below).key == VectorKey(below)
+    assert abscissa_closed(system, below).method == "closed_form"
+    # the series is then refused for its exact base alone
+    with pytest.raises(KeyRangeError, match="length base"):
+        multinomial_zeta(system, below)
 
 
 # ---- Lattice closed forms ----
