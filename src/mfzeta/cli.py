@@ -11,14 +11,12 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
-import csv
 import json
 import math
 import sys
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -76,12 +74,12 @@ POLE_TERM_CAP = 200_000_000
 # Work cap of one `spectrum` run, in candidate class vectors C(kmax + w, w),
 # w the sweep width; `zeta` applies it to the hypothesis check of an
 # unequal-ratio class.  On the same VM both sweep paths, one numpy pass plus
-# each row's text, formatted from the columns and written a block at a time,
-# cost about 0.013-0.019 ms per class, so a sweep within the cap ends in well
-# under a minute: measured 1.8-2.6 s (78 MB peak) for 3 unequal ratios at
-# kmax 99 (141,211 classes) and 1.5-2.0 s (67 MB) for 2 equal ratios at kmax
+# each row's text, written as preformatted lines a block at a time, cost
+# about 0.014-0.018 ms per class, so a sweep within the cap ends in well
+# under a minute: measured 2.3-2.5 s (77 MB peak) for 3 unequal ratios at
+# kmax 99 (141,211 classes) and 1.5-1.8 s (61 MB) for 2 equal ratios at kmax
 # 590 (105,951 classes).  Time would allow a larger cap; peak memory, about
-# 0.35 KB per class above the interpreter's 30 MB on either path, grows with it.
+# 0.3-0.35 KB per class above the interpreter's 30 MB, grows with it.
 SWEEP_VECTOR_CAP = 175_000
 
 # Work cap of `zeta --terms`, in series terms.  Just right of the convergence
@@ -139,17 +137,22 @@ def _write_manifest(out: Path, command: str, config: str, params: dict,
     return manifest_path
 
 
-def _write_csv(path: Path, header: list[str], rows, manifest_path: Path) -> None:
-    """Header + rows + trailing manifest reference; body is byte-deterministic
-    (the comment names the manifest file, never its timestamped content).
-    ``csv`` writes a float by ``repr``, the shortest round-trip decimal, so a
-    row of floats and a row of their ``repr`` strings (as ``spectrum`` passes
-    them, each float formatted once) give the same bytes.  The rows go
-    straight to the file from any iterable, so the body is never held whole."""
+def q(cell: str) -> str:
+    """A cell as minimal-quoting ``csv.writer(lineterminator="\\n")`` writes it:
+    quoted, inner quotes doubled, if it holds ``,``, ``"`` or ``\\n``; else as is."""
+    if "," in cell or '"' in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _write_csv(path: Path, header: str, lines, manifest_path: Path) -> None:
+    """Header line, body, then a reference to the manifest (its name, never its
+    timestamped content).  ``lines`` yields blocks of finished lines, each
+    written as it comes, so the body is never held whole."""
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(header + "\n")
+        for block in lines:
+            fh.writelines(block)
         fh.write(f"# manifest: {manifest_path.name}\n")
 
 
@@ -241,12 +244,9 @@ def cmd_spectrum(args) -> int:
         out, "spectrum", args.config,
         {"kmax": args.kmax, "precision_bits": _PREC_LADDER[0]}, outputs,
     )
-    vertex_rows: list[tuple[str, str]] = []
-    blocks = _spectrum_blocks(table, envelope.rows if envelope else (), vertex_rows)
-    _write_csv(
-        out, ["alpha", "f", "key", "alpha_desc", "f_desc"], chain.from_iterable(blocks),
-        manifest_path,
-    )
+    vertex_lines: list[str] = []
+    blocks = _spectrum_blocks(table, envelope.rows if envelope else (), vertex_lines)
+    _write_csv(out, "alpha,f,key,alpha_desc,f_desc", blocks, manifest_path)
     if envelope is None:
         p = table[0]
         print(
@@ -256,7 +256,7 @@ def cmd_spectrum(args) -> int:
         )
         print(f"spectrum: 1 point -> {out}")
         return 0
-    _write_csv(envelope_path, ["alpha", "f"], vertex_rows, manifest_path)
+    _write_csv(envelope_path, "alpha,f", [vertex_lines], manifest_path)
     print(
         f"spectrum: {len(table)} points -> {out}; "
         f"envelope: {len(envelope.breakpoints)} vertices -> {envelope_path}"
@@ -264,20 +264,23 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _spectrum_blocks(table: SpectrumTable, vertices, vertex_rows: list):
-    """The rows of a spectrum CSV as strings, in blocks of ``ROW_BLOCK``, so
-    that the text is never held whole.  Each float is formatted once, by the
-    ``repr`` that ``csv`` uses; the alpha and f text of the rows whose
-    indices ``vertices`` lists (in increasing order) goes to ``vertex_rows``."""
+def _spectrum_blocks(table: SpectrumTable, vertices, vertex_lines: list):
+    """A spectrum CSV body as one line generator per ``ROW_BLOCK`` rows.  Each
+    float is formatted once, by ``repr`` (the shortest round-trip decimal);
+    the rows whose indices ``vertices`` lists (in increasing order) also go,
+    as ``alpha,f`` lines of the same text, to ``vertex_lines``."""
     for lo in range(0, len(table), ROW_BLOCK):
         hi = lo + ROW_BLOCK
         alpha = list(map(repr, table.alpha[lo:hi].tolist()))
         f = list(map(repr, table.f[lo:hi].tolist()))
-        vertex_rows.extend(
-            (alpha[i - lo], f[i - lo])
+        vertex_lines.extend(
+            f"{alpha[i - lo]},{f[i - lo]}\n"
             for i in vertices[bisect_left(vertices, lo):bisect_left(vertices, hi)]
         )
-        yield zip(alpha, f, *table.text(lo, hi))
+        yield (
+            f"{a},{b},{q(key)},{q(a_desc)},{q(f_desc)}\n"
+            for a, b, key, a_desc, f_desc in zip(alpha, f, *table.text(lo, hi))
+        )
 
 
 def cmd_zeta(args) -> int:
@@ -445,7 +448,8 @@ def cmd_count(args) -> int:
         },
         [out],
     )
-    _write_csv(out, ["x", "direct", "explicit", "error"], rows, manifest_path)
+    lines = (f"{x!r},{direct},{explicit!r},{error!r}\n" for x, direct, explicit, error in rows)
+    _write_csv(out, "x,direct,explicit,error", [lines], manifest_path)
     worst = max(abs(r[3]) for r in rows)
     print(f"count: {len(rows)} rows -> {out}; max |explicit - direct| = {worst:.3g}")
     return 0

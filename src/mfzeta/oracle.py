@@ -119,19 +119,21 @@ def enumerate_stage(
     gap = ifs.gap
     if gap > 0:
         # the N - 1 gaps under each cell of levels 0 .. K - 1
+        # each length gap * prod r_i**k_i as one quotient of integer products
+        ratios = [(r.numerator, r.denominator) for r in ifs.ratios]
         order = np.argsort(levels, kind="stable")
         for cell, level in zip(vectors[order].tolist(), levels[order].tolist()):
             if level == K:
                 break
-            length = gap
-            for ki, r in zip(cell, ifs.ratios):
-                length *= r**ki
+            num, den = gap.numerator, gap.denominator
+            for ki, (n, d) in zip(cell, ratios):
+                num, den = num * n**ki, den * d**ki
             gaps.append(
                 IntervalRecord(
                     stage=K,
                     k=tuple(cell),
                     mass=Fraction(0),
-                    length=length,
+                    length=Fraction(num, den),
                     count=multinomial(level, cell) * (ifs.N - 1),
                     kind="gap",
                     regularity=None,

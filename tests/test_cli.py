@@ -18,7 +18,13 @@ from mfzeta import cli, dimensions
 from mfzeta.cli import ZETA_TERM_CAP, main, parse_alpha_key
 from mfzeta.ifs_core import ConfigError, parse_system
 from mfzeta.regularity import FractionKey, OnePlusLogKey, VectorKey, primitive_vectors
-from mfzeta.spectra import ROW_BLOCK, SpectrumPoint, concave_envelope, spectrum_sweep
+from mfzeta.spectra import (
+    ROW_BLOCK,
+    PointTable,
+    SpectrumPoint,
+    concave_envelope,
+    spectrum_sweep,
+)
 from mfzeta.zeta import SeriesValue
 
 CONFIGS = {
@@ -528,6 +534,81 @@ def test_spectrum_bodies_are_the_points_view_written_by_csv(tmp_path, capsys, co
     else:
         vertices = concave_envelope(points).breakpoints
         assert envelope.read_text() == "alpha,f\n" + _csv_body(vertices) + manifest
+
+
+# cells ``csv.writer`` quotes (a comma, a quote, a newline) and cells it
+# leaves as they are (a carriage return, outer spaces, non-ASCII, empty)
+AWKWARD_CELLS = [
+    "plain", "a,b", '"', '""', 'say "hi"', "two\nlines", "cr\rhere", "\r\n", " padded ",
+    "  ", "Hölder α ≤ ½", "", ",", '","',
+]
+
+
+def _csv_file(path: Path, header: str, rows, manifest: str) -> bytes:
+    """What ``csv.writer`` writes for rows, framed as the CLI frames a body."""
+    with path.open("w", newline="") as fh:
+        fh.write(header + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+        fh.write(f"# manifest: {manifest}\n")
+    return path.read_bytes()
+
+
+def test_quoted_cells_are_what_csv_writer_writes():
+    rows = [["x", cell, "y"] for cell in AWKWARD_CELLS]
+    rows += [[cell, cell] for cell in AWKWARD_CELLS] + [AWKWARD_CELLS]
+    for row in rows:
+        reference = io.StringIO()
+        csv.writer(reference, lineterminator="\n").writerow(row)
+        line = ",".join(map(cli.q, row)) + "\n"
+        assert line.encode() == reference.getvalue().encode(), row
+
+
+class _Key:
+    """A key whose text is given, so any text reaches the key column."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __str__(self):
+        return self.text
+
+
+def test_spectrum_lines_of_awkward_text_are_what_csv_writer_writes(tmp_path):
+    cells = AWKWARD_CELLS
+    points = [
+        SpectrumPoint(
+            0.1 * i - 0.35, 1 / (i + 3), _Key(cell), cells[-i - 1], cells[3 * i % len(cells)]
+        )
+        for i, cell in enumerate(cells)
+    ]
+    vertices = (0, 2, 5, len(points) - 1)
+    vertex_lines = []
+    header, out, manifest = "alpha,f,key,alpha_desc,f_desc", tmp_path / "s.csv", "s.manifest.json"
+    blocks = cli._spectrum_blocks(PointTable(points), vertices, vertex_lines)
+    cli._write_csv(out, header, blocks, tmp_path / manifest)
+    rows = [(p.alpha, p.f, str(p.key), p.alpha_desc, p.f_desc) for p in points]
+    assert out.read_bytes() == _csv_file(tmp_path / "ref.csv", header, rows, manifest)
+    cli._write_csv(out, "alpha,f", [vertex_lines], tmp_path / manifest)
+    rows = [(points[i].alpha, points[i].f) for i in vertices]
+    assert out.read_bytes() == _csv_file(tmp_path / "ref.csv", "alpha,f", rows, manifest)
+
+
+def test_count_lines_of_a_huge_direct_count_are_what_csv_writer_writes(tmp_path, capsys, config):
+    """fibonacci at x = 1e300: the direct count is an int far above 2**64."""
+    out = tmp_path / "count.csv"
+    argv = ["count", "--config", config("fibonacci"), "--x", "1e300", "--x", "10"]
+    argv += ["--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    args = cli.build_parser().parse_args(argv)
+    system = parse_system(json.dumps(CONFIGS["fibonacci"]))
+    rows = []
+    for x in args.x:
+        r = dimensions.counting_explicit(system, None, x, Z=args.trunc, jump_guard=args.jump_guard)
+        rows.append((r.x, r.direct, r.explicit_value, r.explicit_value - r.direct))
+    assert rows[0][1] > 2**64
+    header = "x,direct,explicit,error"
+    assert out.read_bytes() == _csv_file(tmp_path / "ref.csv", header, rows, "count.manifest.json")
 
 
 def test_ifs_spectrum_is_written_without_points_or_key_strings(tmp_path, config, monkeypatch):

@@ -126,6 +126,22 @@ def test_stage_is_the_aggregate_of_every_word(ifs, K):
     assert {r.kind for r in stage.gaps} == {"gap"}
 
 
+def test_gap_lengths_take_no_fraction_powers(monkeypatch):
+    """Each gap length is one quotient of integer products, so a stage with
+    364 gap records raises no Fraction to a power."""
+    calls = []
+    power = F.__pow__
+
+    def counted(self, other):
+        calls.append(other)
+        return power(self, other)
+
+    ifs = WeightedIFS(ratios=(F(1, 2), F(1, 4), F(1, 8)), probs=(F(1, 2), F(1, 3), F(1, 6)))
+    monkeypatch.setattr(F, "__pow__", counted)
+    stage = enumerate_stage(ifs, 12)
+    assert len(stage.gaps) == 364 and calls == []
+
+
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         enumerate_stage(BETA, 4, budget=15)
