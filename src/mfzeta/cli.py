@@ -456,20 +456,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    budget = None
-    if args.budget:
-        budget = {}
-        for part in args.budget.split(","):
-            name, _, value = part.partition("=")
-            if not value:
-                raise ConfigError("--budget", f"expected NAME=INT, got {part!r}")
-            try:
-                budget[name.strip()] = int(value)
-            except ValueError:
-                raise ConfigError("--budget", f"expected NAME=INT, got {part!r}")
     if args.threads < 1:
         raise ConfigError("--threads", f"need at least 1 thread, got {args.threads}")
-    results = run_suite(args.suite, budget=budget)
+    results = run_suite(args.suite)
     report = report_json(results)
     if args.out:
         Path(args.out).write_text(report)
@@ -573,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--suite", default="all", choices=("oracle", "zeta", "spectra", "counting", "all"),
     )
-    verify.add_argument("--budget", help="work caps, e.g. K=10")
     verify.add_argument(
         "--threads", type=int, default=1,
         help="accepted for compatibility (must be >= 1); checks always run "

@@ -138,17 +138,14 @@ def pole_lattices(rz: RationalZeta) -> list[DimensionLattice]:
     return lattices
 
 
-def residue_numeric(
-    rz: RationalZeta, omega: complex, h: float | None = None
-) -> complex:
+def residue_numeric(rz: RationalZeta, omega: complex) -> complex:
     """(s - omega) * zeta(s) limit with one Richardson extrapolation step.
 
     Two extrapolation levels kill the h and h^2 terms, so the step can stay
     large enough that pole-phase roundoff does not dominate, uniformly in
     the base.
     """
-    if h is None:
-        h = 1e-3 / rz.log_unit
+    h = 1e-3 / rz.log_unit
     a = h * rz.evaluate(omega + h)
     b = (h / 2) * rz.evaluate(omega + h / 2)
     c = (h / 4) * rz.evaluate(omega + h / 4)

@@ -38,7 +38,7 @@ class ConfigError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed the configured work budget."""
+    """An enumeration would exceed its fixed work budget."""
 
 
 # ---------------------------------------------------------------------------

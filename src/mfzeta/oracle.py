@@ -37,7 +37,8 @@ from .regularity import (
 )
 from .sequences import multinomial
 
-DEFAULT_BUDGET = 10**7
+# the most intervals (N^K) or cells (base^n) one stage may enumerate
+STAGE_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -76,9 +77,7 @@ class StageEnumeration:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_stage(
-    ifs: WeightedIFS | PreparedIFS, K: int, budget: int = DEFAULT_BUDGET
-) -> StageEnumeration:
+def enumerate_stage(ifs: WeightedIFS | PreparedIFS, K: int) -> StageEnumeration:
     """Aggregate the N^K stage-K intervals by exponent vector.
 
     Each record carries count = multinomial(K; k), and its mass, length and
@@ -92,8 +91,8 @@ def enumerate_stage(
     ifs = prepared.ifs
     if K < 1:
         raise ValueError("stage K must be >= 1")
-    if ifs.N**K > budget:
-        raise BudgetExceededError(f"N^K = {ifs.N**K} exceeds budget {budget}")
+    if ifs.N**K > STAGE_BUDGET:
+        raise BudgetExceededError(f"N^K = {ifs.N**K} exceeds budget {STAGE_BUDGET}")
     vectors = vector_matrix(ifs.N, K)
     levels = vectors.sum(axis=1)
     ks = vectors[levels == K]
@@ -165,9 +164,7 @@ def _classify_atomic_mass(
     )
 
 
-def atomic_stage(
-    spec: AtomicMeasureSpec, n: int, budget: int = DEFAULT_BUDGET
-) -> StageEnumeration:
+def atomic_stage(spec: AtomicMeasureSpec, n: int) -> StageEnumeration:
     """Partition stage n into base^n left-closed intervals (last closed),
     with exact cell masses, aggregated by mass.
     """
@@ -175,8 +172,8 @@ def atomic_stage(
         raise ValueError("stage n must be >= 1")
     b = spec.base
     cells = b**n
-    if cells > budget:
-        raise BudgetExceededError(f"base^n = {cells} exceeds budget {budget}")
+    if cells > STAGE_BUDGET:
+        raise BudgetExceededError(f"base^n = {cells} exceeds budget {STAGE_BUDGET}")
     length = Fraction(1, cells)
     groups: dict[Fraction, tuple[int, int]] = {}  # mass -> (first index, count)
 

@@ -404,24 +404,23 @@ class PreparedIFS:
     one regularity, so a class vector has one slot per distinct probability,
     in ascending order; otherwise it has one slot per map.  ``slot_of`` sends
     each map to its slot, ``multiplicities`` counts the maps in each slot,
-    and ``slot_ratios``, ``slot_p_pev`` and ``slot_r_pev`` hold each slot's
-    ratio and factorized probability and ratio.  The independence verdict
-    and its witness refer to the distinct probabilities of an equal-ratio
-    system and are trivially true otherwise.
+    and ``slot_ratios`` and ``slot_r_pev`` hold each slot's ratio and
+    factorized ratio.  The independence verdict and its witness refer to the
+    distinct probabilities of an equal-ratio system and are trivially true
+    otherwise.
 
-    For the columns, the same factorizations are also int64 matrices over
-    the system's ``primes``: row q of ``P`` and of ``R`` holds the exponents
-    of slot q's probability and ratio, so the mass and length exponents of
-    class vectors k are ``k @ P`` and ``k @ R``.  ``log_primes``,
-    ``log_ratios`` and ``log_multiplicities`` hold the ``math.log`` of each
-    prime, slot ratio and slot multiplicity.
+    For the columns, the factorized probabilities and ratios are int64
+    matrices over the system's ``primes``: row q of ``P`` and of ``R`` holds
+    the exponents of slot q's probability and ratio, so the mass and length
+    exponents of class vectors k are ``k @ P`` and ``k @ R``.
+    ``log_primes``, ``log_ratios`` and ``log_multiplicities`` hold the
+    ``math.log`` of each prime, slot ratio and slot multiplicity.
     """
 
     ifs: WeightedIFS
     slot_of: tuple[int, ...]
     multiplicities: tuple[int, ...]
     slot_ratios: tuple[Fraction, ...]
-    slot_p_pev: tuple[PrimeExponentVector, ...]
     slot_r_pev: tuple[PrimeExponentVector, ...]
     independent: bool
     witness: tuple[int, ...] | None
@@ -494,7 +493,6 @@ def prepare(system: WeightedIFS | PreparedIFS) -> PreparedIFS:
         slot_of=slot_of,
         multiplicities=mult,
         slot_ratios=ratios,
-        slot_p_pev=p_pev,
         slot_r_pev=r_pev,
         independent=independent,
         witness=witness,

@@ -24,9 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .ifs_core import AtomicMeasureSpec, WeightedIFS
+from .ifs_core import AtomicMeasureSpec, BudgetExceededError, WeightedIFS
+from .oracle import enumerate_stage, group_by_regularity
 from .regularity import (
     FractionKey,
+    InfiniteKey,
     OnePlusLogKey,
     PreparedIFS,
     RegularityKey,
@@ -305,10 +307,6 @@ def _oracle_fallback_sweep(prepared: PreparedIFS, K_max: int) -> list[SpectrumPo
 
     The estimates replace closed-form abscissas, so a warning goes to stderr.
     """
-    from .ifs_core import BudgetExceededError
-    from .oracle import enumerate_stage, group_by_regularity
-    from .regularity import InfiniteKey
-
     records = []
     depth = 0
     for K in range(1, K_max + 1):

@@ -8,18 +8,18 @@ body carries no timings, keeping the output byte-deterministic.
 """
 from __future__ import annotations
 
-import inspect
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .ifs_core import AtomicMeasureSpec, FractalStringSpec, WeightedIFS
 from .oracle import atomic_stage, enumerate_stage, group_by_regularity
 from .regularity import (
     FractionKey,
     VectorKey,
-    collapsed_regularity,
     prepare,
     primitive_vectors,
 )
@@ -68,10 +68,10 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _check_stage_counts(K_cap: int = 12):
+def _check_stage_counts():
     for label, ifs in (("beta", BETA), ("beta0", BETA0), ("trident", TRIDENT)):
         prepared = prepare(ifs)
-        for K in range(1, K_cap + 1):
+        for K in range(1, 13):
             stage = enumerate_stage(prepared, K)
             total_mass = sum(r.mass * r.count for r in stage.all_records())
             if total_mass != 1:
@@ -79,23 +79,25 @@ def _check_stage_counts(K_cap: int = 12):
             for rec in stage.intervals:
                 if rec.count != multinomial(K, rec.k):
                     return False, f"{label} K={K} {rec.k}: count {rec.count}"
-    return True, f"multinomial counts and mass conservation exact, K<={K_cap}"
+    return True, "multinomial counts and mass conservation exact, K<=12"
 
 
-def _check_collapsed_identity(K_cap: int = 10):
+def _check_collapsed_identity():
     trident = prepare(TRIDENT)
     c = trident.multiplicities
-    for K in range(1, K_cap + 1):
+    for K in range(1, 11):
         stage = enumerate_stage(trident, K)
         groups = group_by_regularity(stage.all_records())
         for i in range(K + 1):
             kp = (i, K - i)
-            cls = collapsed_regularity(trident, kp)
+            # a group is keyed by its primitive class vector
+            g = math.gcd(i, K)
+            key = VectorKey((i // g, (K - i) // g))
             expected = multinomial(K, kp) * c[0] ** kp[0] * c[1] ** kp[1]
-            got = sum(n for _, n in groups.get(cls.key, ()))
+            got = sum(n for _, n in groups.get(key, ()))
             if got != expected:
                 return False, f"K={K} k'={kp}: {got} != {expected}"
-    return True, f"collapsed multiplicity identity exact, K<={K_cap}"
+    return True, "collapsed multiplicity identity exact, K<=10"
 
 
 def _check_atomic_tables():
@@ -168,7 +170,7 @@ def _check_closed_forms():
     return True, "closed-form values (cantor, fibonacci, sigma2) exact"
 
 
-def _check_abscissas(n_root: int = 2000):
+def _check_abscissas():
     worst = 0.0
     # all three systems have equal ratios and collapse to two distinct
     # probabilities, so the same primitive 2-vectors index every class
@@ -180,7 +182,7 @@ def _check_abscissas(n_root: int = 2000):
         for k in keys:
             closed = abscissa_closed(prepared, k)
             zeta = multinomial_zeta(prepared, k)
-            root = abscissa_root_test(zeta, n_root)
+            root = abscissa_root_test(zeta, 2000)
             worst = max(worst, abs(root.value - closed.value))
             if abs(root.value - closed.value) > 0.01:
                 return False, f"{ifs.probs} {k}: root {root.value} vs {closed.value}"
@@ -225,20 +227,18 @@ def _check_moran():
     return ok, f"moran((1/3,1/3)) = {got!r}, |err| = {abs(got - LOG3_2):.2e}"
 
 
-def _check_binomial_hull(K_max: int = 64):
+def _check_binomial_hull():
     t_max = math.log(3) / math.log(2)
     t_min = t_max - 1
-    points = spectrum_sweep(BETA0, K_max=K_max)
-    for p in points:
-        k = p.key.vector
-        K = sum(k)
-        x = k[1] / K
+    table = spectrum_sweep(BETA0, K_max=64)
+    for (k0, k1), f in zip(table.k.tolist(), table.f.tolist()):
+        x = k1 / (k0 + k1)
         want = 0.0
         if 0 < x < 1:
             want = -(x * math.log2(x) + (1 - x) * math.log2(1 - x))
-        if abs(p.f - want) > 1e-12:
-            return False, f"point {k}: f={p.f} vs entropy {want}"
-    env = concave_envelope(points)
+        if abs(f - want) > 1e-12:
+            return False, f"point {(k0, k1)}: f={f} vs entropy {want}"
+    env = concave_envelope(table)
 
     def g(t):
         x = t_max - t
@@ -253,42 +253,44 @@ def _check_binomial_hull(K_max: int = 64):
     return ok, f"pointwise entropy exact; hull sup-gap {sup:.2e} vs 5e-3"
 
 
-def _check_trident_max(K_max: int = 64):
-    points = spectrum_sweep(TRIDENT, K_max=K_max)
-    by_key = {p.key: p for p in points}
-    peak = max(p.f for p in points)
+def _check_trident_max():
+    table = spectrum_sweep(TRIDENT, K_max=64)
+    peak = table.f.max().item()
     want = math.log(3) / math.log(5)
-    at = by_key[VectorKey((2, 1))].f
+    (row,) = np.flatnonzero((table.k == (2, 1)).all(axis=1))
+    at = table.f[row].item()
     ok = abs(peak - want) <= 1e-9 and abs(at - want) <= 1e-9
     return ok, f"max f = {peak!r} at k'=(2,1), target log_5 3 = {want!r}"
 
 
-def _check_trident_endpoint_slopes(K_max: int = 64):
-    env = concave_envelope(spectrum_sweep(TRIDENT, K_max=K_max))
+def _check_trident_endpoint_slopes():
+    env = concave_envelope(spectrum_sweep(TRIDENT, K_max=64))
     lo, hi = env.endpoint_slopes()
     biggest = max(abs(lo), abs(hi))
     ok = abs(lo) > 10 and abs(hi) > 10
     return ok, (
-        f"hull endpoint slopes at K_max={K_max}: {lo:.4f} and {hi:.4f}; "
+        f"hull endpoint slopes at K_max=64: {lo:.4f} and {hi:.4f}; "
         f"claim requires |slope| > 10, measured max {biggest:.4f}"
     )
 
 
 def _check_sigma_spectra():
     s1 = spectrum_sweep(AtomicMeasureSpec(family="sigma1"), K_max=20)
-    if any(p.f != 0.0 for p in s1):
+    if (s1.f != 0.0).any():
         return False, "sigma1 spectrum not identically 0"
     for m in (2, 3, 5):
         family = "sigma2" if m == 2 else "generalized"
         spec = AtomicMeasureSpec(family=family, m=m)
         slope = math.log(m) / math.log(2 * m - 1)
-        for p in spectrum_sweep(spec, K_max=12):
-            if p.f != p.alpha * slope:  # exact: the same float product
-                return False, f"m={m} alpha={p.alpha}: f={p.f}"
+        table = spectrum_sweep(spec, K_max=12)
+        bad = np.flatnonzero(table.f != table.alpha * slope)  # exact: the same float product
+        if bad.size:
+            i = bad[0]
+            return False, f"m={m} alpha={table.alpha[i].item()}: f={table.f[i].item()}"
     return True, "sigma1 flat through K=20; sigma(m) line exact for m in {2,3,5}"
 
 
-def _check_legendre(K_hull: int = 256):
+def _check_legendre():
     pipes = {ifs: legendre_transform(ifs) for ifs in (BETA, BETA0, TRIDENT)}
     for ifs, pipe in pipes.items():
         if pipe.q_grid[0] != -8.0 or pipe.q_grid[-1] != 8.0:
@@ -303,7 +305,7 @@ def _check_legendre(K_hull: int = 256):
             )
             if res > 1e-12:
                 return False, f"{ifs.probs} q={q}: residual {res:.2e}"
-    env = concave_envelope(spectrum_sweep(BETA0, K_max=K_hull))
+    env = concave_envelope(spectrum_sweep(BETA0, K_max=256))
     pipe = pipes[BETA0]
     worst = max(
         abs(env(t) - bs) for t, bs in zip(pipe.t_values, pipe.b_star_values)
@@ -311,7 +313,7 @@ def _check_legendre(K_hull: int = 256):
     ok = worst <= 5e-3
     return ok, (
         f"residuals <= 1e-12 on the grid; "
-        f"beta0 |hull(K={K_hull}) - b*| worst {worst:.2e} vs 5e-3"
+        f"beta0 |hull(K=256) - b*| worst {worst:.2e} vs 5e-3"
     )
 
 
@@ -430,41 +432,16 @@ CHECKS = (
 SUITES = ("oracle", "zeta", "spectra", "counting")
 
 
-_BUDGET_PARAMS = {"K": "K_cap"}
-
-
-def run_suite(
-    suite: str = "all", budget: dict[str, int] | None = None
-) -> list[CheckResult]:
-    """Run one suite (or all) serially, in declaration order.
-
-    ``budget`` tightens work caps for the checks that take one, e.g.
-    ``{"K": 10}`` lowers the stage-count depth of the oracle identities.
-    Each cap must be at least 1.
-    """
+def run_suite(suite: str = "all") -> list[CheckResult]:
+    """Run one suite (or all) serially, in declaration order."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
-    if budget:
-        for key in budget:
-            if key not in _BUDGET_PARAMS:
-                raise ValueError(
-                    f"unknown budget key {key!r}; choose from {tuple(_BUDGET_PARAMS)}"
-                )
-            if budget[key] < 1:
-                raise ValueError(f"budget {key}={budget[key]} must be at least 1")
     results = []
     for name, st, fn in CHECKS:
         if suite != "all" and st != suite:
             continue
-        kwargs = {}
-        if budget:
-            params = inspect.signature(fn).parameters
-            for key, value in budget.items():
-                pname = _BUDGET_PARAMS[key]
-                if pname in params:
-                    kwargs[pname] = value
         try:
-            ok, detail = fn(**kwargs)
+            ok, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"exception: {exc!r}"
         results.append(CheckResult(name=name, suite=st, ok=ok, detail=detail))

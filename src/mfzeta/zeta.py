@@ -144,15 +144,6 @@ class Poly:
     def scale(self, c: Fraction) -> "Poly":
         return Poly(tuple(Fraction(c) * x for x in self.coeffs))
 
-    def __mul__(self, other: "Poly") -> "Poly":
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(tuple(out))
-
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")

@@ -758,7 +758,7 @@ def test_count_refuses_ranges_over_the_draw_budget(tmp_path, capsys, config, mon
 
 
 def test_verify_cli_budget_and_exit_codes(tmp_path, capsys, config):
-    rc, payload = run_json(capsys, ["verify", "--suite", "oracle", "--budget", "K=6"])
+    rc, payload = run_json(capsys, ["verify", "--suite", "oracle"])
     assert rc == 0
     assert payload["failed"] == 0 and payload["passed"] == 4
 
@@ -768,19 +768,20 @@ def test_verify_cli_budget_and_exit_codes(tmp_path, capsys, config):
     failed = [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
     assert failed == ["trident-endpoint-slopes"]
 
-    assert main(["verify", "--suite", "oracle", "--budget", "K=banana"]) == 2
-    with pytest.raises(SystemExit):
-        main(["verify", "--suite", "everything"])
+    # each check runs at its one stated depth: there is no work-cap option
+    for argv in (["--suite", "everything"], ["--budget", "K=6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
 
-    # a cap below 1 would pass vacuously; no threads is not a run
+    # no threads is not a run
     report = tmp_path / "report.json"
-    for flags in (["--budget", "K=0"], ["--budget", "K=-3"], ["--threads", "0"]):
-        capsys.readouterr()
-        rc = main(["verify", "--suite", "oracle", *flags, "--out", str(report)])
-        assert rc == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "at least 1" in err[0]
+    capsys.readouterr()
+    rc = main(["verify", "--suite", "oracle", "--threads", "0", "--out", str(report)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "at least 1" in err[0]
     assert not report.exists()
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mfzeta import oracle
 from mfzeta.ifs_core import AtomicMeasureSpec, BudgetExceededError, WeightedIFS
 from mfzeta.oracle import atomic_stage, enumerate_stage, group_by_regularity
 from mfzeta.regularity import FractionKey, InfiniteKey, OnePlusLogKey, VectorKey
@@ -142,11 +143,13 @@ def test_gap_lengths_take_no_fraction_powers(monkeypatch):
     assert len(stage.gaps) == 364 and calls == []
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setattr(oracle, "STAGE_BUDGET", 15)
     with pytest.raises(BudgetExceededError):
-        enumerate_stage(BETA, 4, budget=15)
+        enumerate_stage(BETA, 4)
+    monkeypatch.setattr(oracle, "STAGE_BUDGET", 80)
     with pytest.raises(BudgetExceededError):
-        atomic_stage(S2, 4, budget=80)
+        atomic_stage(S2, 4)
 
 
 def test_sigma1_stage2_table():

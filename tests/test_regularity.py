@@ -483,7 +483,10 @@ def test_prepare_is_idempotent_and_holds_system_facts():
     # equal ratios: one slot per distinct probability, ascending
     assert prepared.width == 2 and prepared.folds
     assert prepared.slot_of == (0, 1, 0) and prepared.multiplicities == (2, 1)
-    assert prepared.slot_p_pev == (factorize(F(1, 5)), factorize(F(3, 5)))
+    # row q of P holds slot q's factorized probability over the primes
+    assert prepared.primes == (3, 5)
+    for row, p in zip(prepared.P.tolist(), (F(1, 5), F(3, 5)), strict=True):
+        assert {q: e for q, e in zip(prepared.primes, row) if e} == dict(factorize(p).items())
     assert prepared.slot_r_pev == (factorize(F(1, 5)),) * 2
     assert prepared.independent and prepared.witness is None
     assert prepared.fold((1, 1, 1)) == (2, 1) and prepared.fold((0, 2, 0)) == (0, 2)

@@ -15,6 +15,8 @@ from mfzeta.sequences import (
     fibonacci,
     multinomial,
 )
+from mfzeta.verify import BETA0, TRIDENT
+from mfzeta.zeta import multinomial_zeta
 
 
 def test_multinomial():
@@ -106,6 +108,19 @@ def test_fibonacci_count_sums_the_recurrence(monkeypatch):
     assert n == 996
     assert seq.counting(1e300) == fibonacci(n + 3) - 2
     assert calls == []
+
+
+def test_multinomial_laws_count_by_summing_multiplicities():
+    """A law without a generating function counts by summing its
+    multiplicities: the binomial class (1, 1) of BETA0 (ratio 1/2) and the
+    collapsed class (1, 1) of TRIDENT (ratio 1/5, c = (2, 1))."""
+    beta0 = multinomial_zeta(BETA0, (1, 1))
+    assert isinstance(beta0.law, MultinomialLaw) and beta0.base_length == F(1, 4)
+    assert beta0.counting(4**5) == 2 + 6 + 20 + 70 + 252 == 350
+    trident = multinomial_zeta(TRIDENT, (1, 1))
+    assert isinstance(trident.law, CollapsedLaw) and trident.law.c == (2, 1)
+    assert trident.base_length == F(1, 25)
+    assert trident.counting(25**3) == 4 + 24 + 160 == 188
 
 
 def test_sequence_base_length_lies_in_the_unit_interval():
