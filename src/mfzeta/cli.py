@@ -43,7 +43,7 @@ from .regularity import (
     _PREC_LADDER,
     prepare,
 )
-from .spectra import ROW_BLOCK, SpectrumTable, concave_envelope, spectrum_sweep, sweep_width
+from .spectra import ROW_BLOCK, ClassTable, concave_envelope, spectrum_sweep, sweep_width
 from .verify import report_json, run_suite
 from .zeta import (
     HYPOTHESIS_K_MAX,
@@ -96,9 +96,9 @@ ZETA_EXACT_BITS = 12_000
 
 # Work cap of one `tapestry` run, in candidate keys k1/K with K <= kmax, that
 # is kmax(kmax + 1)/2; about 0.61 of them are reduced, one pole lattice each.
-# Roots are solved once per law polynomial (one per numerator k1), so on the
-# same VM a sigma2 lattice (the slowest family) costs about 0.1 ms and a run
-# within the cap ends in 9-15 s, with a 97 MB peak at kmax 599.
+# Roots are solved once per law (one per numerator k1), so on the same VM a
+# sigma2 lattice (the slowest family) costs about 0.03 ms and a run within the
+# cap ends in 3.4-3.8 s, with a 75 MB peak at kmax 599.
 TAPESTRY_KEY_CAP = 180_000
 
 
@@ -264,7 +264,7 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _spectrum_blocks(table: SpectrumTable, vertices, vertex_lines: list):
+def _spectrum_blocks(table, vertices, vertex_lines: list):
     """A spectrum CSV body as one line generator per ``ROW_BLOCK`` rows.  Each
     float is formatted once, by ``repr`` (the shortest round-trip decimal);
     the rows whose indices ``vertices`` lists (in increasing order) also go,
@@ -278,9 +278,19 @@ def _spectrum_blocks(table: SpectrumTable, vertices, vertex_lines: list):
             for i in vertices[bisect_left(vertices, lo):bisect_left(vertices, hi)]
         )
         yield (
-            f"{a},{b},{q(key)},{q(a_desc)},{q(f_desc)}\n"
-            for a, b, key, a_desc, f_desc in zip(alpha, f, *table.text(lo, hi))
+            f"{a},{b},{key},{a_desc},{f_desc}\n"
+            for a, b, key, a_desc, f_desc in zip(alpha, f, *_quoted_text(table, lo, hi))
         )
+
+
+def _quoted_text(table, lo: int, hi: int):
+    """The key, alpha_desc and f_desc cells of rows lo..hi-1, each as ``q``
+    writes it."""
+    if not isinstance(table, ClassTable):
+        return [map(q, column) for column in table.text(lo, hi)]
+    # a ClassTable column is one template, holding no quote or newline, filled
+    # with integers, so its first cell's quoting holds for all
+    return [c if q(c[0]) == c[0] else (f'"{x}"' for x in c) for c in table.text(lo, hi)]
 
 
 def cmd_zeta(args) -> int:
@@ -365,33 +375,36 @@ def cmd_zeta(args) -> int:
     return 0
 
 
+# a tapestry row as ``json.dump(rows, indent=2, sort_keys=True)`` writes it,
+# after "[" or ","; every value is a finite float, which json writes as its repr
+_TAPESTRY_ROW = (
+    '%s\n  {\n    "alpha": %r,\n    "period": %r,\n    "real_part": %r,\n'
+    '    "residue_im": %r,\n    "residue_re": %r,\n    "shift": %r\n  }'
+)
+
+
 def cmd_tapestry(args) -> int:
     system = _load_system(args)
     if not isinstance(system, AtomicMeasureSpec):
         raise ConfigError("type", "tapestries are built for the atomic families")
+    if args.kmax < 1:
+        raise ConfigError("--kmax", f"need a key depth of at least 1, got {args.kmax}")
     keys = args.kmax * (args.kmax + 1) // 2
     if keys > TAPESTRY_KEY_CAP:
         raise ConfigError(
             "--kmax",
             f"{keys:,} candidate keys k1/K exceed the cap of {TAPESTRY_KEY_CAP:,} per run",
         )
-    # each pair is dropped as its row is made, so the pairs and the rows are
-    # never all held at once
-    pairs = list(build_tapestry(system, K_max=args.kmax).pairs)[::-1]
-    rows = []
-    while pairs:
-        alpha, lat = pairs.pop()
-        rows.append(
-            {
-                "alpha": float(alpha),
-                "real_part": lat.real_part,
-                "period": lat.period,
-                "shift": lat.phase_shift,
-                "residue_re": lat.residue.real + 0.0,
-                "residue_im": lat.residue.imag + 0.0,
-            }
+    lines = (
+        _TAPESTRY_ROW % (
+            "," if i else "[", float(alpha), lat.period, lat.real_part,
+            lat.residue.imag + 0.0, lat.residue.real + 0.0, lat.phase_shift,
         )
-    _print_json(rows, Path(args.out) if args.out else None)
+        for i, (alpha, lat) in enumerate(build_tapestry(system, K_max=args.kmax).pairs)
+    )
+    with contextlib.nullcontext(sys.stdout) if not args.out else open(args.out, "w") as fh:
+        fh.writelines(lines)
+        fh.write("\n]\n")
     return 0
 
 

@@ -68,8 +68,8 @@ class _Root(NamedTuple):
 
 
 # keyed by the canonical (num, den) pair, so every class zeta with the same
-# polynomials shares one root solve; 1024 pairs exceed the 599 of the largest
-# tapestry the CLI allows, so each is solved once whatever the key order
+# polynomials shares one root solve across calls; 1024 pairs hold the 599
+# laws of the largest tapestry the CLI allows
 @functools.lru_cache(maxsize=1024)
 def _pole_roots(num: Poly, den: Poly) -> tuple[_Root, ...]:
     """Denominator roots from companion-matrix eigenvalues with one Newton
@@ -110,18 +110,20 @@ def _pole_roots(num: Poly, den: Poly) -> tuple[_Root, ...]:
 
 
 def pole_lattices(rz: RationalZeta) -> list[DimensionLattice]:
-    """One lattice per denominator root of the rational zeta.
-
-    The roots (``_pole_roots``) depend on the polynomials alone and are
-    solved once per pair; the base sets the real parts, the period and the
-    residues num(z)/(den'(z) * dz/ds), omitted at repeated roots.
-    """
+    """One lattice per denominator root of the rational zeta: the roots
+    (``_pole_roots``) of its polynomials at the log of its base."""
     if rz.den.degree < 1:
         raise ValueError("denominator is constant: the zeta is entire")
-    log_b = math.log(float(rz.base))  # negative
+    return _lattices(_pole_roots(rz.num, rz.den), math.log(float(rz.base)))
+
+
+def _lattices(roots: tuple[_Root, ...], log_b: float) -> list[DimensionLattice]:
+    """The lattices of ``roots`` at a base of log ``log_b`` (negative): the
+    real parts, the period and the residues num(z)/(den'(z) * dz/ds),
+    omitted at repeated roots."""
     period = 2 * math.pi / -log_b
     lattices = []
-    for r in _pole_roots(rz.num, rz.den):
+    for r in roots:
         simple = r.multiplicity == 1
         lattices.append(
             DimensionLattice(
@@ -160,22 +162,28 @@ def residue_numeric(rz: RationalZeta, omega: complex) -> complex:
 def build_tapestry(spec: AtomicMeasureSpec, K_max: int) -> Tapestry:
     """(alpha, lattice) pairs over reduced fractions k1/K with K <= K_max.
 
-    The entire-monomial keys carry no poles and are omitted.
+    The entire-monomial keys carry no poles and are omitted.  A key's law
+    depends on k1 alone and its base on K, so the roots are solved at the
+    first key of each law and every key adds only the log of its base.
     """
     if K_max < 1:
         raise ValueError("K_max must be >= 1")
     pairs = []
+    roots = {}  # law -> its denominator roots
     # the Farey sequence of order K_max, ascending from its first key 1/K_max:
     # the deepest key comes first, so a key too deep for doubles fails
     # before any work
     a, b, k1, K = 0, 1, 1, K_max
     while k1 <= K:
         alpha = Fraction(k1, K)
-        rz = closed_form_zeta(spec, FractionKey(alpha))
-        lattices = pole_lattices(rz)
-        if len(lattices) != 1:
-            raise ValueError(f"expected one lattice for alpha={alpha}")
-        pairs.append((alpha, lattices[0]))
+        key = FractionKey(alpha)
+        seq = closed_form_sequence(spec, key)
+        if seq.law not in roots:
+            rz = closed_form_zeta(spec, key)
+            roots[seq.law] = _pole_roots(rz.num, rz.den)
+            if len(roots[seq.law]) != 1:
+                raise ValueError(f"expected one lattice for alpha={alpha}")
+        pairs.append((alpha, *_lattices(roots[seq.law], math.log(float(seq.base_length)))))
         step = (K_max + b) // K
         a, b, k1, K = k1, K, step * k1 - a, step * K - b
     return Tapestry(pairs=tuple(pairs))

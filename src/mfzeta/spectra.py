@@ -227,7 +227,6 @@ class EnvelopeFunction:
 class LegendrePipeline:
     q_grid: tuple[float, ...]
     b_values: tuple[float, ...]
-    b_prime_values: tuple[float, ...]
     t_values: tuple[float, ...]
     b_star_values: tuple[float, ...]
     degenerate: bool  # monofractal: t collapses to the single dimension
@@ -440,70 +439,61 @@ def concave_envelope(points: Sequence[SpectrumPoint | tuple]) -> EnvelopeFunctio
 SOLVE_B_RESIDUAL_TOL = 1e-13
 
 
-def solve_b(ifs: WeightedIFS, q: float) -> float:
-    """Unique b with sum p_i^q r_i^b = 1, by bisection (decreasing in b)."""
-    logs_p = [math.log(p) for p in ifs.probs]
-    logs_r = [math.log(r) for r in ifs.ratios]
+def solve_b(ifs: WeightedIFS, q):
+    """Unique b with sum p_i^q r_i^b = 1, by bisection (decreasing in b): a
+    float for a float q, an array for an array of them, bisected at once."""
+    qs = np.atleast_1d(np.asarray(q, dtype=float))[:, None]
+    logs_p = np.array([math.log(p) for p in ifs.probs])
+    logs_r = np.array([math.log(r) for r in ifs.ratios])
 
-    def g(b: float) -> float:
-        try:
-            return math.fsum(math.exp(q * lp + b * lr) for lp, lr in zip(logs_p, logs_r)) - 1
-        except OverflowError:
-            # a term (or the sum) exceeds the float range, so the sum is > 1
-            return math.inf
+    def g(b: np.ndarray) -> np.ndarray:
+        # a term past the float range is inf, so its sum is > 1
+        with np.errstate(over="ignore"):
+            return np.exp(qs * logs_p + b[:, None] * logs_r).sum(axis=1) - 1
 
-    lo, hi = -1.0, 1.0
-    while g(lo) <= 0:
-        lo *= 2
-    while g(hi) >= 0:
-        hi *= 2
+    lo, hi = np.full(len(qs), -1.0), np.full(len(qs), 1.0)
+    while (low := g(lo) <= 0).any():
+        lo[low] *= 2
+    while (high := g(hi) >= 0).any():
+        hi[high] *= 2
+    open_ = np.ones(len(qs), dtype=bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = g(mid)
-        if abs(val) <= SOLVE_B_RESIDUAL_TOL:
-            return mid
-        if val > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16 * max(1.0, abs(lo)):
+        # where the residual stop is met, lo = hi = mid closes the bracket
+        lo = np.where(open_ & (val >= -SOLVE_B_RESIDUAL_TOL), mid, lo)
+        hi = np.where(open_ & (val <= SOLVE_B_RESIDUAL_TOL), mid, hi)
+        open_ &= hi - lo >= 1e-16 * np.maximum(1.0, np.abs(lo))
+        if not open_.any():
             break
-    return 0.5 * (lo + hi)
+    b = 0.5 * (lo + hi)
+    return float(b[0]) if np.ndim(q) == 0 else b
 
 
 def legendre_transform(
     ifs: WeightedIFS, q_grid: Sequence[float] | None = None
 ) -> LegendrePipeline:
-    """b, b', t = -b', b*(t) = t q + b(q).
+    """b, t = -b', b*(t) = t q + b(q), over q_grid (b solved at once).
 
-    b' is exact: differentiating sum w_i = 1 with w_i = p_i^q r_i^b(q) gives
+    t is exact: differentiating sum w_i = 1 with w_i = p_i^q r_i^b(q) gives
     b'(q) = -sum w_i log p_i / sum w_i log r_i.
     """
     if q_grid is None:
         n = round(2 * 8 / 0.05)
         q_grid = [-8 + 0.05 * i for i in range(n + 1)]
     q_grid = tuple(float(q) for q in q_grid)
-    logs_p = [math.log(p) for p in ifs.probs]
-    logs_r = [math.log(r) for r in ifs.ratios]
-    b_vals = tuple(solve_b(ifs, q) for q in q_grid)
-    b_prime = []
-    for q, b in zip(q_grid, b_vals):
-        w = [math.exp(q * lp + b * lr) for lp, lr in zip(logs_p, logs_r)]
-        b_prime.append(
-            -math.fsum(wi * lp for wi, lp in zip(w, logs_p))
-            / math.fsum(wi * lr for wi, lr in zip(w, logs_r))
-        )
-    b_prime = tuple(b_prime)
-    t_vals = tuple(-bp for bp in b_prime)
-    b_star = tuple(t * q + b for t, q, b in zip(t_vals, q_grid, b_vals))
-    degenerate = is_monofractal(ifs) is not None
+    qs = np.array(q_grid)
+    b = solve_b(ifs, qs)
+    logs_p = np.array([math.log(p) for p in ifs.probs])
+    logs_r = np.array([math.log(r) for r in ifs.ratios])
+    w = np.exp(qs[:, None] * logs_p + b[:, None] * logs_r)
+    t = (w * logs_p).sum(axis=1) / (w * logs_r).sum(axis=1)
     return LegendrePipeline(
         q_grid=q_grid,
-        b_values=b_vals,
-        b_prime_values=b_prime,
-        t_values=t_vals,
-        b_star_values=b_star,
-        degenerate=degenerate,
+        b_values=tuple(b.tolist()),
+        t_values=tuple(t.tolist()),
+        b_star_values=tuple((t * qs + b).tolist()),
+        degenerate=is_monofractal(ifs) is not None,
     )
 
 

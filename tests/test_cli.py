@@ -33,6 +33,7 @@ CONFIGS = {
     "sigma1": {"type": "atomic", "family": "sigma1"},
     "sigma2": {"type": "atomic", "family": "sigma2"},
     "m2": {"type": "atomic", "family": "generalized", "m": 2},
+    "m3": {"type": "atomic", "family": "generalized", "m": 3},
     "beta": {"type": "ifs", "ratios": ["1/3", "1/3"], "probs": ["1/3", "2/3"]},
     "beta0": {"type": "ifs", "ratios": ["1/2", "1/2"], "probs": ["1/3", "2/3"]},
     # two maps share a probability: the slots fold
@@ -382,6 +383,52 @@ def test_tapestry_sigma2(capsys, config):
     with pytest.raises(SystemExit) as exc:
         main(["tapestry", "--config", config("sigma2"), "--kmax", "2", "--band", "10"])
     assert exc.value.code == 2
+
+
+def _tapestry_rows(spec, K_max):
+    """The tapestry rows as dicts, built from ``build_tapestry``'s pairs."""
+    return [
+        {
+            "alpha": float(alpha),
+            "real_part": lat.real_part,
+            "period": lat.period,
+            "shift": lat.phase_shift,
+            "residue_re": lat.residue.real + 0.0,
+            "residue_im": lat.residue.imag + 0.0,
+        }
+        for alpha, lat in dimensions.build_tapestry(spec, K_max).pairs
+    ]
+
+
+@pytest.mark.parametrize("kmax", [1, 5, 24])
+@pytest.mark.parametrize("name", ["sigma1", "sigma2", "m3"])
+def test_tapestry_json_is_what_json_dumps_writes(tmp_path, capsys, config, name, kmax):
+    system = parse_system(json.dumps(CONFIGS[name]))
+    want = json.dumps(_tapestry_rows(system, kmax), indent=2, sort_keys=True)
+    argv = ["tapestry", "--config", config(name), "--kmax", str(kmax)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want + "\n"
+    out = tmp_path / "tapestry.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == want + "\n"
+    if name == "sigma1":
+        # the zero real parts print as 0.0, never -0.0
+        assert '"real_part": 0.0,' in want and "-0.0" not in want
+
+
+def test_tapestry_refuses_bad_kmax_before_writing(tmp_path, capsys, config):
+    out = tmp_path / "t.json"
+    for kmax in ("0", "-3"):
+        assert main(["tapestry", "--config", config("sigma2"), "--kmax", kmax, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"error: --kmax: need a key depth of at least 1, got {kmax}\n"
+    # sigma(3)'s first key 1/463 has a length base 5**-463 that rounds to 0.0
+    assert main(["tapestry", "--config", config("m3"), "--kmax", "463", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: class 1/463 is too deep: its length base rounds to 0.0\n"
 
 
 def test_tapestry_m2_matches_sigma2(capsys, config):

@@ -281,10 +281,17 @@ def test_tapestry_keys_ascend_from_the_deepest(monkeypatch):
     # sigma(3) keys at K = 463 have a length base 5**-463 that rounds to 0.0:
     # the first key built is 1/463, so no root is solved first
     calls = []
-    monkeypatch.setattr(dimensions, "pole_lattices", calls.append)
+    monkeypatch.setattr(dimensions, "_pole_roots", lambda *pair: calls.append(pair))
     with pytest.raises(KeyRangeError):
         build_tapestry(M3, 463)
     assert calls == []
+
+
+def test_tapestry_lattices_are_bit_identical_to_each_keys_zeta():
+    for spec in (SIGMA1, SIGMA2, M3):
+        for alpha, lat in build_tapestry(spec, 24).pairs:
+            (want,) = pole_lattices(closed_form_zeta(spec, FractionKey(alpha)))
+            assert _bits(lat) == _bits(want), (spec, alpha)
 
 
 def test_tapestry_validates_kmax():

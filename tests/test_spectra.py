@@ -20,6 +20,7 @@ from mfzeta.regularity import (
 )
 from mfzeta.spectra import (
     ROW_BLOCK,
+    SOLVE_B_RESIDUAL_TOL,
     ClassTable,
     EnvelopeFunction,
     _alpha_order,
@@ -140,6 +141,48 @@ def test_solve_b_residual_invariant_on_grid():
                 for p, r in zip(system.probs, system.ratios)
             )
             assert abs(res - 1) < 1e-12
+
+
+def _solve_b_reference(ifs, q):
+    """solve_b's bisection for one q, in Python floats with math.fsum."""
+    logs = [(math.log(p), math.log(r)) for p, r in zip(ifs.probs, ifs.ratios)]
+
+    def g(b):
+        try:
+            return math.fsum(math.exp(q * lp + b * lr) for lp, lr in logs) - 1
+        except OverflowError:
+            return math.inf
+
+    lo, hi = -1.0, 1.0
+    while g(lo) <= 0:
+        lo *= 2
+    while g(hi) >= 0:
+        hi *= 2
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        val = g(mid)
+        if abs(val) <= SOLVE_B_RESIDUAL_TOL:
+            return mid
+        lo, hi = (mid, hi) if val > 0 else (lo, mid)
+        if hi - lo < 1e-16 * max(1.0, abs(lo)):
+            break
+    return 0.5 * (lo + hi)
+
+
+def test_solve_b_of_an_array_is_each_q_solved_alone():
+    qs = np.concatenate(([-1000.0, -700.0], np.linspace(-8, 8, 321), [700.0, 1000.0]))
+    for system in (BETA, BETA0, TRIDENT, ROBY):
+        b = solve_b(system, qs)
+        assert isinstance(b, np.ndarray) and isinstance(solve_b(system, 0.5), float)
+        for q, bq in zip(qs.tolist(), b.tolist()):
+            assert bq == pytest.approx(solve_b(system, q), rel=1e-12, abs=1e-12)
+            assert bq == pytest.approx(_solve_b_reference(system, q), rel=1e-12, abs=1e-12)
+            # each term in one exp: at q = +-1000, p^q or r^b alone leaves the float range
+            res = math.fsum(
+                math.exp(q * math.log(p) + bq * math.log(r))
+                for p, r in zip(system.probs, system.ratios)
+            )
+            assert abs(res - 1) <= 1e-12, (system, q)
 
 
 def test_legendre_beta0_pipeline():
