@@ -96,9 +96,11 @@ ZETA_EXACT_BITS = 12_000
 
 # Work cap of one `tapestry` run, in candidate keys k1/K with K <= kmax, that
 # is kmax(kmax + 1)/2; about 0.61 of them are reduced, one pole lattice each.
-# Roots are solved once per law (one per numerator k1), so on the same VM a
-# sigma2 lattice (the slowest family) costs about 0.03 ms and a run within the
-# cap ends in 3.4-3.8 s, with a 75 MB peak at kmax 599.
+# Roots are solved once per law (one per numerator k1) and each row is written
+# as its key is built, so peak memory does not grow with kmax (32 MB at kmax 64
+# and at 599) and the cap bounds time only: on the same VM a sigma2 lattice
+# (the slowest family) costs about 0.03 ms and a run within the cap ends in
+# 3.3-4.3 s.
 TAPESTRY_KEY_CAP = 180_000
 
 
@@ -194,11 +196,22 @@ def parse_alpha_key(text: str) -> RegularityKey:
     """
     t = text.strip()
     if t.startswith("1+log:"):
-        return OnePlusLogKey(level=_key_int(t[len("1+log:"):]))
+        level = _key_int(t[len("1+log:"):])
+        if level < 1:
+            raise ConfigError("--alpha", f"need a one-plus-log level of at least 1, got {level}")
+        return OnePlusLogKey(level=level)
     body = t[1:-1] if t.startswith("(") and t.endswith(")") else t
     if "," in body:
         return VectorKey(tuple(_key_int(x) for x in body.split(",")))
     return FractionKey(parse_rational(t, "--alpha"))
+
+
+def _class_key(args, system) -> RegularityKey | None:
+    """The --alpha key, if given; a string zeta takes none."""
+    key = parse_alpha_key(args.alpha) if args.alpha is not None else None
+    if isinstance(system, FractalStringSpec) and key is not None:
+        raise ConfigError("--alpha", "string zetas take no class key")
+    return key
 
 
 def _require_finite(flag: str, value) -> None:
@@ -306,7 +319,7 @@ def cmd_zeta(args) -> int:
         raise ConfigError(
             "--terms", f"{args.terms:,} series terms exceed the cap of {ZETA_TERM_CAP:,} per run"
         )
-    key = parse_alpha_key(args.alpha) if args.alpha is not None else None
+    key = _class_key(args, system)
 
     if isinstance(system, WeightedIFS):
         if not isinstance(key, VectorKey):
@@ -337,8 +350,6 @@ def cmd_zeta(args) -> int:
             "terms": sv.terms,
         }
     else:
-        if isinstance(system, FractalStringSpec) and key is not None:
-            raise ConfigError("--alpha", "string zetas take no class key")
         rz = _class_zeta(closed_form_zeta, system, key)
         # an integer s takes the exact path first: its value may be a double
         # where z = base^s is not
@@ -400,9 +411,13 @@ def cmd_tapestry(args) -> int:
             "," if i else "[", float(alpha), lat.period, lat.real_part,
             lat.residue.imag + 0.0, lat.residue.real + 0.0, lat.phase_shift,
         )
-        for i, (alpha, lat) in enumerate(build_tapestry(system, K_max=args.kmax).pairs)
+        for i, (alpha, lat) in enumerate(build_tapestry(system, K_max=args.kmax))
     )
+    # the first key is the deepest: one too deep for doubles is refused here,
+    # before --out is opened
+    first = next(lines)
     with contextlib.nullcontext(sys.stdout) if not args.out else open(args.out, "w") as fh:
+        fh.write(first)
         fh.writelines(lines)
         fh.write("\n]\n")
     return 0
@@ -412,7 +427,7 @@ def cmd_count(args) -> int:
     system = _load_system(args)
     if isinstance(system, WeightedIFS):
         raise ConfigError("type", "counting tables exist for string and atomic systems")
-    key = parse_alpha_key(args.alpha) if args.alpha is not None else None
+    key = _class_key(args, system)
     if isinstance(system, AtomicMeasureSpec) and key is None:
         raise ConfigError("--alpha", "atomic families need a class key, e.g. --alpha 1/2")
     floats = [("--xmin", args.xmin), ("--xmax", args.xmax), *(("--x", x) for x in args.x or ())]
@@ -443,15 +458,10 @@ def cmd_count(args) -> int:
             rz, count=args.samples, lo=args.xmin, hi=args.xmax,
             guard=args.jump_guard, seed=args.seed,
         )
-    rows = []
-    for x in xs:
-        result = counting_explicit(
-            system, key, x, Z=args.trunc, jump_guard=args.jump_guard
-        )
-        rows.append(
-            (result.x, result.direct, result.explicit_value,
-             result.explicit_value - result.direct)
-        )
+    rows = [
+        (r.x, r.direct, r.explicit_value, r.explicit_value - r.direct)
+        for r in counting_explicit(system, key, xs, Z=args.trunc, jump_guard=args.jump_guard)
+    ]
     out = Path(args.out)
     manifest_path = _write_manifest(
         out, "count", args.config,

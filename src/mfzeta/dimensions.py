@@ -9,7 +9,6 @@ double-pole term at s = 0), summed exactly and rounded once.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -38,11 +37,6 @@ class DimensionLattice:
 
 
 @dataclass(frozen=True)
-class Tapestry:
-    pairs: tuple[tuple[Fraction, DimensionLattice], ...]
-
-
-@dataclass(frozen=True)
 class CountingResult:
     x: float
     direct: int
@@ -67,10 +61,6 @@ class _Root(NamedTuple):
     dden_at: complex | None  # den'(root), None when repeated
 
 
-# keyed by the canonical (num, den) pair, so every class zeta with the same
-# polynomials shares one root solve across calls; 1024 pairs hold the 599
-# laws of the largest tapestry the CLI allows
-@functools.lru_cache(maxsize=1024)
 def _pole_roots(num: Poly, den: Poly) -> tuple[_Root, ...]:
     """Denominator roots from companion-matrix eigenvalues with one Newton
     polish step; numerically repeated roots are merged."""
@@ -159,16 +149,18 @@ def residue_numeric(rz: RationalZeta, omega: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def build_tapestry(spec: AtomicMeasureSpec, K_max: int) -> Tapestry:
-    """(alpha, lattice) pairs over reduced fractions k1/K with K <= K_max.
+def build_tapestry(
+    spec: AtomicMeasureSpec, K_max: int
+) -> Iterator[tuple[Fraction, DimensionLattice]]:
+    """Yield (alpha, lattice) pairs over reduced fractions k1/K with K <= K_max.
 
     The entire-monomial keys carry no poles and are omitted.  A key's law
     depends on k1 alone and its base on K, so the roots are solved at the
     first key of each law and every key adds only the log of its base.
+    Nothing is built before the first pair is asked for.
     """
     if K_max < 1:
         raise ValueError("K_max must be >= 1")
-    pairs = []
     roots = {}  # law -> its denominator roots
     # the Farey sequence of order K_max, ascending from its first key 1/K_max:
     # the deepest key comes first, so a key too deep for doubles fails
@@ -183,10 +175,9 @@ def build_tapestry(spec: AtomicMeasureSpec, K_max: int) -> Tapestry:
             roots[seq.law] = _pole_roots(rz.num, rz.den)
             if len(roots[seq.law]) != 1:
                 raise ValueError(f"expected one lattice for alpha={alpha}")
-        pairs.append((alpha, *_lattices(roots[seq.law], math.log(float(seq.base_length)))))
+        yield alpha, *_lattices(roots[seq.law], math.log(float(seq.base_length)))
         step = (K_max + b) // K
         a, b, k1, K = k1, K, step * k1 - a, step * K - b
-    return Tapestry(pairs=tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -332,87 +323,63 @@ def _lattice_terms(
             yield out, True
 
 
-@dataclass(frozen=True)
-class _ExplicitSetup:
-    """What ``counting_explicit`` needs of one class, whatever x is."""
+def counting_explicit(
+    system: AtomicMeasureSpec | FractalStringSpec,
+    key: RegularityKey | None,
+    xs: Iterable[float],
+    Z: int = 20000,
+    jump_guard: float = 0.02,
+) -> list[CountingResult]:
+    """Symmetric truncated pole sum sum res * x^omega / omega (+ s=0 term),
+    one result per x of ``xs``.
 
-    rz: RationalZeta
-    sequence: AlphaLengthSequence
-    head: int  # lengths equal to 1: the zeta's z^0 term
-    const: float | None  # zeta(0), or None when s = 0 is a pole
-    zero_pole: tuple[float, float] | None  # (res0, c0) when it is
-    lattices: tuple[DimensionLattice, ...]
-
-
-# every field is immutable, so one setup is safely shared by every caller and
-# thread; 64 classes are far more than one run or the verify suite counts
-@functools.lru_cache(maxsize=64)
-def _explicit_setup(
-    system: AtomicMeasureSpec | FractalStringSpec, key: RegularityKey | None
-) -> _ExplicitSetup:
+    The truncation error is O(x^Re(omega) / (Z * delta)) at log-distance
+    delta from the nearest jump; at a jump the series converges to the
+    midpoint instead, so such x are rejected by the guard.  The zeta, its
+    sequence, its lattices and its s = 0 data are derived once per call,
+    for every x.  The pole sum is ``_exact_sum``'s correctly rounded one,
+    so it needs no ordering of the terms by |Im|.  Self-conjugate lattices
+    (others are refused) give equal mirror terms: Z+1 are evaluated for
+    the sum of all 2Z+1.
+    """
+    if Z < 100:
+        raise ValueError("Z must be >= 100")
+    _check_jump_guard(jump_guard)
     rz = closed_form_zeta(system, key)
     if rz.entire:
         raise ValueError("entire zeta: no pole expansion (counting is 0 or 1)")
-    lattices = tuple(pole_lattices(rz))
+    lattices = pole_lattices(rz)
     for lat in lattices:
         if not lat.simple:
             raise ValueError("non-simple pole lattice; explicit sum unsupported")
         if lat.residue.imag != 0.0 or lat.phase_shift not in (0.0, 0.5):
             raise ValueError("lattice not self-conjugate; explicit sum unsupported")
-    v0 = rz.value_at_zero()
-    return _ExplicitSetup(
-        rz=rz,
-        sequence=closed_form_sequence(system, key),
-        head=int(rz.num(Fraction(0)) / rz.den(Fraction(0))),
-        const=None if v0 is None else float(v0),
-        zero_pole=_zero_pole_expansion(rz) if v0 is None else None,
-        lattices=lattices,
-    )
-
-
-def counting_explicit(
-    system: AtomicMeasureSpec | FractalStringSpec,
-    key: RegularityKey | None,
-    x: float,
-    Z: int = 20000,
-    jump_guard: float = 0.02,
-) -> CountingResult:
-    """Symmetric truncated pole sum sum res * x^omega / omega (+ s=0 term).
-
-    The truncation error is O(x^Re(omega) / (Z * delta)) at log-distance
-    delta from the nearest jump; at a jump the series converges to the
-    midpoint instead, so such x are rejected by the guard.  The zeta, its
-    sequence, its lattices and its s = 0 data are derived once per
-    (system, key) and kept for later x.  The pole sum is ``_exact_sum``'s
-    correctly rounded one, so it needs no ordering of the terms by |Im|.
-    Self-conjugate lattices (others are refused) give equal mirror terms:
-    Z+1 are evaluated for the sum of all 2Z+1.
-    """
-    if x <= 1:
-        raise ValueError("x must exceed 1")
-    if Z < 100:
-        raise ValueError("Z must be >= 100")
-    _check_jump_guard(jump_guard)
-    setup = _explicit_setup(system, key)
-    delta = jump_distance(setup.rz, x)
-    if delta < jump_guard:
-        raise ValueError(
-            f"x = {x} is within {jump_guard} log-units of a jump "
-            "(the truncated series converges to the midpoint there)"
-        )
-    direct = counting_direct(setup.sequence, Fraction(x)) + setup.head
-    lnx = math.log(x)
-    if setup.zero_pole is None:
-        const, zero_is_pole = setup.const, False
-    else:
-        res0, c0 = setup.zero_pole
-        const, zero_is_pole = res0 * lnx + c0, True
-    value = _exact_sum(
-        b for lat in setup.lattices for b in _lattice_terms(lat, Z, lnx, zero_is_pole)
-    ) + const
-    return CountingResult(
-        x=float(x), direct=direct, explicit_value=value, truncation_Z=Z
-    )
+    sequence = closed_form_sequence(system, key)
+    head = int(rz.num(Fraction(0)) / rz.den(Fraction(0)))  # lengths equal to 1
+    v0 = rz.value_at_zero()  # zeta(0); None when s = 0 is a pole
+    zero_is_pole = v0 is None
+    # zeta(s) = res0/s + c0 + O(s) at a pole s = 0; else c0 is zeta(0)
+    res0, c0 = _zero_pole_expansion(rz) if zero_is_pole else (None, float(v0))
+    results = []
+    for x in xs:
+        if x <= 1:
+            raise ValueError("x must exceed 1")
+        if jump_distance(rz, x) < jump_guard:
+            raise ValueError(
+                f"x = {x} is within {jump_guard} log-units of a jump "
+                "(the truncated series converges to the midpoint there)"
+            )
+        lnx = math.log(x)
+        value = _exact_sum(
+            b for lat in lattices for b in _lattice_terms(lat, Z, lnx, zero_is_pole)
+        ) + (res0 * lnx + c0 if zero_is_pole else c0)
+        results.append(CountingResult(
+            x=float(x),
+            direct=counting_direct(sequence, Fraction(x)) + head,
+            explicit_value=value,
+            truncation_Z=Z,
+        ))
+    return results
 
 
 # Draws that one `sample_off_jump_xs` call may expect to make.  On a 2-vCPU

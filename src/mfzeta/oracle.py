@@ -50,7 +50,6 @@ class IntervalRecord:
     number of intervals aggregated into the record.
     """
 
-    stage: int
     k: tuple[int, ...]
     mass: Fraction
     length: Fraction
@@ -64,7 +63,6 @@ class IntervalRecord:
 class StageEnumeration:
     """One stage of the natural partition sequence: intervals plus gaps."""
 
-    stage: int
     intervals: tuple[IntervalRecord, ...]
     gaps: tuple[IntervalRecord, ...]
 
@@ -103,7 +101,6 @@ def enumerate_stage(ifs: WeightedIFS | PreparedIFS, K: int) -> StageEnumeration:
         value = columns.value(i)
         intervals.append(
             IntervalRecord(
-                stage=K,
                 k=tuple(k),
                 mass=value.mass_pev.as_fraction(),
                 length=value.length_pev.as_fraction(),
@@ -129,7 +126,6 @@ def enumerate_stage(ifs: WeightedIFS | PreparedIFS, K: int) -> StageEnumeration:
                 num, den = num * n**ki, den * d**ki
             gaps.append(
                 IntervalRecord(
-                    stage=K,
                     k=tuple(cell),
                     mass=Fraction(0),
                     length=Fraction(num, den),
@@ -139,7 +135,7 @@ def enumerate_stage(ifs: WeightedIFS | PreparedIFS, K: int) -> StageEnumeration:
                     key_hint=InfiniteKey(),
                 )
             )
-    return StageEnumeration(stage=K, intervals=tuple(intervals), gaps=tuple(gaps))
+    return StageEnumeration(intervals=tuple(intervals), gaps=tuple(gaps))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +227,6 @@ def atomic_stage(spec: AtomicMeasureSpec, n: int) -> StageEnumeration:
         value, key = _classify_atomic_mass(spec, n, mass, length)
         records.append(
             IntervalRecord(
-                stage=n,
                 k=(first,),
                 mass=mass,
                 length=length,
@@ -241,7 +236,7 @@ def atomic_stage(spec: AtomicMeasureSpec, n: int) -> StageEnumeration:
                 key_hint=key,
             )
         )
-    return StageEnumeration(stage=n, intervals=tuple(records), gaps=())
+    return StageEnumeration(intervals=tuple(records), gaps=())
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,6 @@ class LegendrePipeline:
     b_values: tuple[float, ...]
     t_values: tuple[float, ...]
     b_star_values: tuple[float, ...]
-    degenerate: bool  # monofractal: t collapses to the single dimension
 
 
 # ---------------------------------------------------------------------------
@@ -470,30 +469,28 @@ def solve_b(ifs: WeightedIFS, q):
     return float(b[0]) if np.ndim(q) == 0 else b
 
 
-def legendre_transform(
-    ifs: WeightedIFS, q_grid: Sequence[float] | None = None
-) -> LegendrePipeline:
-    """b, t = -b', b*(t) = t q + b(q), over q_grid (b solved at once).
+# the q grid of ``legendre_transform``: -8 to 8 in steps of 0.05
+LEGENDRE_Q_GRID = tuple(-8 + 0.05 * i for i in range(round(2 * 8 / 0.05) + 1))
+
+
+def legendre_transform(ifs: WeightedIFS) -> LegendrePipeline:
+    """b, t = -b', b*(t) = t q + b(q), over ``LEGENDRE_Q_GRID`` (b solved at
+    once).
 
     t is exact: differentiating sum w_i = 1 with w_i = p_i^q r_i^b(q) gives
     b'(q) = -sum w_i log p_i / sum w_i log r_i.
     """
-    if q_grid is None:
-        n = round(2 * 8 / 0.05)
-        q_grid = [-8 + 0.05 * i for i in range(n + 1)]
-    q_grid = tuple(float(q) for q in q_grid)
-    qs = np.array(q_grid)
+    qs = np.array(LEGENDRE_Q_GRID)
     b = solve_b(ifs, qs)
     logs_p = np.array([math.log(p) for p in ifs.probs])
     logs_r = np.array([math.log(r) for r in ifs.ratios])
     w = np.exp(qs[:, None] * logs_p + b[:, None] * logs_r)
     t = (w * logs_p).sum(axis=1) / (w * logs_r).sum(axis=1)
     return LegendrePipeline(
-        q_grid=q_grid,
+        q_grid=LEGENDRE_Q_GRID,
         b_values=tuple(b.tolist()),
         t_values=tuple(t.tolist()),
         b_star_values=tuple((t * qs + b).tolist()),
-        degenerate=is_monofractal(ifs) is not None,
     )
 
 

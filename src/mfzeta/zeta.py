@@ -178,9 +178,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.scale(1 / a.coeffs[-1])
 
 
-# every class zeta of one law polynomial pair shares one reduction; 1024
-# pairs exceed the 599 of the largest tapestry the CLI allows
-@functools.lru_cache(maxsize=1024)
 def _canonical_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """gcd-reduced, integer content-free, den constant term positive."""
     g = poly_gcd(num, den)

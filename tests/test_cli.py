@@ -97,6 +97,26 @@ def test_alpha_keys_are_bounded(tmp_path, capsys, config):
     assert not out.exists() and not (tmp_path / "z.manifest.json").exists()
 
 
+def test_alpha_keys_refused_for_the_system(tmp_path, capsys, config):
+    """A string zeta takes no class key, and a one-plus-log level is at least
+    1, on `zeta` and `count` alike: exit 2, one `--alpha` line, no file."""
+    out = tmp_path / "a.csv"
+    cases = [
+        ("cantor", "1/2", "string zetas take no class key"),
+        ("fibonacci", "1", "string zetas take no class key"),
+        ("sigma1", "1+log:0", "need a one-plus-log level of at least 1, got 0"),
+        ("sigma1", "1+log:-2", "need a one-plus-log level of at least 1, got -2"),
+    ]
+    for command in ("zeta", "count"):
+        for name, alpha, message in cases:
+            argv = [command, "--config", config(name), "--alpha", alpha, "--out", str(out)]
+            assert main(argv + (["--s", "2"] if command == "zeta" else [])) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --alpha: {message}\n", (command, name, alpha)
+            assert not out.exists() and not (tmp_path / "a.manifest.json").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -396,7 +416,7 @@ def _tapestry_rows(spec, K_max):
             "residue_re": lat.residue.real + 0.0,
             "residue_im": lat.residue.imag + 0.0,
         }
-        for alpha, lat in dimensions.build_tapestry(spec, K_max).pairs
+        for alpha, lat in dimensions.build_tapestry(spec, K_max)
     ]
 
 
@@ -651,7 +671,9 @@ def test_count_lines_of_a_huge_direct_count_are_what_csv_writer_writes(tmp_path,
     system = parse_system(json.dumps(CONFIGS["fibonacci"]))
     rows = []
     for x in args.x:
-        r = dimensions.counting_explicit(system, None, x, Z=args.trunc, jump_guard=args.jump_guard)
+        (r,) = dimensions.counting_explicit(
+            system, None, [x], Z=args.trunc, jump_guard=args.jump_guard
+        )
         rows.append((r.x, r.direct, r.explicit_value, r.explicit_value - r.direct))
     assert rows[0][1] > 2**64
     header = "x,direct,explicit,error"

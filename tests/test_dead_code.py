@@ -55,3 +55,22 @@ def test_every_method_is_reached_as_an_attribute_in_the_package():
                 if name not in reached:
                     unused.append(f"{stem}.{cls.name}.{name}")
     assert unused == []
+
+
+def test_every_module_level_import_is_used():
+    """A name a module imports at its top level is read in that module; a
+    deletion that leaves its import behind fails here.  ``__future__``
+    imports bind no name."""
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.stem}: {name}")
+    assert unused == []

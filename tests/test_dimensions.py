@@ -16,12 +16,11 @@ from mfzeta import dimensions
 from mfzeta.ifs_core import AtomicMeasureSpec, FractalStringSpec, WeightedIFS
 from mfzeta.regularity import FractionKey, OnePlusLogKey
 from mfzeta import zeta
-from mfzeta.zeta import KeyRangeError, Poly, RationalZeta, _canonical_pair, closed_form_zeta
+from mfzeta.zeta import KeyRangeError, Poly, RationalZeta, closed_form_zeta
 from mfzeta.dimensions import (
     _BLOCK,
     DimensionLattice,
     _exact_sum,
-    _explicit_setup,
     _lattice_terms,
     _zero_pole_expansion,
     build_tapestry,
@@ -208,48 +207,30 @@ def test_lattices_are_bit_identical_to_the_per_key_algorithm():
         ], rz.label
 
 
-def test_canonical_pair_cache_returns_the_uncached_pair():
-    pairs = [
-        (Poly((F(0), F(2))), Poly((F(4), F(-8)))),  # content 2
-        (Poly((F(0), F(1, 2))), Poly((F(-1), F(3, 2)))),  # den(0) < 0
-        # z(1 - 2z) and (1 - z)(1 - 2z): common factor 1 - 2z
-        (Poly((F(0), F(1), F(-2))), Poly((F(1), F(-3), F(2)))),
-        (Poly((F(1),)), Poly((F(1), F(-4), F(4)))),
-    ]
-    for spec, key in ((CANTOR, None), (FIB, None), (SIGMA2, FractionKey(F(3, 7)))):
-        law = closed_form_sequence(spec, key).law
-        pairs.append(tuple(Poly(c) for c in law.generating_function()))
-    for num, den in pairs:
-        want = _canonical_pair.__wrapped__(num, den)
-        assert _canonical_pair(num, den) == want
-        assert _canonical_pair(num, den) == want  # a cache hit
-        assert all(isinstance(c, Fraction) for p in want for c in p.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # tapestry
 # ---------------------------------------------------------------------------
 
 
 def test_tapestry_sigma1_on_imaginary_axis():
-    tap = build_tapestry(SIGMA1, 3)
-    assert [a for a, _ in tap.pairs] == [F(1, 3), F(1, 2), F(2, 3), F(1)]
-    for _, lat in tap.pairs:
+    tap = list(build_tapestry(SIGMA1, 3))
+    assert [a for a, _ in tap] == [F(1, 3), F(1, 2), F(2, 3), F(1)]
+    for _, lat in tap:
         assert abs(lat.real_part) <= 1e-12
 
 
 def test_tapestry_sigma2_real_parts_follow_spectrum():
-    tap = build_tapestry(SIGMA2, 6)
-    assert len(tap.pairs) == 12  # sum of phi(K), K <= 6
-    for alpha, lat in tap.pairs:
+    tap = list(build_tapestry(SIGMA2, 6))
+    assert len(tap) == 12  # sum of phi(K), K <= 6
+    for alpha, lat in tap:
         assert lat.real_part == pytest.approx(float(alpha) * LOG3_2, abs=1e-12)
 
 
 def test_tapestry_generalized_m2_identical_to_sigma2():
-    t2 = build_tapestry(SIGMA2, 4)
-    tg = build_tapestry(AtomicMeasureSpec(family="generalized", m=2), 4)
-    assert [a for a, _ in t2.pairs] == [a for a, _ in tg.pairs]
-    for (_, l2), (_, lg) in zip(t2.pairs, tg.pairs):
+    t2 = list(build_tapestry(SIGMA2, 4))
+    tg = list(build_tapestry(AtomicMeasureSpec(family="generalized", m=2), 4))
+    assert [a for a, _ in t2] == [a for a, _ in tg]
+    for (_, l2), (_, lg) in zip(t2, tg):
         assert l2.real_part == lg.real_part
         assert l2.period == lg.period
         assert l2.residue == lg.residue
@@ -260,20 +241,30 @@ def test_tapestry_solves_each_law_polynomial_once(monkeypatch):
     root_calls, gcd_calls = [], []
     monkeypatch.setattr(np, "roots", lambda p: root_calls.append(p) or roots(p))
     monkeypatch.setattr(zeta, "poly_gcd", lambda a, b: gcd_calls.append(a) or gcd(a, b))
-    dimensions._pole_roots.cache_clear()
-    _canonical_pair.cache_clear()
-    tap = build_tapestry(SIGMA2, 20)
-    assert len(tap.pairs) == 128  # sum of phi(K), K <= 20
+    tap = list(build_tapestry(SIGMA2, 20))
+    assert len(tap) == 128  # sum of phi(K), K <= 20
     # one law polynomial per numerator k1 = 1..19, and alpha = 1's own
     assert len(root_calls) == len(gcd_calls) == 20
-    # a fresh build shares every root solve and reduction
-    assert build_tapestry(SIGMA2, 20) == tap
-    assert len(root_calls) == len(gcd_calls) == 20
+    # a fresh build solves them afresh, to the same lattices
+    assert list(build_tapestry(SIGMA2, 20)) == tap
+    assert len(root_calls) == len(gcd_calls) == 40
+
+
+def test_tapestry_is_built_as_it_is_read(monkeypatch):
+    solve = dimensions._pole_roots
+    calls = []
+    monkeypatch.setattr(dimensions, "_pole_roots", lambda *pair: calls.append(pair) or solve(*pair))
+    pairs = build_tapestry(SIGMA2, 599)
+    assert calls == []
+    alpha, lat = next(pairs)
+    assert alpha == F(1, 599) and len(calls) == 1
+    (want,) = pole_lattices(closed_form_zeta(SIGMA2, FractionKey(alpha)))
+    assert _bits(lat) == _bits(want)
 
 
 def test_tapestry_keys_ascend_from_the_deepest(monkeypatch):
     for K_max in (1, 2, 7, 24):
-        alphas = [a for a, _ in build_tapestry(M3, K_max).pairs]
+        alphas = [a for a, _ in build_tapestry(M3, K_max)]
         want = sorted(
             {F(k1, K) for K in range(1, K_max + 1) for k1 in range(1, K + 1)}
         )
@@ -283,20 +274,20 @@ def test_tapestry_keys_ascend_from_the_deepest(monkeypatch):
     calls = []
     monkeypatch.setattr(dimensions, "_pole_roots", lambda *pair: calls.append(pair))
     with pytest.raises(KeyRangeError):
-        build_tapestry(M3, 463)
+        next(build_tapestry(M3, 463))
     assert calls == []
 
 
 def test_tapestry_lattices_are_bit_identical_to_each_keys_zeta():
     for spec in (SIGMA1, SIGMA2, M3):
-        for alpha, lat in build_tapestry(spec, 24).pairs:
+        for alpha, lat in build_tapestry(spec, 24):
             (want,) = pole_lattices(closed_form_zeta(spec, FractionKey(alpha)))
             assert _bits(lat) == _bits(want), (spec, alpha)
 
 
 def test_tapestry_validates_kmax():
     with pytest.raises(ValueError):
-        build_tapestry(SIGMA1, 0)
+        next(build_tapestry(SIGMA1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -349,19 +340,19 @@ def test_closed_form_sequence_rejects_bad_inputs():
 
 
 def test_explicit_matches_direct_at_examples():
-    r = counting_explicit(SIGMA1, FractionKey(F(1, 2)), 100.0, Z=10000)
+    (r,) = counting_explicit(SIGMA1, FractionKey(F(1, 2)), [100.0], Z=10000)
     assert r.direct == 2
     assert abs(r.explicit_value - r.direct) <= 0.05
 
-    r = counting_explicit(SIGMA2, FractionKey(F(1)), 10.0, Z=20000)
+    (r,) = counting_explicit(SIGMA2, FractionKey(F(1)), [10.0], Z=20000)
     assert r.direct == 9
     assert abs(r.explicit_value - r.direct) <= 0.05
 
-    r = counting_explicit(CANTOR, None, 10.0, Z=10000)
+    (r,) = counting_explicit(CANTOR, None, [10.0], Z=10000)
     assert r.direct == 3
     assert abs(r.explicit_value - r.direct) <= 0.05
 
-    r = counting_explicit(FIB, None, 5.0, Z=10000)
+    (r,) = counting_explicit(FIB, None, [5.0], Z=10000)
     assert r.direct == 4
     assert abs(r.explicit_value - r.direct) <= 0.05
 
@@ -382,10 +373,11 @@ def test_explicit_matches_direct_at_examples():
     ],
 )
 def test_explicit_rounds_to_direct_on_samples(system, key, hi):
-    rz = closed_form_zeta(system, key)
-    for x in sample_off_jump_xs(rz, count=6, hi=hi, seed=11):
-        r = counting_explicit(system, key, x, Z=20000)
-        assert round(r.explicit_value) == r.direct, (x, r)
+    xs = sample_off_jump_xs(closed_form_zeta(system, key), count=6, hi=hi, seed=11)
+    results = counting_explicit(system, key, xs, Z=20000)
+    assert [r.x for r in results] == xs
+    for r in results:
+        assert round(r.explicit_value) == r.direct, r
         assert r.truncation_Z == 20000
 
 
@@ -447,7 +439,7 @@ def test_explicit_is_bit_identical_to_term_by_term_sum(system, key):
             blocks = _lattice_terms(lat, Z, math.log(x), zero_is_pole)
             half = [(t, 1 + paired) for block, paired in blocks for t in block]
             assert half == [(terms[j], weight[j]) for j in range(Z + 1) if j in terms]
-        assert counting_explicit(system, key, x, Z).explicit_value == value, x
+        assert counting_explicit(system, key, [x], Z)[0].explicit_value == value, x
 
 
 def test_numpy_cos_is_even_and_sin_odd_bit_for_bit():
@@ -466,12 +458,8 @@ def test_numpy_cos_is_even_and_sin_odd_bit_for_bit():
 def test_explicit_refuses_lattices_that_are_not_self_conjugate(monkeypatch, change):
     bad = dataclasses.replace(pole_lattices(closed_form_zeta(CANTOR))[0], **change)
     monkeypatch.setattr(dimensions, "pole_lattices", lambda rz: [bad])
-    _explicit_setup.cache_clear()
-    try:
-        with pytest.raises(ValueError, match="not self-conjugate"):
-            counting_explicit(CANTOR, None, 10.0, Z=1000)
-    finally:
-        _explicit_setup.cache_clear()
+    with pytest.raises(ValueError, match="not self-conjugate"):
+        counting_explicit(CANTOR, None, [10.0], Z=1000)
 
 
 # cantor: one lattice at shift 0; fibonacci: shifts 0 and 1/2; sigma1 1/2:
@@ -495,16 +483,18 @@ def test_explicit_evaluates_half_of_each_lattice(monkeypatch, system, key, dropp
         return exact_sum(blocks)
 
     x = sample_off_jump_xs(closed_form_zeta(system, key), count=1, seed=4)[0]
-    lattices = len(_explicit_setup(system, key).lattices)
+    lattices = len(pole_lattices(closed_form_zeta(system, key)))
     monkeypatch.setattr(np, "cos", counted_cos)
     monkeypatch.setattr(dimensions, "_exact_sum", counted_sum)
-    counting_explicit(system, key, x, Z)
+    counting_explicit(system, key, [x], Z)
     assert sum(evaluated) == lattices * (Z + 1) - dropped
     # the terms stand for all 2Z+1 poles of each lattice
     assert sum(n * (1 + paired) for n, paired in summed) == lattices * (2 * Z + 1) - dropped
 
 
 def test_explicit_derives_lattices_once_per_class(monkeypatch):
+    """One call counts every x of a class from one derivation of its
+    lattices; nothing is kept for the next call."""
     calls = []
 
     def counted(rz):
@@ -512,14 +502,32 @@ def test_explicit_derives_lattices_once_per_class(monkeypatch):
         return pole_lattices(rz)
 
     monkeypatch.setattr(dimensions, "pole_lattices", counted)
-    _explicit_setup.cache_clear()
-    rz = closed_form_zeta(FIB)
-    xs = sample_off_jump_xs(rz, count=4, seed=5)
-    values = [counting_explicit(FIB, None, x, Z=1000).explicit_value for x in xs]
+    xs = sample_off_jump_xs(closed_form_zeta(FIB), count=4, seed=5)
+    values = [r.explicit_value for r in counting_explicit(FIB, None, xs, Z=1000)]
     assert len(calls) == 1
-    _explicit_setup.cache_clear()
-    assert [counting_explicit(FIB, None, x, Z=1000).explicit_value for x in xs] == values
+    assert [r.explicit_value for r in counting_explicit(FIB, None, xs, Z=1000)] == values
     assert len(calls) == 2
+
+
+# cantor: one lattice; fibonacci: the z^0 head and a shifted lattice; sigma1
+# 1/2: the double pole at s = 0
+@pytest.mark.parametrize(
+    "system, key", [(CANTOR, None), (FIB, None), (SIGMA1, FractionKey(F(1, 2)))]
+)
+def test_explicit_over_many_x_is_each_x_alone(system, key):
+    rz = closed_form_zeta(system, key)
+    xs = sample_off_jump_xs(rz, count=8, hi=1e9, seed=13)
+    together = counting_explicit(system, key, xs, Z=2000)
+    for x, r in zip(xs, together, strict=True):
+        (alone,) = counting_explicit(system, key, [x], Z=2000)
+        assert (r.x.hex(), r.direct, r.explicit_value.hex()) == (
+            alone.x.hex(), alone.direct, alone.explicit_value.hex()
+        )
+    # an x on a jump is refused alone and among others
+    on_jump = math.exp(3 * rz.log_unit)
+    for batch in ([on_jump], [*xs, on_jump]):
+        with pytest.raises(ValueError, match="log-units of a jump"):
+            counting_explicit(system, key, batch, Z=2000)
 
 
 # ---------------------------------------------------------------------------
@@ -618,22 +626,22 @@ def test_exact_sum_refuses_non_finite_terms(bad):
 
 def test_explicit_rejects_jump_proximity():
     with pytest.raises(ValueError, match="jump"):
-        counting_explicit(SIGMA2, FractionKey(F(1)), 9.0, Z=1000)
+        counting_explicit(SIGMA2, FractionKey(F(1)), [9.0], Z=1000)
     with pytest.raises(ValueError, match="jump"):
-        counting_explicit(CANTOR, None, 27.2, Z=1000)
+        counting_explicit(CANTOR, None, [27.2], Z=1000)
     # the sampler's guard rule holds for given x too
     for guard in (math.nan, -1.0, math.inf, 0.5):
         with pytest.raises(ValueError, match="jump guard"):
-            counting_explicit(CANTOR, None, 3.5, Z=1000, jump_guard=guard)
+            counting_explicit(CANTOR, None, [3.5], Z=1000, jump_guard=guard)
 
 
 def test_explicit_validates_arguments():
     with pytest.raises(ValueError):
-        counting_explicit(CANTOR, None, 0.5, Z=1000)
+        counting_explicit(CANTOR, None, [0.5], Z=1000)
     with pytest.raises(ValueError):
-        counting_explicit(CANTOR, None, 10.0, Z=50)
+        counting_explicit(CANTOR, None, [10.0], Z=50)
     with pytest.raises(ValueError):
-        counting_explicit(SIGMA1, OnePlusLogKey(1), 10.0, Z=1000)
+        counting_explicit(SIGMA1, OnePlusLogKey(1), [10.0], Z=1000)
 
 
 def test_cantor_log_periodicity():
@@ -645,8 +653,8 @@ def test_cantor_log_periodicity():
     ratio2 = (counting_direct(seq, F(3 * x)) + 1) / (3 * x) ** d
     assert ratio1 == pytest.approx(ratio2, rel=1e-12)
     # and within truncation error for the explicit values
-    e1 = counting_explicit(CANTOR, None, x, Z=20000).explicit_value
-    e2 = counting_explicit(CANTOR, None, 3 * x, Z=20000).explicit_value
+    r1, r2 = counting_explicit(CANTOR, None, [x, 3 * x], Z=20000)
+    e1, e2 = r1.explicit_value, r2.explicit_value
     assert (e1 + 1) / x**d == pytest.approx((e2 + 1) / (3 * x) ** d, abs=1e-2)
 
 

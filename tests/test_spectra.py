@@ -202,7 +202,6 @@ def test_legendre_beta0_pipeline():
     # b(0) = 1, so b*(t(0)) = 1
     i0 = min(range(len(pipe.q_grid)), key=lambda i: abs(pipe.q_grid[i]))
     assert pipe.b_star_values[i0] == pytest.approx(1.0, abs=1e-9)
-    assert not pipe.degenerate
 
 
 def test_legendre_trident_peak_is_moran():
@@ -212,8 +211,7 @@ def test_legendre_trident_peak_is_moran():
 
 
 def test_legendre_monofractal_degenerates():
-    pipe = legendre_transform(RHO, q_grid=[-2.0, -1.0, 0.0, 1.0, 2.0])
-    assert pipe.degenerate
+    pipe = legendre_transform(RHO)
     for t in pipe.t_values:
         assert t == pytest.approx(LOG3_2, abs=1e-7)
     for bs in pipe.b_star_values:

@@ -78,6 +78,12 @@ def test_rational_zeta_canonicalization():
     # denominator constant term forced positive
     z2 = RationalZeta(num=Poly((F(0), F(1)),), den=Poly((F(-1), F(2))), base=F(1, 2))
     assert z2.den.coeffs[0] > 0
+    # z(1 - 2z) / ((1 - z)(1 - 2z)): the common factor 1 - 2z is divided out
+    z3 = RationalZeta(
+        num=Poly((F(0), F(1), F(-2))), den=Poly((F(1), F(-3), F(2))), base=F(1, 2)
+    )
+    assert z3.num.coeffs == (F(0), F(1)) and z3.den.coeffs == (F(1), F(-1))
+    assert all(isinstance(c, F) for p in (z3.num, z3.den) for c in p.coeffs)
 
 
 # ---- Classical strings ----
