@@ -315,6 +315,8 @@ def cmd_zeta(args) -> int:
     _require_finite("--s", s)
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ConfigError("--tol", f"need a finite tail bound above 0, got {args.tol}")
+    if args.terms < 1:
+        raise ConfigError("--terms", f"need at least one series term, got {args.terms}")
     if args.terms > ZETA_TERM_CAP:
         raise ConfigError(
             "--terms", f"{args.terms:,} series terms exceed the cap of {ZETA_TERM_CAP:,} per run"
@@ -433,14 +435,30 @@ def cmd_count(args) -> int:
     floats = [("--xmin", args.xmin), ("--xmax", args.xmax), *(("--x", x) for x in args.x or ())]
     for flag, value in floats:
         _require_finite(flag, value)
+    if args.trunc < 100:
+        raise ConfigError("--trunc", f"need a truncation Z of at least 100, got {args.trunc}")
+    for x in args.x or ():
+        if x <= 1:
+            raise ConfigError("--x", f"need x above 1, got {x}")
+    if not args.x:
+        if args.samples < 1:
+            raise ConfigError("--samples", f"need at least one sample, got {args.samples}")
+        if not 1 < args.xmin < args.xmax:
+            raise ConfigError(
+                "--xmin", f"need 1 < xmin < xmax, got xmin {args.xmin} and xmax {args.xmax}"
+            )
+    if not 0 <= args.jump_guard < 0.5:
+        raise ConfigError(
+            "--jump-guard",
+            f"need a jump guard in [0, 0.5), got {args.jump_guard}: "
+            "jumps are one log-unit apart",
+        )
     rz = _class_zeta(closed_form_zeta, system, key)
-    if not args.x and args.samples < 1:
-        raise ConfigError("--samples", f"need at least one sample, got {args.samples}")
     points = len(args.x) if args.x else args.samples
     # every pole lattice of a class zeta has the period 2 pi / -ln(base)
     period = 2 * math.pi / rz.log_unit
-    lnx = max((math.log(x) for x in args.x or [args.xmax] if x > 1), default=0.0)
-    fast = args.trunc if lnx == 0 else min(args.trunc, int(FAST_TRIG_ARG / (period * lnx)))
+    lnx = math.log(max(args.x or [args.xmax]))  # above 0: every x exceeds 1
+    fast = min(args.trunc, int(FAST_TRIG_ARG / (period * lnx)))
     slow = 2 * (args.trunc - fast)  # terms per x past FAST_TRIG_ARG
     terms = (2 * args.trunc + 1 + POLE_TERMS_PER_X + (SLOW_TERM_WEIGHT - 1) * slow) * points
     if terms > POLE_TERM_CAP:

@@ -20,20 +20,18 @@ import numpy as np
 from .ifs_core import AtomicMeasureSpec, FractalStringSpec
 from .regularity import FractionKey, RegularityKey
 from .sequences import AlphaLengthSequence
-from .zeta import Poly, RationalZeta, closed_form_sequence, closed_form_zeta
+from .zeta import Poly, RationalZeta, closed_form_sequence, closed_form_zeta, poly_gcd
 
 
 @dataclass(frozen=True)
 class DimensionLattice:
-    """Vertical lattice of poles real_part + i * period * (j + phase_shift)."""
+    """Vertical lattice of simple poles real_part + i * period * (j + phase_shift)."""
 
     real_part: float
     period: float
     phase_shift: float
     root_z: complex
-    residue: complex | None  # constant along the lattice; None when non-simple
-    simple: bool
-    multiplicity: int
+    residue: complex  # constant along the lattice
 
 
 @dataclass(frozen=True)
@@ -50,50 +48,36 @@ class CountingResult:
 
 
 class _Root(NamedTuple):
-    """One merged denominator root, with what its lattice needs of num/den
-    that does not depend on the base."""
+    """One denominator root, with what its lattice needs of num/den that
+    does not depend on the base."""
 
     root: complex
-    multiplicity: int
     log_abs: float  # log |root|
     shift: float  # phase shift of the lattice, in [0, 1)
-    num_at: complex | None  # num(root), None when repeated
-    dden_at: complex | None  # den'(root), None when repeated
+    num_at: complex  # num(root)
+    dden_at: complex  # den'(root)
 
 
 def _pole_roots(num: Poly, den: Poly) -> tuple[_Root, ...]:
     """Denominator roots from companion-matrix eigenvalues with one Newton
-    polish step; numerically repeated roots are merged."""
-    coeffs = [float(c) for c in den.coeffs]
-    roots = list(np.roots(coeffs[::-1]))
+    polish step.  A square-free denominator is required, decided exactly:
+    a root shared with den' would be a pole of higher order."""
     dprime = den.derivative()
-    polished = []
-    for r in roots:
+    if poly_gcd(den, dprime).degree > 0:
+        raise ValueError("repeated denominator root: only simple poles have lattices")
+    out = []
+    for r in np.roots([float(c) for c in reversed(den.coeffs)]):
         r = complex(r)
         dp = dprime(r)
         if abs(dp) > 1e-12:
             r = r - den(r) / dp
-        polished.append(r)
-    groups: list[list[complex]] = []
-    for r in sorted(polished, key=lambda c: (c.real, c.imag)):
-        for g in groups:
-            if abs(r - g[0]) < 1e-8 * max(1.0, abs(r)):
-                g.append(r)
-                break
-        else:
-            groups.append([r])
-    out = []
-    for g in groups:
-        root = sum(g) / len(g)
-        simple = len(g) == 1
         out.append(
             _Root(
-                root=root,
-                multiplicity=len(g),
-                log_abs=math.log(abs(root)),
-                shift=(-cmath.phase(root) / (2 * math.pi)) % 1.0,
-                num_at=num(root) if simple else None,
-                dden_at=dprime(root) if simple else None,
+                root=r,
+                log_abs=math.log(abs(r)),
+                shift=(-cmath.phase(r) / (2 * math.pi)) % 1.0,
+                num_at=num(r),
+                dden_at=dprime(r),
             )
         )
     return tuple(out)
@@ -109,23 +93,18 @@ def pole_lattices(rz: RationalZeta) -> list[DimensionLattice]:
 
 def _lattices(roots: tuple[_Root, ...], log_b: float) -> list[DimensionLattice]:
     """The lattices of ``roots`` at a base of log ``log_b`` (negative): the
-    real parts, the period and the residues num(z)/(den'(z) * dz/ds),
-    omitted at repeated roots."""
+    real parts, the period and the residues num(z)/(den'(z) * dz/ds)."""
     period = 2 * math.pi / -log_b
-    lattices = []
-    for r in roots:
-        simple = r.multiplicity == 1
-        lattices.append(
-            DimensionLattice(
-                real_part=r.log_abs / log_b + 0.0,  # normalize -0.0
-                period=period,
-                phase_shift=r.shift,
-                root_z=r.root,
-                residue=r.num_at / (r.dden_at * (r.root * log_b)) if simple else None,
-                simple=simple,
-                multiplicity=r.multiplicity,
-            )
+    lattices = [
+        DimensionLattice(
+            real_part=r.log_abs / log_b + 0.0,  # normalize -0.0
+            period=period,
+            phase_shift=r.shift,
+            root_z=r.root,
+            residue=r.num_at / (r.dden_at * (r.root * log_b)),
         )
+        for r in roots
+    ]
     lattices.sort(key=lambda l: (-l.real_part, l.phase_shift))
     return lattices
 
@@ -350,8 +329,6 @@ def counting_explicit(
         raise ValueError("entire zeta: no pole expansion (counting is 0 or 1)")
     lattices = pole_lattices(rz)
     for lat in lattices:
-        if not lat.simple:
-            raise ValueError("non-simple pole lattice; explicit sum unsupported")
         if lat.residue.imag != 0.0 or lat.phase_shift not in (0.0, 0.5):
             raise ValueError("lattice not self-conjugate; explicit sum unsupported")
     sequence = closed_form_sequence(system, key)

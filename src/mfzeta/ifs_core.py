@@ -135,9 +135,7 @@ def factorize_int(n: int) -> dict[int, int]:
 class PrimeExponentVector:
     """A positive rational written multiplicatively: prod over primes p^e.
 
-    The empty vector represents 1.  Supports the exact linear algebra
-    needed for regularity comparison (integer scaling, addition) and
-    reconstruction of the underlying rational.
+    The empty vector represents 1; ``as_fraction`` rebuilds the rational.
     """
 
     __slots__ = ("_e",)
@@ -163,11 +161,6 @@ class PrimeExponentVector:
             else:
                 den *= p**-e
         return Fraction(num, den)
-
-    def scaled(self, c: int) -> "PrimeExponentVector":
-        if c == 0:
-            return PrimeExponentVector()
-        return PrimeExponentVector({p: c * e for p, e in self._e.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeExponentVector) and self._e == other._e
@@ -229,9 +222,6 @@ class WeightedIFS:
 
     def equal_ratios(self) -> bool:
         return len(set(self.ratios)) == 1
-
-    def total_mass(self) -> Fraction:
-        return Fraction(1)
 
 
 @dataclass(frozen=True)

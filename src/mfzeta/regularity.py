@@ -404,10 +404,9 @@ class PreparedIFS:
     one regularity, so a class vector has one slot per distinct probability,
     in ascending order; otherwise it has one slot per map.  ``slot_of`` sends
     each map to its slot, ``multiplicities`` counts the maps in each slot,
-    and ``slot_ratios`` and ``slot_r_pev`` hold each slot's ratio and
-    factorized ratio.  The independence verdict and its witness refer to the
-    distinct probabilities of an equal-ratio system and are trivially true
-    otherwise.
+    and ``slot_ratios`` holds each slot's ratio.  The independence verdict
+    and its witness refer to the distinct probabilities of an equal-ratio
+    system and are trivially true otherwise.
 
     For the columns, the factorized probabilities and ratios are int64
     matrices over the system's ``primes``: row q of ``P`` and of ``R`` holds
@@ -421,7 +420,6 @@ class PreparedIFS:
     slot_of: tuple[int, ...]
     multiplicities: tuple[int, ...]
     slot_ratios: tuple[Fraction, ...]
-    slot_r_pev: tuple[PrimeExponentVector, ...]
     independent: bool
     witness: tuple[int, ...] | None
     primes: tuple[int, ...]
@@ -493,7 +491,6 @@ def prepare(system: WeightedIFS | PreparedIFS) -> PreparedIFS:
         slot_of=slot_of,
         multiplicities=mult,
         slot_ratios=ratios,
-        slot_r_pev=r_pev,
         independent=independent,
         witness=witness,
         primes=primes,

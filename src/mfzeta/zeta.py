@@ -4,8 +4,7 @@ A class zeta is the series sum_n m_n (base^n)^s of an ``AlphaLengthSequence``:
 a base length and a multiplicity law, evaluated with certified geometric
 tail bounds.  ``closed_form_sequence`` is the one table of the string and
 atomic classes; their exact rational zetas in z = base^s are the generating
-functions of its laws.  IFS classes spanned by single maps get a rational
-zeta from their sub-monoid.  Abscissas of convergence come in a closed
+functions of its laws.  Abscissas of convergence come in a closed
 (entropy-formula) flavor and a numeric root-test flavor.
 """
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 from .ifs_core import (
     AtomicMeasureSpec,
     FractalStringSpec,
-    PrimeExponentVector,
     WeightedIFS,
 )
 from .regularity import (
@@ -30,13 +28,11 @@ from .regularity import (
     OnePlusLogKey,
     PreparedIFS,
     RegularityKey,
-    VectorKey,
     class_columns,
     class_row,
     prepare,
     primitive_matrix,
     row_fsums,
-    unit_rows,
 )
 from .sequences import (
     AlphaLengthSequence,
@@ -137,9 +133,6 @@ class Poly:
         a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
         b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
         return Poly(tuple(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.scale(Fraction(-1))
 
     def scale(self, c: Fraction) -> "Poly":
         return Poly(tuple(Fraction(c) * x for x in self.coeffs))
@@ -448,63 +441,6 @@ def abscissa_root_test(zeta: AlphaLengthSequence, n: int) -> AbscissaResult:
 # ---------------------------------------------------------------------------
 
 
-def _common_base(pevs: Sequence[PrimeExponentVector]) -> tuple[Fraction, list[int]]:
-    """Write each value as base^e_i for one rational base in (0,1), integer e_i >= 1."""
-    first = pevs[0]
-    exps = list(first.exponents().values())
-    g = 0
-    for e in exps:
-        g = math.gcd(g, abs(e))
-    direction = PrimeExponentVector({p: e // g for p, e in first.items()})
-    if direction.as_fraction() >= 1:
-        direction = direction.scaled(-1)
-    p0, d0 = next(iter(direction.items()))
-    out = []
-    for pev in pevs:
-        e = pev.exponents().get(p0, 0) // d0
-        if e < 1 or pev != direction.scaled(e):
-            raise ValueError("contraction ratios admit no common rational base")
-        out.append(e)
-    return direction.as_fraction(), out
-
-
-def _monoid_zeta(prepared: PreparedIFS, key: VectorKey) -> RationalZeta:
-    """Lattice zeta of a class equal to the sub-monoid of maps attaining it.
-
-    The class of `key` must be spanned by the maps i whose single-map
-    regularity equals the class value, with every other map shifting
-    regularity strictly to the same side; then words over those maps
-    enumerate the class and zeta = E(z)/(1 - E(z)) with E = sum z^{e_i}.
-    """
-    ifs = prepared.ifs
-    # the class first, then each single map
-    rows = np.vstack((class_row(prepared, prepared.class_vector(key.vector)), unit_rows(prepared)))
-    columns = class_columns(prepared, rows)
-    number = columns.partition()
-    support = np.flatnonzero(number[1:] == number[0]).tolist()
-    if not support:
-        raise ValueError(
-            f"class {key} is not generated by single maps; no lattice closed form"
-        )
-    alpha = columns.alpha[0].item()
-    off = [
-        math.log(ifs.probs[i]) - alpha * math.log(ifs.ratios[i])
-        for i in range(ifs.N)
-        if i not in support
-    ]
-    if any(abs(c) < 1e-9 for c in off) or (min(off, default=0.0) < 0 < max(off, default=0.0)):
-        raise ValueError(
-            f"class {key} may extend beyond the single-map monoid; refusing closed form"
-        )
-    base, exps = _common_base([prepared.slot_r_pev[prepared.slot_of[i]] for i in support])
-    e_coeffs = [Fraction(0)] * (max(exps) + 1)
-    for e in exps:
-        e_coeffs[e] += 1
-    E = Poly(tuple(e_coeffs))
-    one = Poly((Fraction(1),))
-    return RationalZeta(num=E, den=one - E, base=base, label=f"class {key}")
-
-
 def closed_form_sequence(
     system: AtomicMeasureSpec | FractalStringSpec, key: RegularityKey | None = None
 ) -> AlphaLengthSequence:
@@ -548,20 +484,16 @@ def closed_form_sequence(
 
 
 def closed_form_zeta(
-    system: WeightedIFS | PreparedIFS | AtomicMeasureSpec | FractalStringSpec,
-    key: RegularityKey | None = None,
+    system: AtomicMeasureSpec | FractalStringSpec, key: RegularityKey | None = None
 ) -> RationalZeta:
-    """Exact rational-lattice zeta for the families that admit one.
+    """Exact rational-lattice zeta of a string or atomic class: the
+    generating function of the law in ``closed_form_sequence``.
 
     Strings: the whole geometric zeta.  Atomic families: the class keyed
     by k1/K (or a one-plus-log level for the half-weight leftmost cells,
-    an entire monomial).  Both are the generating function of the law in
-    ``closed_form_sequence``.  IFS systems: sub-monoid classes only.
+    an entire monomial).  Every denominator is 1 - g z, 1 - z - z^2 or a
+    constant, so every pole is simple.
     """
-    if isinstance(system, (WeightedIFS, PreparedIFS)):
-        if not isinstance(key, VectorKey):
-            raise ValueError("IFS closed forms are keyed by exponent vectors")
-        return _monoid_zeta(prepare(system), key)
     seq = closed_form_sequence(system, key)
     num, den = (Poly(c) for c in seq.law.generating_function())
     if isinstance(system, FractalStringSpec) and system.family == "fibonacci":

@@ -117,6 +117,44 @@ def test_alpha_keys_refused_for_the_system(tmp_path, capsys, config):
             assert not out.exists() and not (tmp_path / "a.manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "name, argv, flag",
+    [
+        ("cantor", ["count", "--trunc", "50", "--x", "10"], "--trunc"),
+        ("sigma1", ["count", "--alpha", "1/2", "--trunc", "-3"], "--trunc"),
+        ("cantor", ["count", "--x", "0.5"], "--x"),
+        ("cantor", ["count", "--x", "10", "--x", "1"], "--x"),
+        ("cantor", ["count", "--xmin", "0.1", "--xmax", "0.9"], "--xmin"),
+        # a range reaching below 1 is refused whatever the seed would draw
+        ("cantor", ["count", "--xmin", "0.5"], "--xmin"),
+        ("cantor", ["count", "--xmin", "10", "--xmax", "5"], "--xmin"),
+        ("cantor", ["count", "--jump-guard", "0.7"], "--jump-guard"),
+        ("fibonacci", ["count", "--jump-guard", "-0.1", "--x", "10"], "--jump-guard"),
+        ("cantor", ["zeta", "--s", "2", "--terms", "0"], "--terms"),
+        ("beta", ["zeta", "--alpha", "2,1", "--s", "2", "--terms", "-1"], "--terms"),
+    ],
+)
+def test_count_and_zeta_flags_are_refused_by_name(
+    tmp_path, capsys, config, monkeypatch, name, argv, flag
+):
+    """A bad --trunc, --x, --xmin, --jump-guard or --terms is refused before
+    any zeta is built: exit 2, one line naming the flag, no file."""
+
+    def built(*args, **kwargs):
+        raise AssertionError("a zeta was built")
+
+    for builder in ("closed_form_zeta", "multinomial_zeta"):
+        monkeypatch.setattr(cli, builder, built)
+    out = tmp_path / "a.csv"
+    command, *flags = argv
+    assert main([command, "--config", config(name), *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag}: "), err
+    assert not out.exists() and not (tmp_path / "a.manifest.json").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -793,7 +831,7 @@ def test_count_refuses_unguardable_ranges_and_guards(tmp_path, capsys, config, m
     for guard in ("nan", "-1", "inf", "0.5"):
         assert main([*cantor, "--x", "3", "--x", "9", "--jump-guard", guard]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: jump guard"), guard
+        assert len(err) == 1 and err[0].startswith("error: --jump-guard: "), guard
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -55,7 +55,6 @@ def test_cantor_lattice():
     assert lat.real_part == pytest.approx(LOG3_2, abs=1e-12)
     assert lat.period == pytest.approx(2 * math.pi / math.log(3), abs=1e-12)
     assert lat.phase_shift == pytest.approx(0.0, abs=1e-12)
-    assert lat.simple and lat.multiplicity == 1
     assert lat.root_z == pytest.approx(0.5, abs=1e-12)
     assert lat.residue == pytest.approx(1 / (2 * math.log(3)), abs=1e-12)
 
@@ -110,16 +109,13 @@ def test_residue_constant_along_lattice():
             assert abs(residue_numeric(rz, w) - lat.residue) < 1e-9
 
 
-def test_non_simple_root_flagged():
-    # denominator (1 - 2z)^2
+def test_repeated_root_refused():
+    # denominator (1 - 2z)^2: a double pole, decided exactly
     rz = RationalZeta(
         num=Poly((F(1),)), den=Poly((F(1), F(-4), F(4))), base=F(1, 3)
     )
-    lats = pole_lattices(rz)
-    assert len(lats) == 1
-    assert not lats[0].simple
-    assert lats[0].multiplicity == 2
-    assert lats[0].residue is None
+    with pytest.raises(ValueError, match="repeated denominator root"):
+        pole_lattices(rz)
 
 
 def test_entire_zeta_has_no_lattices():
@@ -165,8 +161,6 @@ def _reference_lattices(rz):
                 phase_shift=(-cmath.phase(root) / (2 * math.pi)) % 1.0,
                 root_z=root,
                 residue=residue,
-                simple=len(g) == 1,
-                multiplicity=len(g),
             )
         )
     lattices.sort(key=lambda l: (-l.real_part, l.phase_shift))
@@ -187,12 +181,11 @@ def _bits(lat):
 
 
 def _lattice_zetas(K_max):
-    """The string zetas, a repeated-root zeta, and every atomic key k1/K with
-    K <= K_max of sigma1, sigma2 and sigma(3); for one law polynomial, keys of
-    many bases follow one another."""
+    """The string zetas and every atomic key k1/K with K <= K_max of sigma1,
+    sigma2 and sigma(3); for one law polynomial, keys of many bases follow
+    one another."""
     yield closed_form_zeta(CANTOR)
     yield closed_form_zeta(FIB)
-    yield RationalZeta(num=Poly((F(1),)), den=Poly((F(1), F(-4), F(4))), base=F(1, 3))
     for spec in (SIGMA1, SIGMA2, M3):
         for K in range(1, K_max + 1):
             for k1 in range(1, K + 1):

@@ -63,10 +63,10 @@ def test_pev_log_matches_float_log(num, den):
 
 def test_pev_arithmetic():
     a = factorize(F(1, 3))
-    assert a.scaled(3).as_fraction() == F(1, 27)
-    assert a.scaled(-1).as_fraction() == 3
-    assert a.scaled(0).is_zero()
-    assert a.scaled(2) == factorize(F(1, 9))
+    assert a.as_fraction() == F(1, 3) and a.exponents() == {3: -1}
+    assert a == factorize(F(2, 6)) and hash(a) == hash(factorize(F(2, 6)))
+    assert a != factorize(F(1, 9))
+    assert factorize(F(1)).is_zero() and not a.is_zero()
 
 
 def test_weighted_ifs_validation():

@@ -487,7 +487,6 @@ def test_prepare_is_idempotent_and_holds_system_facts():
     assert prepared.primes == (3, 5)
     for row, p in zip(prepared.P.tolist(), (F(1, 5), F(3, 5)), strict=True):
         assert {q: e for q, e in zip(prepared.primes, row) if e} == dict(factorize(p).items())
-    assert prepared.slot_r_pev == (factorize(F(1, 5)),) * 2
     assert prepared.independent and prepared.witness is None
     assert prepared.fold((1, 1, 1)) == (2, 1) and prepared.fold((0, 2, 0)) == (0, 2)
     # a length-N vector is per-map and folds; a length-w vector is a class vector

@@ -40,7 +40,6 @@ from mfzeta.zeta import (
 BETA = WeightedIFS(ratios=(F(1, 3), F(1, 3)), probs=(F(1, 3), F(2, 3)))
 BETA0 = WeightedIFS(ratios=(F(1, 2), F(1, 2)), probs=(F(1, 3), F(2, 3)))
 TRIDENT = WeightedIFS(ratios=(F(1, 5),) * 3, probs=(F(1, 5), F(3, 5), F(1, 5)))
-RHO = WeightedIFS(ratios=(F(1, 3), F(1, 3)), probs=(F(1, 2), F(1, 2)))
 ROBY = WeightedIFS(ratios=(F(1, 2), F(1, 4), F(1, 10)), probs=(F(1, 2), F(1, 4), F(1, 4)))
 THREE_MAP = WeightedIFS(ratios=(F(1, 5),) * 3, probs=(F(1, 5), F(1, 7), F(23, 35)))
 S1 = AtomicMeasureSpec(family="sigma1")
@@ -340,39 +339,42 @@ def test_closed_form_matches_series():
         assert abs(got.value - z1.evaluate(s)) <= got.tail_bound + 1e-11
 
 
-def test_roby_recovery_zeta():
-    rz = closed_form_zeta(ROBY, VectorKey((1, 0, 0)))
-    assert rz.base == F(1, 2)
-    assert rz.num.coeffs == (F(0), F(1), F(1))
-    assert rz.den.coeffs == (F(1), F(-1), F(-1))
-    assert abs(rz.evaluate(2) - F(5, 11)) < 1e-12
-    assert closed_form_zeta(prepare(ROBY), VectorKey((1, 0, 0))) == rz
-
-
 def test_roby_recovery_counts_are_fibonacci():
     # floor-sum law multiplicities equal F_{n+1}, exact big-integer
     law = FloorSumLaw()
     for n in range(1, 31):
         assert law.multiplicity(n) == fibonacci(n + 1)
-    rz = closed_form_zeta(ROBY, VectorKey((1, 0, 0)))
+    # the fibonacci string's zeta 1/(1 - z - z^2) is this series plus the
+    # unit first length
+    rz = closed_form_zeta(FractalStringSpec(family="fibonacci"))
+    assert rz.base == F(1, 2)
+    assert rz.num.coeffs == (F(1),) and rz.den.coeffs == (F(1), F(-1), F(-1))
     sz = AlphaLengthSequence.from_law(F(1, 2), law)
     for s in (1.0, 1.5, 2.5):
         got = eval_series(sz, s, tail_tol=1e-12)
-        assert abs(got.value - rz.evaluate(s)) <= got.tail_bound + 1e-10
+        assert abs(got.value + 1 - rz.evaluate(s)) <= got.tail_bound + 1e-10
 
 
-def test_monofractal_lattice_zeta():
-    mono = closed_form_zeta(RHO, VectorKey((1, 1)))
-    assert mono.num.coeffs == (F(0), F(2)) and mono.den.coeffs == (F(1), F(-2))
-    assert abs(mono.evaluate(1) - 2) < 1e-12
-    # the collapsed single-slot key designates the same class
-    alt = closed_form_zeta(RHO, VectorKey((1,)))
-    assert (alt.num, alt.den, alt.base) == (mono.num, mono.den, mono.base)
+def test_closed_form_denominators_are_square_free():
+    """Every lattice zeta has simple poles only: its denominator shares no
+    root with its derivative."""
+    zetas = [
+        closed_form_zeta(FractalStringSpec(family="cantor")),
+        closed_form_zeta(FractalStringSpec(family="fibonacci")),
+    ]
+    for spec in (S1, S2, AtomicMeasureSpec(family="generalized", m=3),
+                 AtomicMeasureSpec(family="generalized", m=5)):
+        for K in range(1, 25):
+            for k1 in range(1, K + 1):
+                if math.gcd(k1, K) == 1:
+                    zetas.append(closed_form_zeta(spec, FractionKey(F(k1, K))))
+    assert len(zetas) == 2 + 4 * 180  # 180 reduced fractions with K <= 24
+    for rz in zetas:
+        assert rz.den.degree in (1, 2), rz.label
+        assert poly_gcd(rz.den, rz.den.derivative()).degree == 0, rz.label
 
 
 def test_no_lattice_form_for_multinomial_classes():
-    with pytest.raises(ValueError):
-        closed_form_zeta(BETA, VectorKey((1, 1)))
     with pytest.raises(ValueError):
         closed_form_zeta(S2, OnePlusLogKey(1))
     with pytest.raises(ValueError):
