@@ -20,7 +20,7 @@ import numpy as np
 from .ifs_core import AtomicMeasureSpec, FractalStringSpec
 from .regularity import FractionKey, RegularityKey
 from .sequences import AlphaLengthSequence
-from .zeta import Poly, RationalZeta, closed_form_sequence, closed_form_zeta, poly_gcd
+from .zeta import Poly, RationalZeta, closed_form_sequence, closed_form_zeta
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,6 @@ class DimensionLattice:
     real_part: float
     period: float
     phase_shift: float
-    root_z: complex
     residue: complex  # constant along the lattice
 
 
@@ -39,7 +38,6 @@ class CountingResult:
     x: float
     direct: int
     explicit_value: float
-    truncation_Z: int
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +58,15 @@ class _Root(NamedTuple):
 
 def _pole_roots(num: Poly, den: Poly) -> tuple[_Root, ...]:
     """Denominator roots from companion-matrix eigenvalues with one Newton
-    polish step.  A square-free denominator is required, decided exactly:
-    a root shared with den' would be a pole of higher order."""
-    dprime = den.derivative()
-    if poly_gcd(den, dprime).degree > 0:
+    polish step.  Only simple poles have lattices, decided exactly: a
+    linear denominator is square-free, a quadratic one is when its
+    discriminant is nonzero, and no law of ``closed_form_sequence`` has a
+    denominator of higher degree."""
+    if den.degree > 2:
+        raise ValueError(f"denominator of degree {den.degree}: only degrees 1 and 2 are solved")
+    if den.degree == 2 and den.coeffs[1] ** 2 == 4 * den.coeffs[0] * den.coeffs[2]:
         raise ValueError("repeated denominator root: only simple poles have lattices")
+    dprime = den.derivative()
     out = []
     for r in np.roots([float(c) for c in reversed(den.coeffs)]):
         r = complex(r)
@@ -100,7 +102,6 @@ def _lattices(roots: tuple[_Root, ...], log_b: float) -> list[DimensionLattice]:
             real_part=r.log_abs / log_b + 0.0,  # normalize -0.0
             period=period,
             phase_shift=r.shift,
-            root_z=r.root,
             residue=r.num_at / (r.dden_at * (r.root * log_b)),
         )
         for r in roots
@@ -150,8 +151,7 @@ def build_tapestry(
         key = FractionKey(alpha)
         seq = closed_form_sequence(spec, key)
         if seq.law not in roots:
-            rz = closed_form_zeta(spec, key)
-            roots[seq.law] = _pole_roots(rz.num, rz.den)
+            roots[seq.law] = _pole_roots(*map(Poly, seq.law.generating_function()))
             if len(roots[seq.law]) != 1:
                 raise ValueError(f"expected one lattice for alpha={alpha}")
         yield alpha, *_lattices(roots[seq.law], math.log(float(seq.base_length)))
@@ -354,7 +354,6 @@ def counting_explicit(
             x=float(x),
             direct=counting_direct(sequence, Fraction(x)) + head,
             explicit_value=value,
-            truncation_Z=Z,
         ))
     return results
 

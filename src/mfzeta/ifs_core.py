@@ -359,6 +359,8 @@ def parse_system(config_text) -> WeightedIFS | AtomicMeasureSpec | FractalString
         if family == "generalized":
             if not isinstance(m, int) or isinstance(m, bool) or m < 2:
                 raise ConfigError("m", f"generalized family requires integer m >= 2, got {m!r}")
+            if 2 * m - 1 >= RATIONAL_BOUND:  # lambda = 1/(2m - 1), as config rationals
+                raise ConfigError("m", "generalized family requires m <= 2**63 (2m - 1 < 2**64)")
         return AtomicMeasureSpec(family=family, m=m if family == "generalized" else 2)
     if kind == "string":
         family = cfg.get("family")

@@ -58,9 +58,10 @@ class HypothesisViolationError(ValueError):
 
 
 class KeyRangeError(ValueError):
-    """A class key too deep to evaluate: its length base would round to 0.0 as
-    a double or pass ``LENGTH_BASE_BITS`` bits, or its entries or mass and
-    length exponents reach 2**31 (``class_row``)."""
+    """A class key that names no class of its system, or one too deep to
+    evaluate: its length base would round to 0.0 as a double or pass
+    ``LENGTH_BASE_BITS`` bits, or its entries or mass and length exponents
+    reach 2**31 (``class_row``)."""
 
 
 # a positive rational at or below 2**-1075 rounds to the double 0.0
@@ -118,9 +119,6 @@ class Poly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return self.coeffs == (Fraction(0),)
-
     def __call__(self, z):
         exact = isinstance(z, (int, Fraction))
         out = Fraction(0) if exact else 0j
@@ -134,61 +132,10 @@ class Poly:
         b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
         return Poly(tuple(x + y for x, y in zip(a, b)))
 
-    def scale(self, c: Fraction) -> "Poly":
-        return Poly(tuple(Fraction(c) * x for x in self.coeffs))
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(1, len(self.coeffs) - len(other.coeffs) + 1)
-        r = list(self.coeffs)
-        d = other.coeffs
-        while len(r) >= len(d) and any(r):
-            if r[-1] == 0:
-                r.pop()
-                continue
-            shift = len(r) - len(d)
-            factor = r[-1] / d[-1]
-            q[shift] = factor
-            for i, c in enumerate(d):
-                r[i + shift] -= factor * c
-            r.pop()
-        return Poly(tuple(q)), Poly(tuple(r) if r else (Fraction(0),))
-
     def derivative(self) -> "Poly":
         if self.degree == 0:
             return Poly((Fraction(0),))
         return Poly(tuple(Fraction(i) * c for i, c in enumerate(self.coeffs) if i))
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals (Euclid)."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a.is_zero():
-        return Poly((Fraction(1),))
-    return a.scale(1 / a.coeffs[-1])
-
-
-def _canonical_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """gcd-reduced, integer content-free, den constant term positive."""
-    g = poly_gcd(num, den)
-    if g.degree > 0:
-        num, _ = num.divmod(g)
-        den, _ = den.divmod(g)
-    lcm = 1
-    for c in num.coeffs + den.coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in num.coeffs] + [int(c * lcm) for c in den.coeffs]
-    content = 0
-    for v in ints:
-        content = math.gcd(content, abs(v))
-    scale = Fraction(lcm, content or 1)
-    num, den = num.scale(scale), den.scale(scale)
-    if den(Fraction(0)) < 0:
-        num, den = num.scale(Fraction(-1)), den.scale(Fraction(-1))
-    return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +145,10 @@ def _canonical_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 @dataclass(frozen=True)
 class RationalZeta:
-    """zeta(s) = num(z)/den(z) with z = base^s, base a rational in (0,1)."""
+    """zeta(s) = num(z)/den(z) with z = base^s, base a rational in (0,1).
+
+    num and den are kept as given: the laws' generating functions have integer
+    coefficients, den(0) = 1 and no root shared by num and den."""
 
     num: Poly
     den: Poly
@@ -208,11 +158,8 @@ class RationalZeta:
     def __post_init__(self):
         if not (0 < self.base < 1):
             raise ValueError("base must lie in (0,1)")
-        num, den = _canonical_pair(self.num, self.den)
-        if den(Fraction(0)) == 0:
+        if self.den(Fraction(0)) == 0:
             raise ValueError("denominator must not vanish at z=0")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
 
     @property
     def entire(self) -> bool:
@@ -266,7 +213,10 @@ def multinomial_zeta(ifs: WeightedIFS | PreparedIFS, k: Sequence[int]) -> AlphaL
     by no other primitive vector up to HYPOTHESIS_K_MAX.
     """
     prepared = prepare(ifs)
-    kprime = prepared.class_vector(k)
+    try:
+        kprime = prepared.class_vector(k)
+    except ValueError as exc:
+        raise KeyRangeError(str(exc)) from exc
     if prepared.dependence is not None:
         raise HypothesisViolationError(prepared.dependence)
     try:
@@ -460,14 +410,14 @@ def closed_form_sequence(
         raise TypeError(f"no closed-form ladder for {system!r}")
     elif isinstance(key, OnePlusLogKey):
         if system.family != "sigma1":
-            raise ValueError(f"one-plus-log classes only occur for sigma1, not {system.family}")
+            raise KeyRangeError(f"one-plus-log classes only occur for sigma1, not {system.family}")
         b, e, law, label = Fraction(1, 3), key.level, ExplicitLaw((1,)), f"entire {key}"
     elif not isinstance(key, FractionKey):
-        raise ValueError(f"atomic closed forms need a k1/K or one-plus-log key, got {key}")
+        raise KeyRangeError(f"atomic closed forms need a k1/K or one-plus-log key, got {key}")
     else:
         q = key.value
         if not (0 < q <= 1):
-            raise ValueError(f"key {q} is not attained (regularities lie in (0,1])")
+            raise KeyRangeError(f"key {q} is not attained (regularities lie in (0,1])")
         k1, K = q.numerator, q.denominator
         m = system.m
         if system.family == "sigma1":

@@ -98,23 +98,56 @@ def test_alpha_keys_are_bounded(tmp_path, capsys, config):
 
 
 def test_alpha_keys_refused_for_the_system(tmp_path, capsys, config):
-    """A string zeta takes no class key, and a one-plus-log level is at least
-    1, on `zeta` and `count` alike: exit 2, one `--alpha` line, no file."""
+    """A string zeta takes no class key, a one-plus-log level is at least 1,
+    and a key names a class of its system, on `zeta` and `count` alike (IFS
+    keys on `zeta` alone): exit 2, one `--alpha` line, no file."""
     out = tmp_path / "a.csv"
     cases = [
         ("cantor", "1/2", "string zetas take no class key"),
         ("fibonacci", "1", "string zetas take no class key"),
         ("sigma1", "1+log:0", "need a one-plus-log level of at least 1, got 0"),
         ("sigma1", "1+log:-2", "need a one-plus-log level of at least 1, got -2"),
+        ("sigma2", "2", "key 2 is not attained (regularities lie in (0,1])"),
+        ("sigma1", "1,2", "atomic closed forms need a k1/K or one-plus-log key, got (1,2)"),
+        ("m3", "1+log:2", "one-plus-log classes only occur for sigma1, not generalized"),
     ]
-    for command in ("zeta", "count"):
-        for name, alpha, message in cases:
-            argv = [command, "--config", config(name), "--alpha", alpha, "--out", str(out)]
-            assert main(argv + (["--s", "2"] if command == "zeta" else [])) == 2
+    runs = [(command, *case) for command in ("zeta", "count") for case in cases]
+    runs += [
+        ("zeta", "beta", "0,0", "exponent vector must be nonzero with non-negative parts"),
+        ("zeta", "beta", "1,-1", "exponent vector must be nonzero with non-negative parts"),
+        ("zeta", "beta", "1,2,3", "vector length 3 matches neither N = 2 nor w = 2"),
+    ]
+    for command, name, alpha, message in runs:
+        argv = [command, "--config", config(name), "--alpha", alpha, "--out", str(out)]
+        assert main(argv + (["--s", "2"] if command == "zeta" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --alpha: {message}\n", (command, name, alpha)
+        assert not out.exists() and not (tmp_path / "a.manifest.json").exists()
+
+
+def test_generalized_m_is_bounded(tmp_path, capsys):
+    """lambda = 1/(2m - 1) obeys the 2**64 bound of config rationals: a
+    larger m is refused by name before any work, and m = 2**63 runs."""
+    path, out = tmp_path / "m.json", tmp_path / "a.json"
+    commands = (
+        ["tapestry", "--kmax", "1"],
+        ["count", "--alpha", "1"],
+        ["zeta", "--alpha", "1", "--s", "2"],
+    )
+    for m in (10**313, 10**400, 2**63 + 1):
+        path.write_text(json.dumps({"type": "atomic", "family": "generalized", "m": m}))
+        for command in commands:
+            assert main([*command, "--config", str(path), "--out", str(out)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == f"error: --alpha: {message}\n", (command, name, alpha)
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: m: "), (m, command)
             assert not out.exists() and not (tmp_path / "a.manifest.json").exists()
+    path.write_text(json.dumps({"type": "atomic", "family": "generalized", "m": 2**63}))
+    assert parse_system(path.read_text()).lam == F(1, 2**64 - 1)
+    assert main(["tapestry", "--kmax", "1", "--config", str(path), "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())) == 1
 
 
 @pytest.mark.parametrize(

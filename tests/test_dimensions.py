@@ -15,7 +15,6 @@ from mfzeta import dimensions
 
 from mfzeta.ifs_core import AtomicMeasureSpec, FractalStringSpec, WeightedIFS
 from mfzeta.regularity import FractionKey, OnePlusLogKey
-from mfzeta import zeta
 from mfzeta.zeta import KeyRangeError, Poly, RationalZeta, closed_form_zeta
 from mfzeta.dimensions import (
     _BLOCK,
@@ -55,7 +54,6 @@ def test_cantor_lattice():
     assert lat.real_part == pytest.approx(LOG3_2, abs=1e-12)
     assert lat.period == pytest.approx(2 * math.pi / math.log(3), abs=1e-12)
     assert lat.phase_shift == pytest.approx(0.0, abs=1e-12)
-    assert lat.root_z == pytest.approx(0.5, abs=1e-12)
     assert lat.residue == pytest.approx(1 / (2 * math.log(3)), abs=1e-12)
 
 
@@ -116,6 +114,13 @@ def test_repeated_root_refused():
     )
     with pytest.raises(ValueError, match="repeated denominator root"):
         pole_lattices(rz)
+    # no law has a cubic denominator, (1 - 2z)(1 - z)(1 + z) here: refused
+    # unsolved, whatever its roots
+    rz = RationalZeta(
+        num=Poly((F(1),)), den=Poly((F(1), F(-2), F(-1), F(2))), base=F(1, 3)
+    )
+    with pytest.raises(ValueError, match="degree 3"):
+        pole_lattices(rz)
 
 
 def test_entire_zeta_has_no_lattices():
@@ -159,7 +164,6 @@ def _reference_lattices(rz):
                 real_part=math.log(abs(root)) / log_b + 0.0,
                 period=2 * math.pi / -log_b,
                 phase_shift=(-cmath.phase(root) / (2 * math.pi)) % 1.0,
-                root_z=root,
                 residue=residue,
             )
         )
@@ -230,17 +234,16 @@ def test_tapestry_generalized_m2_identical_to_sigma2():
 
 
 def test_tapestry_solves_each_law_polynomial_once(monkeypatch):
-    roots, gcd = np.roots, zeta.poly_gcd
-    root_calls, gcd_calls = [], []
+    roots = np.roots
+    root_calls = []
     monkeypatch.setattr(np, "roots", lambda p: root_calls.append(p) or roots(p))
-    monkeypatch.setattr(zeta, "poly_gcd", lambda a, b: gcd_calls.append(a) or gcd(a, b))
     tap = list(build_tapestry(SIGMA2, 20))
     assert len(tap) == 128  # sum of phi(K), K <= 20
     # one law polynomial per numerator k1 = 1..19, and alpha = 1's own
-    assert len(root_calls) == len(gcd_calls) == 20
+    assert len(root_calls) == 20
     # a fresh build solves them afresh, to the same lattices
     assert list(build_tapestry(SIGMA2, 20)) == tap
-    assert len(root_calls) == len(gcd_calls) == 40
+    assert len(root_calls) == 40
 
 
 def test_tapestry_is_built_as_it_is_read(monkeypatch):
@@ -371,7 +374,6 @@ def test_explicit_rounds_to_direct_on_samples(system, key, hi):
     assert [r.x for r in results] == xs
     for r in results:
         assert round(r.explicit_value) == r.direct, r
-        assert r.truncation_Z == 20000
 
 
 def _explicit_term_by_term(system, key, x, Z):

@@ -34,7 +34,6 @@ from mfzeta.zeta import (
     defining_residual,
     eval_series,
     multinomial_zeta,
-    poly_gcd,
 )
 
 BETA = WeightedIFS(ratios=(F(1, 3), F(1, 3)), probs=(F(1, 3), F(2, 3)))
@@ -55,34 +54,8 @@ def test_poly_arithmetic():
     p = Poly((F(1), F(2)))  # 1 + 2z
     q = Poly((F(0), F(1)))  # z
     assert (p + q).coeffs == (F(1), F(3))
-    quot, rem = Poly((F(0), F(1), F(2))).divmod(q)  # z + 2z^2 = pq
-    assert quot == p and rem.is_zero()
     assert p(F(2)) == 5
     assert p(1j) == 1 + 2j
-
-
-def test_poly_gcd():
-    p = Poly((F(-1), F(0), F(1)))  # z^2 - 1
-    q = Poly((F(1), F(1)))  # z + 1
-    g = poly_gcd(p, q)
-    assert g.coeffs == (F(1), F(1))
-
-
-def test_rational_zeta_canonicalization():
-    z = RationalZeta(
-        num=Poly((F(0), F(2), F(2))), den=Poly((F(2), F(-4))), base=F(1, 2)
-    )
-    assert z.num.coeffs == (F(0), F(1), F(1))
-    assert z.den.coeffs == (F(1), F(-2))
-    # denominator constant term forced positive
-    z2 = RationalZeta(num=Poly((F(0), F(1)),), den=Poly((F(-1), F(2))), base=F(1, 2))
-    assert z2.den.coeffs[0] > 0
-    # z(1 - 2z) / ((1 - z)(1 - 2z)): the common factor 1 - 2z is divided out
-    z3 = RationalZeta(
-        num=Poly((F(0), F(1), F(-2))), den=Poly((F(1), F(-3), F(2))), base=F(1, 2)
-    )
-    assert z3.num.coeffs == (F(0), F(1)) and z3.den.coeffs == (F(1), F(-1))
-    assert all(isinstance(c, F) for p in (z3.num, z3.den) for c in p.coeffs)
 
 
 # ---- Classical strings ----
@@ -356,22 +329,35 @@ def test_roby_recovery_counts_are_fibonacci():
 
 
 def test_closed_form_denominators_are_square_free():
-    """Every lattice zeta has simple poles only: its denominator shares no
-    root with its derivative."""
+    """Every lattice zeta is its law's generating function in lowest terms,
+    with simple poles only: integer coefficients, den(0) = 1, a denominator
+    of degree at most 2 with a nonzero discriminant, and no root of den at
+    which num vanishes."""
     zetas = [
         closed_form_zeta(FractalStringSpec(family="cantor")),
         closed_form_zeta(FractalStringSpec(family="fibonacci")),
     ]
     for spec in (S1, S2, AtomicMeasureSpec(family="generalized", m=3),
                  AtomicMeasureSpec(family="generalized", m=5)):
-        for K in range(1, 25):
+        for K in range(1, 80):
             for k1 in range(1, K + 1):
                 if math.gcd(k1, K) == 1:
                     zetas.append(closed_form_zeta(spec, FractionKey(F(k1, K))))
-    assert len(zetas) == 2 + 4 * 180  # 180 reduced fractions with K <= 24
+    zetas += [closed_form_zeta(S1, OnePlusLogKey(level)) for level in range(1, 30)]
+    assert len(zetas) == 7767  # 1,934 reduced fractions with K <= 79
+    degrees = {0: 0, 1: 0, 2: 0}
     for rz in zetas:
-        assert rz.den.degree in (1, 2), rz.label
-        assert poly_gcd(rz.den, rz.den.derivative()).degree == 0, rz.label
+        coeffs = rz.num.coeffs + rz.den.coeffs
+        assert all(c.denominator == 1 for c in coeffs), rz.label
+        assert rz.den.coeffs[0] == 1, rz.label
+        degrees[rz.den.degree] += 1
+        if rz.den.degree == 1:
+            c0, c1 = rz.den.coeffs
+            assert rz.num(-c0 / c1) != 0, rz.label
+        elif rz.den.degree == 2:
+            c0, c1, c2 = rz.den.coeffs
+            assert c1 * c1 - 4 * c0 * c2 != 0 and rz.num.degree == 0, rz.label
+    assert degrees == {0: 29, 1: 7737, 2: 1}
 
 
 def test_no_lattice_form_for_multinomial_classes():
