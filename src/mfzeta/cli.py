@@ -41,9 +41,10 @@ from .regularity import (
     RegularityKey,
     VectorKey,
     _PREC_LADDER,
+    is_monofractal,
     prepare,
 )
-from .spectra import ROW_BLOCK, ClassTable, concave_envelope, spectrum_sweep, sweep_width
+from .spectra import ClassTable, concave_envelope, spectrum_sweep
 from .verify import report_json, run_suite
 from .zeta import (
     HYPOTHESIS_K_MAX,
@@ -102,6 +103,10 @@ ZETA_EXACT_BITS = 12_000
 # (the slowest family) costs about 0.03 ms and a run within the cap ends in
 # 3.3-4.3 s.
 TAPESTRY_KEY_CAP = 180_000
+
+# rows of a spectrum CSV whose text is built and written at a time, so that a
+# sweep's text is never held whole
+ROW_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +186,10 @@ def _load_system(args):
 
 
 def _key_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise ConfigError("--alpha", f"malformed integer {text.strip()!r} in a class key") from None
     if abs(value) >= RATIONAL_BOUND:
         raise ConfigError("--alpha", f"{text.strip()} is not below 2**64")
     return value
@@ -239,9 +247,11 @@ def cmd_spectrum(args) -> int:
         raise ConfigError("type", "spectrum sweeps apply to ifs and atomic systems")
     if args.kmax < 1:
         raise ConfigError("--kmax", f"need a stage-sum cap of at least 1, got {args.kmax}")
+    # an atomic key k1/K is the vector (k1, K - k1)
+    width = 2
     if isinstance(system, WeightedIFS):
         system = prepare(system)
-    width = sweep_width(system)
+        width = system.width
     if math.comb(args.kmax + width, width) > SWEEP_VECTOR_CAP:
         raise ConfigError(
             "--kmax",
@@ -261,12 +271,14 @@ def cmd_spectrum(args) -> int:
     blocks = _spectrum_blocks(table, envelope.rows if envelope else (), vertex_lines)
     _write_csv(out, "alpha,f,key,alpha_desc,f_desc", blocks, manifest_path)
     if envelope is None:
-        p = table[0]
-        print(
-            f"warning: monofractal system: the spectrum degenerates to the "
-            f"single point (D, D) = ({p.alpha!r}, {p.f!r}); no envelope written",
-            file=sys.stderr,
-        )
+        if isinstance(system, AtomicMeasureSpec) or is_monofractal(system) is None:
+            why = f"the sweep to K_max = {args.kmax} has one class, and an envelope needs two"
+        else:
+            why = (
+                f"monofractal system: the spectrum degenerates to the single point "
+                f"(D, D) = ({table.alpha[0].item()!r}, {table.f[0].item()!r})"
+            )
+        print(f"warning: {why}; no envelope written", file=sys.stderr)
         print(f"spectrum: 1 point -> {out}")
         return 0
     _write_csv(envelope_path, "alpha,f", [vertex_lines], manifest_path)

@@ -137,8 +137,9 @@ class FloorSumLaw:
         return math.log(self.multiplicity(n))
 
     def generating_function(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(num, den) coefficients, ascending in z: E / (1 - E) with E = z + z^2."""
-        return (0, 1, 1), (1, -1, -1)
+        """(num, den) coefficients, ascending in z: 1 / (1 - E) with E = z + z^2,
+        whose z^0 term is m_0 = C(0, 0) = 1."""
+        return (1,), (1, -1, -1)
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,8 @@ class AlphaLengthSequence:
 
         A law with a generating function num/den (den[0] = 1) gives its
         multiplicities by the recurrence m_i = num_i - sum_{j>=1} den_j m_{i-j},
-        in Python ints; the multinomial laws sum ``multiplicity``.
+        in Python ints, and sums them from m_1; the multinomial laws sum
+        ``multiplicity``.
         """
         n = self.max_index(x)
         if not hasattr(self.law, "generating_function"):

@@ -5,9 +5,8 @@ exponent class, working out the alphas and abscissas of all the classes in
 one numpy pass that matches the single-class entry points bit for bit.  It
 returns a ``SpectrumTable``: alpha and f as sorted float arrays, the class
 keys as int columns, and the key and description text built from those
-columns a block of rows at a time; ``SpectrumPoint``s are made only when a
-caller iterates or indexes the table.  Envelopes are upper concave hulls
-read from the sorted columns; the Legendre side solves sum p_i^q r_i^b = 1
+columns for any block of rows.  Envelopes are upper concave hulls read from
+the sorted columns; the Legendre side solves sum p_i^q r_i^b = 1
 and transforms.  The Moran dimension of the ratios rounds out the
 comparison toolkit.
 """
@@ -16,7 +15,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from collections import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -27,11 +25,8 @@ import numpy as np
 from .ifs_core import AtomicMeasureSpec, BudgetExceededError, WeightedIFS
 from .oracle import enumerate_stage, group_by_regularity
 from .regularity import (
-    FractionKey,
     InfiniteKey,
-    OnePlusLogKey,
     PreparedIFS,
-    RegularityKey,
     VectorKey,
     check_hypothesis_H,
     class_columns,
@@ -42,56 +37,22 @@ from .regularity import (
 from .zeta import abscissa_descriptions, closed_abscissas
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
-    alpha: float
-    f: float
-    key: RegularityKey
-    alpha_desc: str = ""
-    f_desc: str = ""
-
-
-# rows a table builds text or points for at a time, so that a sweep's text is
-# never held whole
-ROW_BLOCK = 4096
-
-
-class SpectrumTable(abc.Sequence):
+class SpectrumTable:
     """The rows of a sweep, one per class, sorted by (alpha, key string).
 
     ``alpha`` and ``f`` are float arrays; ``text(lo, hi)`` builds the key,
-    alpha_desc and f_desc columns of rows lo..hi-1 as lists of strings, and
-    ``keys(lo, hi)`` their keys.  As a sequence the table is its points,
-    built on demand a block at a time.  A subclass built from unsorted rows
-    sorts them with ``_alpha_order``.
+    alpha_desc and f_desc columns of rows lo..hi-1 as lists of strings.
+    Each subclass sorts the rows it is given.
     """
 
     def __init__(self, alpha: np.ndarray, f: np.ndarray):
         self.alpha, self.f = alpha, f
 
-    def keys(self, lo: int, hi: int) -> list[RegularityKey]:
-        raise NotImplementedError
-
     def text(self, lo: int, hi: int) -> tuple[list[str], list[str], list[str]]:
         raise NotImplementedError
 
-    def points(self, lo: int, hi: int) -> list[SpectrumPoint]:
-        _, alpha_desc, f_desc = self.text(lo, hi)
-        return list(map(
-            SpectrumPoint, self.alpha[lo:hi].tolist(), self.f[lo:hi].tolist(),
-            self.keys(lo, hi), alpha_desc, f_desc,
-        ))
-
     def __len__(self) -> int:
         return len(self.alpha)
-
-    def __getitem__(self, i: int) -> SpectrumPoint:
-        i = range(len(self))[i]
-        return self.points(i, i + 1)[0]
-
-    def __iter__(self):
-        for lo in range(0, len(self), ROW_BLOCK):
-            yield from self.points(lo, lo + ROW_BLOCK)
 
 
 class ClassTable(SpectrumTable):
@@ -107,9 +68,6 @@ class ClassTable(SpectrumTable):
         order = _alpha_order(alpha, lambda i: self._key % tuple(k[i].tolist()))
         super().__init__(alpha[order], f[order])
         self.k, self.multiplicities = k[order], multiplicities
-
-    def keys(self, lo, hi):
-        return [VectorKey(tuple(v)) for v in self.k[lo:hi].tolist()]
 
     def text(self, lo, hi):
         k = self.k[lo:hi]
@@ -136,12 +94,6 @@ class AtomicTable(SpectrumTable):
         super().__init__(alpha[order], f[order])
         self.num, self.den, self.f_desc = num[order], den[order], f_desc
 
-    def keys(self, lo, hi):
-        return [
-            FractionKey(Fraction(n, d)) if d else OnePlusLogKey(n)
-            for n, d in zip(self.num[lo:hi].tolist(), self.den[lo:hi].tolist())
-        ]
-
     def text(self, lo, hi):
         rows = list(zip(self.num[lo:hi].tolist(), self.den[lo:hi].tolist()))
         return (
@@ -155,23 +107,16 @@ class AtomicTable(SpectrumTable):
 
 
 class PointTable(SpectrumTable):
-    """A sweep given as its sorted points: a monofractal system's one point,
-    or the oracle fallback's estimates."""
+    """A sweep given as its rows (alpha, f, key string, alpha_desc, f_desc):
+    a monofractal system's one row, or the oracle fallback's estimates."""
 
-    def __init__(self, points: list[SpectrumPoint]):
-        super().__init__(np.array([p.alpha for p in points]), np.array([p.f for p in points]))
-        self._given = points
-
-    def keys(self, lo, hi):
-        return [p.key for p in self._given[lo:hi]]
+    def __init__(self, rows: list[tuple[float, float, str, str, str]]):
+        rows = sorted(rows, key=lambda r: (r[0], r[2]))
+        super().__init__(np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
+        self._text = [[r[c] for r in rows] for c in (2, 3, 4)]
 
     def text(self, lo, hi):
-        points = self._given[lo:hi]
-        return (
-            [str(p.key) for p in points],
-            [p.alpha_desc for p in points],
-            [p.f_desc for p in points],
-        )
+        return tuple(column[lo:hi] for column in self._text)
 
 
 @dataclass(frozen=True)
@@ -236,33 +181,16 @@ class LegendrePipeline:
 # ---------------------------------------------------------------------------
 
 
-def sweep_width(system: PreparedIFS | AtomicMeasureSpec) -> int:
-    """Length of the class vectors a sweep enumerates.
-
-    The width of the class space of an IFS (see ``PreparedIFS``); an atomic
-    key k1/K is the vector (k1, K - k1).  A sweep to depth K_max enumerates
-    at most C(K_max + width, width) candidate vectors.
-    """
-    if isinstance(system, AtomicMeasureSpec):
-        return 2
-    return system.width
-
-
 def _ifs_sweep(ifs: WeightedIFS | PreparedIFS, K_max: int) -> SpectrumTable:
     prepared = prepare(ifs)
     mono = is_monofractal(prepared)
     if mono is not None:
         # f(D) = D exactly: emit one value for both coordinates
         d = mono.to_float()
-        return PointTable([
-            SpectrumPoint(
-                alpha=d,
-                f=d,
-                key=VectorKey((1,) * prepared.width),
-                alpha_desc="common single-map regularity",
-                f_desc="Moran dimension of the support (equals alpha)",
-            )
-        ])
+        return PointTable([(
+            d, d, str(VectorKey((1,) * prepared.width)), "common single-map regularity",
+            "Moran dimension of the support (equals alpha)",
+        )])
     if prepared.ifs.equal_ratios():
         # independent distinct probabilities make every class distinct
         if prepared.dependence is not None:
@@ -272,7 +200,7 @@ def _ifs_sweep(ifs: WeightedIFS | PreparedIFS, K_max: int) -> SpectrumTable:
     else:
         columns = check_hypothesis_H(prepared, K_max).columns
         if columns is None:
-            return PointTable(_oracle_fallback_sweep(prepared, K_max))
+            return _oracle_fallback_sweep(prepared, K_max)
         label = "class"
     # mass and length go before the text is made: holding them too raises
     # peak memory
@@ -299,7 +227,7 @@ def _alpha_order(alpha: np.ndarray, key_str) -> list[int]:
     return order
 
 
-def _oracle_fallback_sweep(prepared: PreparedIFS, K_max: int) -> list[SpectrumPoint]:
+def _oracle_fallback_sweep(prepared: PreparedIFS, K_max: int) -> PointTable:
     """Distinct-regularity hypothesis failed: regroup stages exactly and
     estimate each class abscissa by a root test on its deepest ladder entry.
 
@@ -317,7 +245,7 @@ def _oracle_fallback_sweep(prepared: PreparedIFS, K_max: int) -> list[SpectrumPo
     groups = group_by_regularity(records)
     # each group's alpha is that of the first record carrying its key hint
     first = {rec.key_hint: rec for rec in reversed(records) if rec.regularity is not None}
-    points = []
+    rows = []
     for key, entries in groups.items():
         if isinstance(key, InfiniteKey):
             continue
@@ -329,22 +257,16 @@ def _oracle_fallback_sweep(prepared: PreparedIFS, K_max: int) -> list[SpectrumPo
                 est = math.log(mult) / -math.log(ell)
                 if est > sigma:
                     sigma, length = est, ell
-        points.append(
-            SpectrumPoint(
-                alpha=first[key].regularity.to_float(),
-                f=max(0.0, sigma),
-                key=key,
-                alpha_desc=f"oracle class to stage {depth}",
-                f_desc=f"root test at length {length}",
-            )
-        )
-    points.sort(key=lambda p: (p.alpha, str(p.key)))
+        rows.append((
+            first[key].regularity.to_float(), max(0.0, sigma), str(key),
+            f"oracle class to stage {depth}", f"root test at length {length}",
+        ))
     print(
         f"warning: hypothesis H fails up to K_max = {K_max}: each f is a root-test "
         f"estimate from oracle stages 1..{depth}, not a closed-form abscissa",
         file=sys.stderr,
     )
-    return points
+    return PointTable(rows)
 
 
 def _atomic_sweep(spec: AtomicMeasureSpec, K_max: int) -> AtomicTable:
@@ -384,20 +306,16 @@ def spectrum_sweep(
 # ---------------------------------------------------------------------------
 
 
-def concave_envelope(points: Sequence[SpectrumPoint | tuple]) -> EnvelopeFunction:
+def concave_envelope(points: SpectrumTable | Sequence[tuple]) -> EnvelopeFunction:
     """Upper concave hull via monotone chain; alpha ties keep the max f.
 
-    A ``SpectrumTable`` is read from its sorted columns; other points
-    (``SpectrumPoint``s or (alpha, f) pairs) are sorted by alpha first.
+    A ``SpectrumTable`` is read from its sorted columns; (alpha, f) pairs are
+    sorted by alpha first.
     """
     if isinstance(points, SpectrumTable):
         order, alpha, f = None, points.alpha, points.f
     else:
-        raw = np.array(
-            [(p.alpha, p.f) if isinstance(p, SpectrumPoint) else (float(p[0]), float(p[1]))
-             for p in points],
-            dtype=float,
-        ).reshape(-1, 2)
+        raw = np.array([(float(a), float(b)) for a, b in points]).reshape(-1, 2)
         order = np.argsort(raw[:, 0], kind="stable")
         alpha, f = raw[order, 0], raw[order, 1]
     if len(alpha) < 2:

@@ -126,12 +126,6 @@ class Poly:
             out = out * z + (c if exact else complex(c))
         return out
 
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
-        return Poly(tuple(x + y for x, y in zip(a, b)))
-
     def derivative(self) -> "Poly":
         if self.degree == 0:
             return Poly((Fraction(0),))
@@ -397,8 +391,8 @@ def closed_form_sequence(
     """The base length, multiplicity law and label of a string or atomic class.
 
     The one table of these classes: ``closed_form_zeta`` is the generating
-    function of the law, and ``counting_explicit`` counts its lengths (all
-    below 1).
+    function of the law (fibonacci's alone has a z^0 term, its first length
+    1), and the sequence counts the lengths below 1.
     """
     if isinstance(system, FractalStringSpec):
         if system.family == "cantor":
@@ -446,6 +440,4 @@ def closed_form_zeta(
     """
     seq = closed_form_sequence(system, key)
     num, den = (Poly(c) for c in seq.law.generating_function())
-    if isinstance(system, FractalStringSpec) and system.family == "fibonacci":
-        num = num + den  # the unit first length, the z^0 term
     return RationalZeta(num=num, den=den, base=seq.base_length, label=seq.label)

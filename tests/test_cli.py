@@ -15,16 +15,10 @@ import pytest
 
 import mfzeta
 from mfzeta import cli, dimensions
-from mfzeta.cli import ZETA_TERM_CAP, main, parse_alpha_key
+from mfzeta.cli import ROW_BLOCK, ZETA_TERM_CAP, main, parse_alpha_key
 from mfzeta.ifs_core import ConfigError, parse_system
 from mfzeta.regularity import FractionKey, OnePlusLogKey, VectorKey, primitive_vectors
-from mfzeta.spectra import (
-    ROW_BLOCK,
-    PointTable,
-    SpectrumPoint,
-    concave_envelope,
-    spectrum_sweep,
-)
+from mfzeta.spectra import PointTable, concave_envelope, spectrum_sweep
 from mfzeta.zeta import SeriesValue
 
 CONFIGS = {
@@ -98,13 +92,18 @@ def test_alpha_keys_are_bounded(tmp_path, capsys, config):
 
 
 def test_alpha_keys_refused_for_the_system(tmp_path, capsys, config):
-    """A string zeta takes no class key, a one-plus-log level is at least 1,
-    and a key names a class of its system, on `zeta` and `count` alike (IFS
-    keys on `zeta` alone): exit 2, one `--alpha` line, no file."""
+    """A string zeta takes no class key, a key's integers parse, a one-plus-log
+    level is at least 1, and a key names a class of its system, on `zeta` and
+    `count` alike (IFS keys on `zeta` alone): exit 2, one `--alpha` line, no
+    file."""
     out = tmp_path / "a.csv"
     cases = [
         ("cantor", "1/2", "string zetas take no class key"),
         ("fibonacci", "1", "string zetas take no class key"),
+        ("sigma2", "1,x", "malformed integer 'x' in a class key"),
+        ("sigma2", "(1,2", "malformed integer '(1' in a class key"),
+        ("sigma2", "1,,2", "malformed integer '' in a class key"),
+        ("sigma1", "1+log:x", "malformed integer 'x' in a class key"),
         ("sigma1", "1+log:0", "need a one-plus-log level of at least 1, got 0"),
         ("sigma1", "1+log:-2", "need a one-plus-log level of at least 1, got -2"),
         ("sigma2", "2", "key 2 is not attained (regularities lie in (0,1])"),
@@ -405,14 +404,26 @@ def test_spectrum_bodies_byte_deterministic(tmp_path, capsys, config):
 
 
 def test_spectrum_monofractal_warning(tmp_path, capsys, config):
-    out = tmp_path / "rho.csv"
-    rc = main(["spectrum", "--config", config("rho"), "--out", str(out)])
-    assert rc == 0
-    err = capsys.readouterr().err
-    assert "monofractal" in err and "(D, D)" in err
-    lines = out.read_text().splitlines()
-    assert len(lines) == 3  # header, one point, manifest comment
-    assert not (tmp_path / "rho.envelope.csv").exists()
+    """A one-row sweep writes no envelope.  Only the monofractal sweep (rho)
+    warns of a monofractal system; sigma2 to K_max = 1 has one class, where
+    alpha != f, and its warning says why no envelope is written."""
+    header = "alpha,f,key,alpha_desc,f_desc\n"
+    runs = [
+        ("rho", "64", "monofractal system: the spectrum degenerates to the single point "
+         "(D, D) = (0.6309297535714574, 0.6309297535714574)",
+         "0.6309297535714574,0.6309297535714574,(1),common single-map regularity,"
+         "Moran dimension of the support (equals alpha)\n"),
+        ("sigma2", "1", "the sweep to K_max = 1 has one class, and an envelope needs two",
+         "1.0,0.6309297535714574,1/1,k1/K = 1,(k1/K) log_3 2\n"),
+    ]
+    for name, kmax, why, row in runs:
+        out = tmp_path / f"{name}.csv"
+        assert main(["spectrum", "--config", config(name), "--kmax", kmax, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"warning: {why}; no envelope written\n"
+        assert captured.out == f"spectrum: 1 point -> {out}\n"
+        assert out.read_text() == header + row + f"# manifest: {name}.manifest.json\n"
+        assert not (tmp_path / f"{name}.envelope.csv").exists()
 
 
 def test_spectrum_oracle_fallback_warning(tmp_path, capsys, config):
@@ -655,15 +666,16 @@ def _csv_body(rows) -> str:
 )
 def test_spectrum_bodies_are_the_points_view_written_by_csv(tmp_path, capsys, config, name, kmax):
     """On the sweep kinds the benchmark reference does not cover, the CSV
-    and envelope bodies are what ``csv.writer`` makes of the sweep's points."""
+    and envelope bodies are what ``csv.writer`` makes of the sweep's rows."""
     out = tmp_path / "s.csv"
     assert main(["spectrum", "--config", config(name), "--kmax", str(kmax), "--out", str(out)]) == 0
-    points = list(spectrum_sweep(parse_system(json.dumps(CONFIGS[name])), K_max=kmax))
+    table = spectrum_sweep(parse_system(json.dumps(CONFIGS[name])), K_max=kmax)
     capsys.readouterr()
     if name == "beta":
-        assert len(points) > ROW_BLOCK
+        assert len(table) > ROW_BLOCK
     header = "alpha,f,key,alpha_desc,f_desc\n"
-    rows = [(p.alpha, p.f, str(p.key), p.alpha_desc, p.f_desc) for p in points]
+    points = list(zip(table.alpha.tolist(), table.f.tolist()))
+    rows = [(*point, *text) for point, *text in zip(points, *table.text(0, len(table)))]
     manifest = "# manifest: s.manifest.json\n"
     assert out.read_text() == header + _csv_body(rows) + manifest
     envelope = tmp_path / "s.envelope.csv"
@@ -701,33 +713,21 @@ def test_quoted_cells_are_what_csv_writer_writes():
         assert line.encode() == reference.getvalue().encode(), row
 
 
-class _Key:
-    """A key whose text is given, so any text reaches the key column."""
-
-    def __init__(self, text):
-        self.text = text
-
-    def __str__(self):
-        return self.text
-
-
 def test_spectrum_lines_of_awkward_text_are_what_csv_writer_writes(tmp_path):
     cells = AWKWARD_CELLS
-    points = [
-        SpectrumPoint(
-            0.1 * i - 0.35, 1 / (i + 3), _Key(cell), cells[-i - 1], cells[3 * i % len(cells)]
-        )
+    # rows in increasing alpha, so the table keeps their order
+    rows = [
+        (0.1 * i - 0.35, 1 / (i + 3), cell, cells[-i - 1], cells[3 * i % len(cells)])
         for i, cell in enumerate(cells)
     ]
-    vertices = (0, 2, 5, len(points) - 1)
+    vertices = (0, 2, 5, len(rows) - 1)
     vertex_lines = []
     header, out, manifest = "alpha,f,key,alpha_desc,f_desc", tmp_path / "s.csv", "s.manifest.json"
-    blocks = cli._spectrum_blocks(PointTable(points), vertices, vertex_lines)
+    blocks = cli._spectrum_blocks(PointTable(rows), vertices, vertex_lines)
     cli._write_csv(out, header, blocks, tmp_path / manifest)
-    rows = [(p.alpha, p.f, str(p.key), p.alpha_desc, p.f_desc) for p in points]
     assert out.read_bytes() == _csv_file(tmp_path / "ref.csv", header, rows, manifest)
     cli._write_csv(out, "alpha,f", [vertex_lines], tmp_path / manifest)
-    rows = [(points[i].alpha, points[i].f) for i in vertices]
+    rows = [rows[i][:2] for i in vertices]
     assert out.read_bytes() == _csv_file(tmp_path / "ref.csv", "alpha,f", rows, manifest)
 
 
@@ -752,29 +752,23 @@ def test_count_lines_of_a_huge_direct_count_are_what_csv_writer_writes(tmp_path,
 
 
 def test_ifs_spectrum_is_written_without_points_or_key_strings(tmp_path, config, monkeypatch):
-    """An IFS sweep is written from its columns: no SpectrumPoint is built,
-    and no VectorKey is turned into its string."""
+    """An IFS sweep is written from its columns: no VectorKey is turned into
+    its string."""
     calls = []
-    init, key_str = SpectrumPoint.__init__, VectorKey.__str__
-
-    def counted_init(self, *args, **kwargs):
-        calls.append("SpectrumPoint")
-        init(self, *args, **kwargs)
+    key_str = VectorKey.__str__
 
     def counted_str(self):
         calls.append("VectorKey")
         return key_str(self)
 
-    monkeypatch.setattr(SpectrumPoint, "__init__", counted_init)
     monkeypatch.setattr(VectorKey, "__str__", counted_str)
     out = str(tmp_path / "s.csv")
     for name in ("beta0", "certified", "trident"):
         assert main(["spectrum", "--config", config(name), "--kmax", "64", "--out", out]) == 0
     assert calls == []
-    # the spies do see the points view
-    table = spectrum_sweep(parse_system(json.dumps(CONFIGS["beta0"])), K_max=4)
-    str(table[0].key)
-    assert calls == ["SpectrumPoint", "VectorKey"]
+    # the spy does see a key's string
+    str(VectorKey((1, 2)))
+    assert calls == ["VectorKey"]
 
 
 def test_count_error_paths(tmp_path, capsys, config):

@@ -11,16 +11,15 @@ from hypothesis import strategies as st
 
 from mfzeta.ifs_core import AtomicMeasureSpec, WeightedIFS
 from mfzeta.regularity import (
-    FractionKey,
-    OnePlusLogKey,
     VectorKey,
     check_hypothesis_H,
     collapsed_regularity,
     prepare,
 )
+from mfzeta.cli import ROW_BLOCK
 from mfzeta.spectra import (
-    ROW_BLOCK,
     SOLVE_B_RESIDUAL_TOL,
+    AtomicTable,
     ClassTable,
     EnvelopeFunction,
     _alpha_order,
@@ -223,52 +222,52 @@ def test_legendre_monofractal_degenerates():
 # ---------------------------------------------------------------------------
 
 
+def _rows(table):
+    """(k, alpha, f) of each row of an IFS sweep's table."""
+    return zip(map(tuple, table.k.tolist()), table.alpha.tolist(), table.f.tolist())
+
+
 def test_sweep_beta_matches_besicovitch_everywhere():
-    points = spectrum_sweep(BETA, K_max=8)
-    assert len(points) >= 10
-    alphas = [p.alpha for p in points]
+    table = spectrum_sweep(BETA, K_max=8)
+    assert len(table) >= 10
+    alphas = table.alpha.tolist()
     assert alphas == sorted(alphas)
-    for p in points:
-        assert isinstance(p.key, VectorKey)
-        k = p.key.vector
+    assert isinstance(table, ClassTable)
+    for k, alpha, f in _rows(table):
         K = sum(k)
         weights = tuple(F(ki, K) for ki in k)
-        assert p.f == pytest.approx(_besicovitch(BETA.ratios, weights), abs=1e-12)
-        assert p.alpha == pytest.approx(1 - (k[1] / K) * LOG3_2, abs=1e-12)
-        assert 0 <= p.f <= 1 + 1e-12
+        assert f == pytest.approx(_besicovitch(BETA.ratios, weights), abs=1e-12)
+        assert alpha == pytest.approx(1 - (k[1] / K) * LOG3_2, abs=1e-12)
+        assert 0 <= f <= 1 + 1e-12
 
 
 def test_sweep_trident_collapsed_values():
-    points = spectrum_sweep(TRIDENT, K_max=9)
-    by_key = {p.key: p for p in points}
-    assert by_key[VectorKey((1, 0))].f == pytest.approx(
-        LOG5_2, abs=1e-12
-    )
-    assert by_key[VectorKey((0, 1))].f == pytest.approx(0.0, abs=1e-12)
-    assert by_key[VectorKey((2, 1))].f == pytest.approx(
-        LOG5_3, abs=1e-12
-    )
-    assert max(p.f for p in points) == pytest.approx(LOG5_3, abs=1e-12)
+    table = spectrum_sweep(TRIDENT, K_max=9)
+    f = {k: f for k, _, f in _rows(table)}
+    assert f[(1, 0)] == pytest.approx(LOG5_2, abs=1e-12)
+    assert f[(0, 1)] == pytest.approx(0.0, abs=1e-12)
+    assert f[(2, 1)] == pytest.approx(LOG5_3, abs=1e-12)
+    assert table.f.max() == pytest.approx(LOG5_3, abs=1e-12)
 
 
 def test_sweep_monofractal_single_point():
-    points = spectrum_sweep(RHO, K_max=16)
-    assert len(points) == 1
-    assert points[0].alpha == pytest.approx(LOG3_2, abs=1e-12)
-    assert points[0].f == pytest.approx(LOG3_2, abs=1e-12)
-    assert points[0].key == VectorKey((1,))
+    table = spectrum_sweep(RHO, K_max=16)
+    assert len(table) == 1
+    assert table.alpha[0] == pytest.approx(LOG3_2, abs=1e-12)
+    assert table.f[0] == pytest.approx(LOG3_2, abs=1e-12)
+    assert table.text(0, 1)[0] == [str(VectorKey((1,)))]
 
 
 def test_sweep_sigma2_is_a_line():
     spec = AtomicMeasureSpec(family="sigma2")
-    points = spectrum_sweep(spec, K_max=12)
+    table = spectrum_sweep(spec, K_max=12)
     # reduced fractions k1/K with K <= 12: sum of Euler phi = 46
-    assert len(points) == 46
-    for p in points:
-        assert isinstance(p.key, FractionKey)
-        assert p.f == pytest.approx(p.alpha * LOG3_2, abs=1e-12)
-    assert points[-1].alpha == pytest.approx(1.0)
-    env = concave_envelope(points)
+    assert len(table) == 46
+    assert isinstance(table, AtomicTable) and (table.den > 0).all()
+    for alpha, f in zip(table.alpha.tolist(), table.f.tolist()):
+        assert f == pytest.approx(alpha * LOG3_2, abs=1e-12)
+    assert table.alpha[-1] == pytest.approx(1.0)
+    env = concave_envelope(table)
     assert len(env.breakpoints) == 2
     lo, hi = env.endpoint_slopes()
     assert lo == pytest.approx(LOG3_2, abs=1e-9)
@@ -279,13 +278,13 @@ def test_sweep_sigma2_is_a_line():
 def test_trident_hull_ends_are_closed_form_chords(K):
     """The hull's end segments join classes (0,1)-(1,K-1) and (K-1,1)-(1,0),
     of slopes +(ln 2K + c)/ln 3 and -(ln(K/2) + c)/ln 3, c = (K-1) ln(K/(K-1))."""
-    points = spectrum_sweep(TRIDENT, K_max=K)
-    by_key = {p.key.vector: p for p in points}
+    table = spectrum_sweep(TRIDENT, K_max=K)
+    by_key = {k: (alpha, f) for k, alpha, f in _rows(table)}
 
     def chord(a, b):
-        return (by_key[b].f - by_key[a].f) / (by_key[b].alpha - by_key[a].alpha)
+        return (by_key[b][1] - by_key[a][1]) / (by_key[b][0] - by_key[a][0])
 
-    slopes = concave_envelope(points).endpoint_slopes()
+    slopes = concave_envelope(table).endpoint_slopes()
     assert slopes == (chord((0, 1), (1, K - 1)), chord((K - 1, 1), (1, 0)))
     c = (K - 1) * math.log(K / (K - 1))
     closed = ((math.log(2 * K) + c) / math.log(3), -(math.log(K / 2) + c) / math.log(3))
@@ -294,30 +293,29 @@ def test_trident_hull_ends_are_closed_form_chords(K):
 
 def test_sweep_sigma1_all_flat():
     spec = AtomicMeasureSpec(family="sigma1")
-    points = spectrum_sweep(spec, K_max=12)
-    assert len(points) == 46 + 12  # fractions plus the 1+log keys
-    assert all(p.f == 0.0 for p in points)
-    one_plus = [p for p in points if isinstance(p.key, OnePlusLogKey)]
-    assert len(one_plus) == 12
-    assert max(p.alpha for p in points) == pytest.approx(1 + LOG3_2, abs=1e-12)
+    table = spectrum_sweep(spec, K_max=12)
+    assert len(table) == 46 + 12  # fractions plus the 1+log keys
+    assert (table.f == 0.0).all()
+    one_plus = [key for key in table.text(0, len(table))[0] if key.startswith("1+log")]
+    assert len(one_plus) == 12 and (table.den == 0).sum() == 12
+    assert table.alpha.max() == pytest.approx(1 + LOG3_2, abs=1e-12)
 
 
 def test_sweep_generalized_m3_slope():
     spec = AtomicMeasureSpec(family="generalized", m=3)
-    points = spectrum_sweep(spec, K_max=6)
-    for p in points:
-        assert p.f == pytest.approx(p.alpha * math.log(3) / math.log(5), abs=1e-12)
+    table = spectrum_sweep(spec, K_max=6)
+    for alpha, f in zip(table.alpha.tolist(), table.f.tolist()):
+        assert f == pytest.approx(alpha * math.log(3) / math.log(5), abs=1e-12)
 
 
 def test_sweep_fallback_when_classes_collide():
-    points = spectrum_sweep(ROBY, K_max=64)
-    assert len(points) >= 5
-    at_one = [p for p in points if abs(p.alpha - 1.0) < 1e-12]
-    assert len(at_one) == 1
+    table = spectrum_sweep(ROBY, K_max=64)
+    assert len(table) >= 5
+    (at_one,) = np.flatnonzero(np.abs(table.alpha - 1.0) < 1e-12)
     golden = math.log((1 + math.sqrt(5)) / 2) / math.log(2)
     # root test on a finite ladder converges like O(1/depth)
-    assert at_one[0].f == pytest.approx(golden, abs=0.05)
-    assert "root test" in at_one[0].f_desc
+    assert table.f[at_one] == pytest.approx(golden, abs=0.05)
+    assert "root test" in table.text(at_one, at_one + 1)[2][0]
 
 
 ROWS = json.loads((Path(__file__).parent / "data" / "spectrum_rows.json").read_text())
@@ -332,9 +330,10 @@ CERTIFIED = WeightedIFS(ratios=(F(1, 2), F(1, 3)), probs=(F(1, 3), F(2, 3)))
 def test_sweep_rows_match_stored(name, system, K_max):
     # stored rows: collapsed closed-form path (BETA0) and the certified
     # hypothesis-H path (unequal ratios); floats must match exactly
+    table = spectrum_sweep(system, K_max=K_max)
     got = [
-        [p.alpha, p.f, str(p.key), p.alpha_desc, p.f_desc]
-        for p in spectrum_sweep(system, K_max=K_max)
+        list(row)
+        for row in zip(table.alpha.tolist(), table.f.tolist(), *table.text(0, len(table)))
     ]
     assert got == ROWS[name]
 
@@ -387,19 +386,19 @@ def _reference_row(prepared, k) -> tuple[float, float, str]:
 )
 def test_sweep_rows_are_the_public_entry_points_bit_for_bit(system, K_max):
     prepared = prepare(system)
-    points = spectrum_sweep(prepared, K_max=K_max)
-    assert len(points) > 1
-    for p in points:
-        k = p.key.vector
+    table = spectrum_sweep(prepared, K_max=K_max)
+    assert len(table) > 1
+    _, _, f_descs = table.text(0, len(table))
+    for (k, got_alpha, got_f), f_desc in zip(_rows(table), f_descs):
         closed = abscissa_closed(prepared, k)
-        assert (p.alpha.hex(), p.f.hex(), p.f_desc) == (
+        assert (got_alpha.hex(), got_f.hex(), f_desc) == (
             collapsed_regularity(prepared, k).alpha_float.hex(),
             closed.value.hex(),
             closed.exact_description,
         )
         alpha, f, weights = _reference_row(prepared, k)
-        assert (p.alpha.hex(), p.f.hex()) == (alpha.hex(), f.hex())
-        assert p.f_desc.endswith(weights)
+        assert (got_alpha.hex(), got_f.hex()) == (alpha.hex(), f.hex())
+        assert f_desc.endswith(weights)
 
 
 def test_deep_one_row_abscissa_takes_logs_of_its_distinct_values(monkeypatch):
@@ -469,29 +468,27 @@ def _small_systems(draw):
 @settings(max_examples=40, deadline=None)
 @given(_small_systems(), st.integers(1, 14))
 def test_table_text_is_the_text_of_its_points(system, K_max):
-    """Every text column of a sweep's table is the str or repr of its points
-    view, row by row and over any block split, and the envelope read from
-    the columns is the envelope of the points."""
+    """Every text column of a sweep's table is the text of its class keys,
+    row by row and over any block split, and the envelope read from the
+    columns is the envelope of the (alpha, f) points."""
     prepared = prepare(system)
     assume(prepared.dependence is None)
     table = spectrum_sweep(prepared, K_max=K_max)
-    points = list(table)
-    assert len(points) == len(table) and [table[i] for i in range(len(table))] == points
-    keys, alpha_desc, f_desc = table.text(0, len(table))
-    assert keys == [str(p.key) for p in points]
-    assert alpha_desc == [p.alpha_desc for p in points]
-    assert f_desc == [p.f_desc for p in points]
-    assert list(map(repr, table.alpha.tolist())) == [repr(p.alpha) for p in points]
-    assert list(map(repr, table.f.tolist())) == [repr(p.f) for p in points]
+    text = table.text(0, len(table))
+    assert all(len(column) == len(table) for column in text)
+    for lo in range(len(table)):
+        assert [column[lo] for column in text] == [c[0] for c in table.text(lo, lo + 1)]
     if isinstance(table, ClassTable):
         c = prepared.multiplicities if prepared.folds else None
-        for p in points:
-            assert p.alpha_desc.endswith(f" {p.key.vector}")
-            assert p.f_desc == _old_abscissa_description(p.key.vector, c)
-    if len(points) > 1:
+        for k, key, alpha_desc, f_desc in zip(map(tuple, table.k.tolist()), *text):
+            assert key == str(VectorKey(k))
+            assert alpha_desc.endswith(f" {k}")
+            assert f_desc == _old_abscissa_description(k, c)
+    if len(table) > 1:
         envelope = concave_envelope(table)
+        points = list(zip(table.alpha.tolist(), table.f.tolist()))
         assert envelope == concave_envelope(points)
-        assert [(points[i].alpha, points[i].f) for i in envelope.rows] == list(envelope.breakpoints)
+        assert [points[i] for i in envelope.rows] == list(envelope.breakpoints)
 
 
 def test_table_blocks_join_up():
@@ -500,7 +497,6 @@ def test_table_blocks_join_up():
     whole = table.text(0, len(table))
     split = [table.text(lo, lo + ROW_BLOCK) for lo in range(0, len(table), ROW_BLOCK)]
     assert [sum((part[c] for part in split), []) for c in range(3)] == list(whole)
-    assert table[ROW_BLOCK] == list(table)[ROW_BLOCK] and table[-1] == list(table)[-1]
 
 
 def _old_envelope_breakpoints(pairs):
@@ -535,7 +531,7 @@ def test_envelope_of_unsorted_pairs_is_the_old_merge_and_chain(pairs):
 
 
 def test_sweeps_with_rational_alphas():
-    alpha = {p.key.vector: p.alpha for p in spectrum_sweep(ALPHA_TWO, K_max=8)}
+    alpha = {k: alpha for k, alpha, _ in _rows(spectrum_sweep(ALPHA_TWO, K_max=8))}
     assert alpha[(1, 0)] == 2.0
     assert collapsed_regularity(ALPHA_TWO, (1, 0)).alpha_exact.rational_value() == 2
     report = check_hypothesis_H(QUARTER_RATIOS, 24)
@@ -562,8 +558,8 @@ def test_hypothesis_h_classes_are_the_sweep_classes():
     # distinct but unsorted probabilities: both run on the ascending slots
     report = check_hypothesis_H(THREE_MAP, 8)
     assert report.holds
-    swept = {p.key: p.alpha for p in spectrum_sweep(THREE_MAP, K_max=8)}
-    keys = [VectorKey(tuple(k)) for k in report.columns.k.tolist()]
+    swept = {k: alpha for k, alpha, _ in _rows(spectrum_sweep(THREE_MAP, K_max=8))}
+    keys = map(tuple, report.columns.k.tolist())
     assert dict(zip(keys, report.columns.alpha.tolist())) == swept
 
 
@@ -581,10 +577,10 @@ def test_sweep_rejects_dependent_collapsed_probs():
 
 
 def test_envelope_dominates_and_is_concave():
-    points = spectrum_sweep(BETA, K_max=16)
-    env = concave_envelope(points)
-    for p in points:
-        assert env(p.alpha) >= p.f - 1e-12
+    table = spectrum_sweep(BETA, K_max=16)
+    env = concave_envelope(table)
+    for alpha, f in zip(table.alpha.tolist(), table.f.tolist()):
+        assert env(alpha) >= f - 1e-12
     slopes = env.segment_slopes()
     assert all(s1 <= s0 + 1e-12 for s0, s1 in zip(slopes, slopes[1:]))
 
@@ -618,15 +614,13 @@ def test_envelope_needs_two_points():
 def test_max_f_attains_moran_dimension():
     # two-probability systems peak exactly at the support dimension
     for system, dim in ((BETA0, 1.0), (TRIDENT, LOG5_3), (BETA, LOG3_2)):
-        points = spectrum_sweep(system, K_max=12)
-        peak = max(p.f for p in points)
+        peak = spectrum_sweep(system, K_max=12).f.max()
         assert peak <= dim + 1e-9
         assert peak == pytest.approx(dim, abs=1e-12)
 
 
 def test_beta0_envelope_matches_entropy_curve():
-    points = spectrum_sweep(BETA0, K_max=64)
-    env = concave_envelope(points)
+    env = concave_envelope(spectrum_sweep(BETA0, K_max=64))
 
     def g(t):
         x = T_MAX_BETA0 - t
@@ -643,8 +637,7 @@ def test_beta0_envelope_matches_entropy_curve():
 
 
 def test_beta0_envelope_matches_legendre_transform():
-    points = spectrum_sweep(BETA0, K_max=64)
-    env = concave_envelope(points)
+    env = concave_envelope(spectrum_sweep(BETA0, K_max=64))
     pipe = legendre_transform(BETA0)
     lo, hi = T_MIN_BETA0 + 0.05, T_MAX_BETA0 - 0.05
     checked = 0

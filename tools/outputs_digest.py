@@ -10,10 +10,12 @@ file it wrote, with the ``timestamp`` line of each run manifest removed.
 Runs that are byte-identical in two trees print identical lines, so the
 ``diff`` of two digests names each command whose outputs differ.
 
-The commands: the six spectrum sweeps of the benchmark, ``count`` at its
-defaults on the five string and atomic systems at seeds 0, 2, 7 and 21, the
-tapestry JSON of sigma1, sigma2 and sigma(m) for m = 3 and 5 at several
-depths, and ``verify --suite all``.
+The commands: the six spectrum sweeps of the benchmark, the sigma1 and
+sigma2 sweeps to K_max = 40 and 1, a monofractal sweep, ``zeta`` on an IFS
+class series, the two strings and atomic classes (exact values at integer s
+among them), ``count`` at its defaults on the five string and atomic systems
+at seeds 0, 2, 7 and 21, the tapestry JSON of sigma1, sigma2 and sigma(m)
+for m = 3 and 5 at several depths, and ``verify --suite all``.
 """
 from __future__ import annotations
 
@@ -45,11 +47,28 @@ def commands() -> list[tuple[str, dict | None, list[str]]]:
         ("three-map", _ifs("1/5,1/5,1/5", "1/5,1/7,23/35"), (32,)),
         ("ratios-1-2-1-3", _ifs("1/2,1/3", "1/3,2/3"), (128,)),
         ("oracle-fallback", _ifs("1/2,1/4,1/8", "1/2,1/3,1/6"), (32,)),
+        ("sigma1", _atomic("sigma1"), (1, 40)),
+        ("sigma2", _atomic("sigma2"), (1, 40)),
+        ("monofractal", _ifs("1/3,1/3", "1/2,1/2"), (16,)),
     ]
     for name, config, depths in spectra:
         for kmax in depths:
             argv = ["spectrum", "--config", CONFIG, "--kmax", str(kmax), "--out", "spectrum.csv"]
             runs.append((f"spectrum-{name}-k{kmax}", config, argv))
+    zetas = [
+        ("beta-1-1", _ifs("1/3,1/3", "1/3,2/3"), ["--alpha", "1,1", "--s", "1.5"]),
+        ("trident-2-1", _ifs("1/5,1/5,1/5", "1/5,3/5,1/5"), ["--alpha", "2,1", "--s", "1+2j"]),
+        ("cantor", {"type": "string", "family": "cantor"}, ["--s", "2"]),
+        ("cantor-complex", {"type": "string", "family": "cantor"}, ["--s", "0.8+3j"]),
+        ("fibonacci", {"type": "string", "family": "fibonacci"}, ["--s", "2"]),
+        ("fibonacci-complex", {"type": "string", "family": "fibonacci"}, ["--s", "1.5-1j"]),
+        ("sigma1-1-2", _atomic("sigma1"), ["--alpha", "1/2", "--s", "3"]),
+        ("sigma1-log", _atomic("sigma1"), ["--alpha", "1+log:2", "--s", "-1"]),
+        ("sigma2-1-2", _atomic("sigma2"), ["--alpha", "1/2", "--s", "3"]),
+        ("sigma-m3-2-5", _atomic("generalized", 3), ["--alpha", "2/5", "--s", "-4"]),
+    ]
+    for name, config, args in zetas:
+        runs.append((f"zeta-{name}", config, ["zeta", "--config", CONFIG, *args]))
     counts = [
         ("cantor", {"type": "string", "family": "cantor"}, []),
         ("fibonacci", {"type": "string", "family": "fibonacci"}, []),
